@@ -153,6 +153,10 @@ def _run_krawtchouk_eval(config: ExperimentConfig) -> int:
 def _sweep_times(config: ExperimentConfig):
     if config.steps < 1:
         raise ConfigError("--steps must be positive")
+    if not math.isfinite(config.t_min) or not math.isfinite(config.t_max):
+        raise ConfigError("--t-min and --t-max must be finite")
+    if config.t_min > config.t_max:
+        raise ConfigError("--t-min must not exceed --t-max")
     return np.linspace(config.t_min, config.t_max, config.steps)
 
 
@@ -215,6 +219,8 @@ def _build_scenario(config: ExperimentConfig):
 
 
 def _run_walk_detect(config: ExperimentConfig) -> int:
+    if not config.tol > 0:
+        raise ConfigError("--tol must be positive")
     scenario = _build_scenario(config)
     events = scan(scenario.spec, _sweep_times(config), tol=config.tol)
     payload = [
@@ -329,14 +335,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON values accepted for each annotated ExperimentConfig field type.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     config = ExperimentConfig()
     if args.config:
         with open(args.config) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ConfigError("the config file must hold a JSON object")
+        types = {field.name: field.type for field in dataclasses.fields(ExperimentConfig)}
         for key, value in payload.items():
-            if not hasattr(config, key):
+            if key not in types:
                 raise ConfigError(f"unknown config field {key!r}")
+            if value is None:
+                continue  # null leaves the default in place, like an omitted flag
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
+                raise ConfigError(f"config field {key!r} must be {types[key]}, got {value!r}")
+            if types[key] == "float":
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"config field {key!r} is out of range") from None
             setattr(config, key, value)
 
     group = getattr(args, "group", None)

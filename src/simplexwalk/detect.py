@@ -163,7 +163,7 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL, coarse_tol: float = None,
 
 
 def _class_count(spec: WalkSpec) -> int:
-    return len(enumerate_indices(spec.copies, spec.base.d))
+    return math.comb(spec.copies + spec.base.d, spec.base.d)
 
 
 def _grid_spacing(t_grid) -> float:

@@ -79,6 +79,28 @@ def multiset_arrangements(beta):
     yield from rec()
 
 
+def symmetric_power_row(M, beta) -> dict:
+    """Coefficients of prod_i (sum_j M[i,j] x_j)^beta_i, keyed by the
+    exponent composition of each monomial.
+
+    This is the row beta of the N-th symmetric power of the square matrix M
+    in the monomial basis: the Krawtchouk generating function and the
+    projected evolution both read their values off it.
+    """
+    rows = np.asarray(M, dtype=complex).tolist()
+    nc = len(rows)
+    poly = {(0,) * nc: 1.0 + 0.0j}
+    for i, b in enumerate(beta):
+        for _ in range(b):
+            new = {}
+            for mono, coeff in poly.items():
+                for j, m in enumerate(rows[i]):
+                    shifted = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                    new[shifted] = new.get(shifted, 0.0 + 0.0j) + coeff * m
+            poly = new
+    return poly
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtensionScheme:
     """Symbolic handle on the N-th symmetric tensor power of ``base``."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extension import enumerate_indices, multinomial
+from .extension import enumerate_indices, multinomial, symmetric_power_row
 from .schemes import AssociationScheme, unit_root
 
 PARAM_TOL = 1e-8
@@ -152,30 +152,14 @@ def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
 
 def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
     """Exact generating-function evaluation: expand the product of the row
-    polynomials of U and read off every K(n, n_tilde) at once.
+    polynomials of U (first column all ones) and read off every
+    K(n, n_tilde) at once.
 
     Returns a map from each composition n to the value K(n, n_tilde).
     """
     n_tilde = _check_weights(n_tilde, N)
-    U = np.asarray(U, dtype=complex)
-    d = len(n_tilde) - 1
-
-    poly = {(0,) * d: 1.0 + 0.0j}
-    for i in range(d + 1):
-        for _ in range(n_tilde[i]):
-            new = {}
-            for mono, coeff in poly.items():
-                new[mono] = new.get(mono, 0.0 + 0.0j) + coeff
-                for j in range(1, d + 1):
-                    shifted = mono[: j - 1] + (mono[j - 1] + 1,) + mono[j:]
-                    new[shifted] = new.get(shifted, 0.0 + 0.0j) + coeff * U[i, j]
-            poly = new
-
-    out = {}
-    for n in enumerate_indices(N, d):
-        coeff = poly.get(n[1:], 0.0 + 0.0j)
-        out[n] = coeff / multinomial(N, n)
-    return out
+    row = symmetric_power_row(U, n_tilde)
+    return {n: row[n] / multinomial(N, n) for n in enumerate_indices(N, len(n_tilde) - 1)}
 
 
 def krawtchouk_table(N: int, U) -> dict:
@@ -231,10 +215,7 @@ def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
 # -- bivariate specialization on the 3-cycle cosine matrix ------------------
 
 _ZETA3 = unit_root(1, 3)
-_U1 = 1.0 - _ZETA3
-_U2 = 1.0 - _ZETA3 ** 2
-_V1 = _U2
-_V2 = _U1
+_U3 = np.array([[unit_root(i * j, 3) for j in range(3)] for i in range(3)])
 
 
 def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
@@ -247,27 +228,7 @@ def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
         raise ValueError(f"degree indices ({m},{n}) out of range for N={N}")
     if not (0 <= x and 0 <= y and x + y <= N):
         raise ValueError(f"grid point ({x},{y}) out of range for N={N}")
-    total = 0.0 + 0.0j
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            for k in range(min(n, x - i) + 1):
-                for l in range(min(n - k, y - j) + 1):
-                    s = i + j + k + l
-                    num = (
-                        pochhammer(-m, i + j)
-                        * pochhammer(-n, k + l)
-                        * pochhammer(-x, i + k)
-                        * pochhammer(-y, j + l)
-                    )
-                    if num == 0:
-                        continue
-                    den = pochhammer(-N, s) * (
-                        math.factorial(i) * math.factorial(j) * math.factorial(k) * math.factorial(l)
-                    )
-                    total += float(Fraction(num, den)) * (
-                        _U1 ** i * _V1 ** j * _U2 ** k * _V2 ** l
-                    )
-    return total
+    return krawtchouk_series((N - x - y, x, y), (N - m - n, m, n), N, _U3)
 
 
 def bivariate_G_tilde(m: int, n: int, x: int, y: int, N: int) -> complex:

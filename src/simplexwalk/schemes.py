@@ -80,7 +80,8 @@ class ValidationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        # np.max propagates NaN, so a NaN residual is never hidden
+        return float(np.max([c.residual for c in self.checks], initial=0.0))
 
     def __str__(self) -> str:
         lines = []

@@ -15,7 +15,13 @@ import warnings
 
 import numpy as np
 
-from .extension import class_valency, enumerate_indices, extension_scheme
+from .extension import (
+    class_valency,
+    enumerate_indices,
+    extension_scheme,
+    multinomial,
+    symmetric_power_row,
+)
 from .schemes import AssociationScheme, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -46,6 +52,8 @@ def walk_spec(base: AssociationScheme, copies: int, weights) -> WalkSpec:
     weights = np.asarray(weights, dtype=complex)
     if weights.shape != (base.d,):
         raise ValueError(f"expected {base.d} weights, got {weights.shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if copies < 0:
         raise ValueError("copies must be non-negative")
     weights.setflags(write=False)
@@ -76,19 +84,24 @@ def canonical_ngon_weights(n: int) -> np.ndarray:
     return w
 
 
+def _one_copy_spectrum(spec: WalkSpec) -> np.ndarray:
+    """theta_j = sum_i w_i P[j,i]: the one-copy Hamiltonian's eigenvalue on
+    the base idempotent j, for j = 0..d."""
+    return spec.base.first_eigenmatrix[:, 1:] @ spec.weights
+
+
 def _coupling_rates(spec: WalkSpec) -> np.ndarray:
-    """mu_l = sum_i w_i k_i (1 - c_{l,i}) for l = 1..d."""
-    P = spec.base.first_eigenmatrix
-    if spec.base.d == 0:
-        return np.zeros(0, dtype=complex)
-    return (P[0, 1:][np.newaxis, :] - P[1:, 1:]) @ spec.weights
+    """mu_l = theta_0 - theta_l = sum_i w_i k_i (1 - c_{l,i}) for l = 1..d.
+
+    The rows of P are subtracted before the product: subtracting theta
+    values instead moves every amplitude in the last bits.
+    """
+    P = spec.base.first_eigenmatrix[:, 1:]
+    return (P[0] - P[1:]) @ spec.weights
 
 
 def _total_rate(spec: WalkSpec) -> complex:
-    P = spec.base.first_eigenmatrix
-    if spec.base.d == 0:
-        return 0.0 + 0.0j
-    return complex(P[0, 1:] @ spec.weights)
+    return complex(_one_copy_spectrum(spec)[0])
 
 
 def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
@@ -96,11 +109,7 @@ def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != spec.base.classes or sum(alpha) != spec.copies:
         raise ValueError(f"{alpha} is not a valid index for this walk")
-    P = spec.base.first_eigenmatrix
-    acc = 0.0 + 0.0j
-    for i in range(1, spec.base.classes):
-        acc += spec.weights[i - 1] * sum(alpha[j] * P[j, i] for j in range(spec.base.classes))
-    return acc
+    return complex(np.dot(alpha, _one_copy_spectrum(spec)))
 
 
 def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
@@ -211,10 +220,15 @@ def solve_weights(scheme: AssociationScheme, t: float, target_args) -> WeightSol
 @dataclasses.dataclass(frozen=True, eq=False)
 class ProjectedMatrix:
     """Matrix of the Hamiltonian on the orthonormal class-representative
-    states, rows indexed by the source class and columns by the target."""
+    states, rows indexed by the source class and columns by the target.
+
+    ``one_body`` is the (d+1)x(d+1) one-copy matrix h (the projected matrix
+    at N = 1); ``entries`` is its bosonic one-body lift to N copies.
+    """
 
     order: tuple
     entries: np.ndarray
+    one_body: np.ndarray
 
     @property
     def hermiticity_residual(self) -> float:
@@ -222,9 +236,9 @@ class ProjectedMatrix:
 
 
 def projected_matrix(spec: WalkSpec) -> ProjectedMatrix:
-    """Entries: diagonal sum_i w_i sum_j beta_j p[i,j,j]; for a move of one
-    unit from slot s to slot t,
-    sqrt(beta_s (beta_t + 1)) sqrt(k_t / k_s) sum_i w_i p[i,s,t].
+    """Entries: one-copy matrix h[s,t] = sqrt(k_t / k_s) sum_i w_i p[i,s,t];
+    diagonal sum_j beta_j h[j,j]; for a move of one unit from slot s to
+    slot t, sqrt(beta_s (beta_t + 1)) h[s,t].
 
     The valency ratio drops out when all base valencies are equal; in
     general it is forced by the normalization of the class states, and with
@@ -237,19 +251,16 @@ def projected_matrix(spec: WalkSpec) -> ProjectedMatrix:
     w = spec.weights
     kv = spec.base.valencies.astype(float)
 
-    diag_rate = np.zeros(nc, dtype=complex)
-    hop_rate = np.zeros((nc, nc), dtype=complex)
+    h = np.zeros((nc, nc), dtype=complex)
     for i in range(1, nc):
         for j in range(nc):
-            diag_rate[j] += w[i - 1] * ptensor[i, j, j]
             for k in range(nc):
-                if j != k:
-                    hop_rate[j, k] += w[i - 1] * ptensor[i, j, k] * math.sqrt(kv[k] / kv[j])
+                h[j, k] += w[i - 1] * ptensor[i, j, k] * math.sqrt(kv[k] / kv[j])
 
     B = np.zeros((len(order), len(order)), dtype=complex)
     for beta in order:
         r = pos[beta]
-        B[r, r] = sum(beta[j] * diag_rate[j] for j in range(nc))
+        B[r, r] = sum(beta[j] * h[j, j] for j in range(nc))
         for s in range(nc):
             if beta[s] == 0:
                 continue
@@ -260,24 +271,28 @@ def projected_matrix(spec: WalkSpec) -> ProjectedMatrix:
                 gamma[s] -= 1
                 gamma[t] += 1
                 c = pos[tuple(gamma)]
-                B[r, c] = math.sqrt(beta[s] * (beta[t] + 1)) * hop_rate[s, t]
-    return ProjectedMatrix(order=order, entries=B)
+                B[r, c] = math.sqrt(beta[s] * (beta[t] + 1)) * h[s, t]
+    return ProjectedMatrix(order=order, entries=B, one_body=h)
 
 
 def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
     """Apply exp(-i t H) to the basis state at ``start``, where H is the
     generator read off the projected matrix; spectral decomposition, so the
-    input must be Hermitian."""
+    input must be Hermitian.
+
+    H is the one-body lift of h = ``pm.one_body``, so exp(-i t H) is the
+    N-th symmetric power of exp(-i t h): only h is diagonalized, and the
+    coefficient of x^gamma in the row ``start`` of that power, times
+    sqrt(gamma! / start!) = sqrt(multinomial(N; start) / multinomial(N; gamma)),
+    is the amplitude on the class state gamma.
+    """
     if pm.hermiticity_residual > 1e-9:
         raise ValueError("projected matrix is not Hermitian")
     start = tuple(int(b) for b in start)
-    try:
-        pos = pm.order.index(start)
-    except ValueError:
-        raise ValueError(f"{start} is not an index of this projected matrix") from None
-    # entries[beta, gamma] is <Y_gamma|M|Y_beta>; the coordinate generator
-    # is its transpose.
-    gen = pm.entries.T
-    vals, vecs = np.linalg.eigh(gen)
-    coeffs = np.conj(vecs[pos, :])
-    return vecs @ (np.exp(-1j * t * vals) * coeffs)
+    if start not in pm.order:
+        raise ValueError(f"{start} is not an index of this projected matrix")
+    vals, vecs = np.linalg.eigh(pm.one_body)
+    row = symmetric_power_row((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T, start)
+    N = sum(start)
+    top = multinomial(N, start)
+    return np.array([row[g] * math.sqrt(top / multinomial(N, g)) for g in pm.order])

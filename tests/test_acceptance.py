@@ -27,6 +27,7 @@ from simplexwalk import (
     walk_spec,
 )
 from simplexwalk.oracle import (
+    _oracle_specs,
     compare_amplitudes,
     golden_bmatrix_residual,
     ngon_spectrum_residual,
@@ -74,17 +75,9 @@ def test_03_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(20250811)
     worst = 0.0
-    cases = []
-    g3 = directed_ngon(3)
-    for N in range(1, 5):
-        cases.append(walk_spec(g3, N, canonical_ngon_weights(3)))
-    x2 = trivial_scheme_2()
-    for N in range(1, 7):
-        cases.append(walk_spec(x2, N, [1.0]))
-    ow3 = ordered_word_scheme(3)
-    for N in range(1, 3):
-        cases.append(walk_spec(ow3, N, [0.7, -0.3, 0.25]))
-    for spec in cases:
+    cases = _oracle_specs()
+    assert len(cases) == 12
+    for _, spec in cases:
         times = rng.uniform(0.0, 8.0, size=20)
         worst = max(worst, compare_amplitudes(spec, times).max_error)
     elapsed = time.perf_counter() - start

@@ -159,3 +159,73 @@ def test_config_file_unknown_field(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"command": "verify", "nonsense": 1}))
     assert run_cli(["--config", str(config), "verify"]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", "3"),
+        ("n", 3.0),
+        ("n", True),
+        ("steps", "40"),
+        ("t_max", "6.28"),
+        ("t_max", 10 ** 400),
+        ("tol", False),
+        ("weights", 1),
+        ("kind", ["ngon"]),
+    ],
+)
+def test_config_file_value_types_checked(tmp_path, capsys, field, value):
+    payload = {"command": "scheme-info", "kind": "ngon", "n": 3}
+    payload[field] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert run_cli(["--config", str(config), "scheme", "info"]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+
+
+def test_config_file_null_and_int_values_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "command": "walk-amplitudes", "kind": "trivial2", "copies": 1, "weights": None,
+        "t_min": 0, "t_max": 1, "steps": None,
+    }))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["--config", str(config), "walk", "amplitudes", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 200 * 2
+
+
+def test_config_file_not_an_object(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(["verify"]))
+    assert run_cli(["--config", str(config), "verify"]) == 2
+
+
+@pytest.mark.parametrize("weights", ["nan", "1,1e400"])
+def test_non_finite_weights_exit_code(tmp_path, capsys, weights):
+    out = tmp_path / "a.csv"
+    rc = run_cli(["walk", "amplitudes", "--scheme", "ngon", "--n", str(1 + len(weights.split(","))),
+                  "--N", "2", "--weights", weights, "--steps", "3", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_detect_rejects_non_positive_tol(tmp_path, capsys, tol):
+    out = tmp_path / "events.json"
+    rc = run_cli(["walk", "detect", "--scenario", "hypercube", "--N", "2",
+                  "--steps", "20", "--tol", tol, "--out", str(out)])
+    assert rc == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_min, t_max", [("3", "1"), ("0", "inf"), ("nan", "1")])
+def test_amplitudes_rejects_bad_time_range(tmp_path, capsys, t_min, t_max):
+    out = tmp_path / "a.csv"
+    rc = run_cli(["walk", "amplitudes", "--scheme", "trivial2", "--N", "2",
+                  "--t-min", t_min, "--t-max", t_max, "--steps", "5", "--out", str(out)])
+    assert rc == 2
+    assert "--t-m" in capsys.readouterr().err
+    assert not out.exists()

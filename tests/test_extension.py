@@ -18,6 +18,7 @@ from simplexwalk import (
     ordered_word_scheme,
     trivial_scheme_2,
 )
+from simplexwalk.extension import symmetric_power_row
 
 
 def test_enumerate_counts():
@@ -164,3 +165,22 @@ def test_indices_json_roundtrip():
     ext = extension_scheme(directed_ngon(3), 2)
     payload = json.dumps(indices_json(ext))
     assert json.loads(payload) == [list(b) for b in ext.index_set]
+
+
+def test_symmetric_power_row_two_by_two():
+    # (a x0 + b x1)(c x0 + d x1) = ac x0^2 + (ad + bc) x0 x1 + bd x1^2
+    a, b, c, d = 2.0, 3.0 - 1.0j, 0.5j, 5.0
+    row = symmetric_power_row([[a, b], [c, d]], (1, 1))
+    assert row == {(2, 0): a * c, (1, 1): a * d + b * c, (0, 2): b * d}
+    assert symmetric_power_row([[a, b], [c, d]], (0, 0)) == {(0, 0): 1.0}
+
+
+def test_symmetric_power_row_sums_to_row_product():
+    # evaluating the expansion at x = 1 gives prod_i (sum_j M[i,j])^beta_i
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    beta = (2, 0, 1, 3)
+    row = symmetric_power_row(M, beta)
+    assert set(row) == set(enumerate_indices(6, 3))
+    expected = np.prod(M.sum(axis=1) ** np.array(beta))
+    assert abs(sum(row.values()) - expected) < 1e-10 * abs(expected)

@@ -189,6 +189,8 @@ def test_run_suite_axioms():
     report = run_suite("axioms")
     assert report["passed"]
     assert all(isinstance(c["residual"], float) for c in report["checks"])
+    assert all(list(c) == ["name", "passed", "residual", "tolerance"] for c in report["checks"])
+    assert [c["name"] for c in report["checks"]][:2] == ["axioms:trivial2", "axioms:ngon-1"]
 
 
 def test_run_suite_unknown():

@@ -11,6 +11,7 @@ from simplexwalk import (
     trivial_scheme_2,
     validate_scheme,
 )
+from simplexwalk.schemes import CheckResult, ValidationReport
 
 
 def test_trivial2_eigenmatrices():
@@ -110,6 +111,12 @@ def test_ow_validates(d):
     report = validate_scheme(ordered_word_scheme(d))
     assert report.ok
     assert report.max_residual < 1e-12
+
+
+def test_max_residual_keeps_nan():
+    report = ValidationReport((CheckResult("a", True, 0.0), CheckResult("b", False, float("nan"))))
+    assert not report.ok
+    assert np.isnan(report.max_residual)
 
 
 def test_ow_classes_are_symmetric():

@@ -39,6 +39,12 @@ def test_weight_count_checked():
         walk_spec(directed_ngon(3), 2, [1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        walk_spec(directed_ngon(3), 2, [1.0, bad])
+
+
 def test_non_hermitian_warns():
     with pytest.warns(UserWarning):
         spec = walk_spec(directed_ngon(3), 1, [1.0, 0.5])
@@ -265,6 +271,41 @@ def test_evolve_matches_amplitudes():
             prof = amplitudes(spec, t)
             expected = np.array([prof.site_amplitudes[b] for b in pm.order])
             np.testing.assert_allclose(state, expected, atol=1e-9)
+
+
+def _evolve_dense(pm, t, start):
+    # reference: eigendecomposition of the D x D coordinate generator
+    vals, vecs = np.linalg.eigh(pm.entries.T)
+    coeffs = np.conj(vecs[pm.order.index(start), :])
+    return vecs @ (np.exp(-1j * t * vals) * coeffs)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        canonical_spec(3, 4),
+        canonical_spec(4, 3),
+        walk_spec(ordered_word_scheme(3), 3, [0.7, -0.3, 0.25]),
+    ],
+)
+def test_evolve_symmetric_power_matches_dense_eigh(spec, monkeypatch):
+    pm = projected_matrix(spec)
+    single = projected_matrix(walk_spec(spec.base, 1, spec.weights))
+    np.testing.assert_array_equal(pm.one_body, single.entries)
+    times = (0.3, 1.7, 4.1)
+    expected = {(s, t): _evolve_dense(pm, t, s) for s in pm.order for t in times}
+
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for (start, t), ref in expected.items():
+        np.testing.assert_allclose(evolve_projected(pm, t, start), ref, rtol=0, atol=1e-12)
+    assert set(shapes) == {(spec.base.classes, spec.base.classes)}
 
 
 def test_evolve_mpst_extreme_arrival():
