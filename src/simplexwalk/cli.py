@@ -168,19 +168,10 @@ def _run_walk_amplitudes(config: ExperimentConfig) -> int:
     lines = ["t,beta,re,im,prob"]
     for t in _sweep_times(config):
         prof = amplitudes(spec, t)
-        for beta in sorted(prof.coefficients, reverse=True):
-            f = prof.coefficients[beta]
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(t),
-                        "-".join(str(b) for b in beta),
-                        _fmt(f.real),
-                        _fmt(f.imag),
-                        _fmt(prof.class_probabilities[beta]),
-                    ]
-                )
-            )
+        for beta, f in prof.coefficients.items():
+            cells = (_fmt(t), "-".join(str(b) for b in beta), _fmt(f.real), _fmt(f.imag),
+                     _fmt(prof.class_probabilities[beta]))
+            lines.append(",".join(cells))
     _write_text(config.out, "\n".join(lines) + "\n")
     if config.out:
         print(f"wrote {len(lines) - 1} rows to {config.out}")
@@ -269,8 +260,8 @@ def run(config: ExperimentConfig) -> int:
     return _RUNNERS[config.command](config)
 
 
-def _add_scheme_flags(p):
-    p.add_argument("--kind", choices=["ngon", "trivial2", "ow"], default=None)
+def _add_scheme_flags(p, flag):
+    p.add_argument(flag, dest="kind", choices=["ngon", "trivial2", "ow"], default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
 
@@ -292,14 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scheme = sub.add_parser("scheme").add_subparsers(dest="action")
     info = scheme.add_parser("info")
-    _add_scheme_flags(info)
+    _add_scheme_flags(info, "--kind")
     info.add_argument("--out", default=None)
 
     kr = sub.add_parser("krawtchouk").add_subparsers(dest="action")
     ev = kr.add_parser("eval")
-    ev.add_argument("--scheme", dest="kind", choices=["ngon", "trivial2", "ow"], default=None)
-    ev.add_argument("--n", type=int, default=None)
-    ev.add_argument("--d", type=int, default=None)
+    _add_scheme_flags(ev, "--scheme")
     ev.add_argument("--N", dest="copies", type=int, default=None)
     ev.add_argument("--index", default=None)
     ev.add_argument("--index-tilde", default=None)
@@ -308,9 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     walk = sub.add_parser("walk").add_subparsers(dest="action")
     for name in ("amplitudes", "bmatrix"):
         p = walk.add_parser(name)
-        p.add_argument("--scheme", dest="kind", choices=["ngon", "trivial2", "ow"], default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--d", type=int, default=None)
+        _add_scheme_flags(p, "--scheme")
         _add_weight_flags(p)
         p.add_argument("--t-min", type=float, default=None)
         p.add_argument("--t-max", type=float, default=None)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .extension import enumerate_indices
+from .extension import class_table
 from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
@@ -22,6 +22,8 @@ from .walk import (
 
 PST_TOL = 1e-8
 FR_TOL = 1e-6
+COARSE_TOL = 1e-3
+MAX_SUPPORT_FRACTION = 0.5
 NORMALIZATION_TOL = 1e-6
 
 
@@ -47,21 +49,20 @@ class Scenario:
     expected_events: tuple  # of (time, kind, support tuple)
 
 
-def classify(profile, tol: float = PST_TOL, fr_tol: float = None) -> TransferEvent:
+def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     """Name the event at ``profile.time`` by its minimal high-probability
     support: one site is a perfect transfer, two balanced sites a maximal
     entanglement, any proper subset a revival.
 
-    ``fr_tol`` (default 1e-6, never below ``tol``) determines the support;
-    the stricter ``tol`` gates the single-site perfect-transfer claim.
+    The support is taken at ``max(tol, FR_TOL)``; the stricter ``tol``
+    gates the single-site perfect-transfer claim.
     """
     if not profile.hermitian:
         raise ValueError("cannot classify a non-unitary profile")
     total = profile.total_probability()
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"profile is not normalized (total {total!r})")
-    if fr_tol is None:
-        fr_tol = max(tol, FR_TOL)
+    fr_tol = max(tol, FR_TOL)
 
     ranked = sorted(profile.class_probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
     cum = 0.0
@@ -110,21 +111,19 @@ def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
     return (a + b) / 2.0
 
 
-def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL, coarse_tol: float = None,
-         max_support_fraction: float = 0.5) -> list:
+def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """Locate transfer events along a sorted time grid.
 
     Event times rarely fall on grid points, so detection is two-pass: grid
-    points are classified with a loose tolerance, maximal stretches of
+    points are classified at ``max(tol, COARSE_TOL)``, maximal stretches of
     identical coarse classification are bracketed, each bracket's time is
     refined by golden-section fidelity maximization, and the refined
     profile is classified at the strict tolerance.  Revival events whose
-    support exceeds ``max_support_fraction`` of the classes are treated as
+    support exceeds ``MAX_SUPPORT_FRACTION`` of the classes are treated as
     unconfined and dropped; adjacent duplicates are merged on the best
     fidelity.
     """
-    if coarse_tol is None:
-        coarse_tol = max(tol, 1e-3)
+    coarse_tol = max(tol, COARSE_TOL)
     t_grid = list(t_grid)
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("time grid must be sorted")
@@ -153,7 +152,7 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL, coarse_tol: float = None,
         ev = _refine_segment(spec, t_grid, seg, candidates, tol, coarse_tol)
         if ev is None or ev.kind == "none":
             continue
-        if ev.kind == "FR" and len(ev.support) > max_support_fraction * _class_count(spec):
+        if ev.kind == "FR" and len(ev.support) > MAX_SUPPORT_FRACTION * _class_count(spec):
             continue
         if not _is_local_fidelity_max(spec, ev, spacing, t_grid):
             continue
@@ -163,7 +162,7 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL, coarse_tol: float = None,
 
 
 def _class_count(spec: WalkSpec) -> int:
-    return math.comb(spec.copies + spec.base.d, spec.base.d)
+    return len(class_table(spec.base, spec.copies).order)
 
 
 def _grid_spacing(t_grid) -> float:
@@ -258,13 +257,8 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
         prof = amplitudes(spec, t)
         for beta, prob in prof.class_probabilities.items():
             worst[beta] = max(worst.get(beta, 0.0), prob)
-    out = []
-    for beta in sorted(worst):
-        if worst[beta] < tol:
-            out.append(
-                TransferEvent(kind="ZT-candidate", time=None, support=(beta,), fidelity=0.0)
-            )
-    return out
+    return [TransferEvent(kind="ZT-candidate", time=None, support=(beta,), fidelity=0.0)
+            for beta in sorted(worst) if worst[beta] < tol]
 
 
 def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
@@ -329,7 +323,7 @@ def ow_fr_scenario(d: int, N: int, k: int, t_star: float = math.pi / 2.0) -> Sce
     sol = solve_weights(scheme, t_star, args)
     spec = walk_spec(scheme, N, sol.weights)
     support = tuple(
-        beta for beta in enumerate_indices(N, d) if all(beta[j] == 0 for j in range(k, d + 1))
+        beta for beta in class_table(scheme, N).order if all(beta[j] == 0 for j in range(k, d + 1))
     )
     if len(support) == 1:
         kind = "PST"

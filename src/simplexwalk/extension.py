@@ -10,8 +10,11 @@ the brute-force oracle feeds on.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import os
+import types
 
 import numpy as np
 
@@ -54,7 +57,7 @@ def multinomial(N: int, beta) -> int:
         raise ValueError("multi-index entries must be non-negative")
     if sum(beta) != N:
         raise ValueError(f"multi-index {beta} does not sum to {N}")
-    return math.factorial(N) // math.prod(math.factorial(b) for b in beta)
+    return math.prod(math.comb(total, b) for total, b in zip(itertools.accumulate(beta), beta))
 
 
 def multiset_arrangements(beta):
@@ -116,11 +119,42 @@ class ExtensionScheme:
 
 
 def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    indices = tuple(enumerate_indices(N, base.d))
-    pos = {beta: i for i, beta in enumerate(indices)}
-    return ExtensionScheme(base=base, copies=N, index_set=indices, position=pos)
+    table = class_table(base, N)
+    return ExtensionScheme(base=base, copies=N, index_set=table.order, position=table.position)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ClassTable:
+    """Classes of an N-th power scheme in canonical order; ``index`` row r,
+    ``valency`` and ``multinomial`` hold order[r], k_beta and multinomial(N; beta)."""
+
+    order: tuple
+    position: types.MappingProxyType
+    index: np.ndarray
+    valency: np.ndarray
+    multinomial: np.ndarray
+
+
+def class_table(base: AssociationScheme, N: int) -> ClassTable:
+    """The class table of the N-th power of ``base``, cached on N, d and the
+    base valencies, so that schemes with equal valencies share one table."""
+    return _class_table(N, base.d, tuple(base.valencies.tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _class_table(N: int, d: int, valencies: tuple) -> ClassTable:
+    order = tuple(enumerate_indices(N, d))
+    position = types.MappingProxyType({beta: i for i, beta in enumerate(order)})
+    # class_valency reads only d and the valencies of a base: no scheme is cached
+    ext = ExtensionScheme(base=types.SimpleNamespace(d=d, valencies=valencies), copies=N,
+                          index_set=order, position=position)
+    index = np.array(order, dtype=np.intp)
+    valency = np.array([float(class_valency(ext, beta)) for beta in order])
+    multinomials = np.array([float(multinomial(N, beta)) for beta in order])
+    for a in (index, valency, multinomials):
+        a.setflags(write=False)
+    return ClassTable(order=order, position=position, index=index, valency=valency,
+                      multinomial=multinomials)
 
 
 def _check_index(ext: ExtensionScheme, beta) -> tuple:

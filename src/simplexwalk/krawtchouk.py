@@ -80,8 +80,10 @@ def params_from_scheme(scheme: AssociationScheme) -> GriffithsParams:
     return griffiths_params(nu, p, p_tilde, scheme.cosine)
 
 
-def _check_weights(n, N):
+def _check_weights(n, N, U):
     n = tuple(int(v) for v in n)
+    if len(n) != np.shape(U)[0]:
+        raise ValueError(f"index {n} must have {np.shape(U)[0]} parts, one per row of U")
     if any(v < 0 for v in n) or sum(n) != N:
         raise ValueError(f"index weight mismatch: {n} does not sum to {N}")
     return n
@@ -120,9 +122,9 @@ def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
     sums exceed n_tilde or column sums exceed n are pruned since their
     Pochhammer factors vanish.
     """
-    n = _check_weights(n, N)
-    n_tilde = _check_weights(n_tilde, N)
     U = np.asarray(U, dtype=complex)
+    n = _check_weights(n, N, U)
+    n_tilde = _check_weights(n_tilde, N, U)
     d = len(n) - 1
     if d == 0:
         return 1.0 + 0.0j
@@ -157,7 +159,7 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
 
     Returns a map from each composition n to the value K(n, n_tilde).
     """
-    n_tilde = _check_weights(n_tilde, N)
+    n_tilde = _check_weights(n_tilde, N, U)
     row = symmetric_power_row(U, n_tilde)
     return {n: row[n] / multinomial(N, n) for n in enumerate_indices(N, len(n_tilde) - 1)}
 
@@ -170,10 +172,7 @@ def krawtchouk_table(N: int, U) -> dict:
 
 
 def _power(vals, exps) -> float:
-    out = 1.0
-    for v, e in zip(vals, exps):
-        out *= float(v) ** int(e)
-    return out
+    return math.prod(float(v) ** int(e) for v, e in zip(vals, exps))
 
 
 def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
@@ -216,6 +215,7 @@ def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
 
 _ZETA3 = unit_root(1, 3)
 _U3 = np.array([[unit_root(i * j, 3) for j in range(3)] for i in range(3)])
+TRINOMIAL_P = TRINOMIAL_Q = 1.0 / 3.0
 
 
 def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
@@ -237,9 +237,11 @@ def bivariate_G_tilde(m: int, n: int, x: int, y: int, N: int) -> complex:
     return scale * bivariate_G(m, n, x, y, N)
 
 
-def bivariate_orthogonality_residual(N: int, p: float = 1.0 / 3.0, q: float = 1.0 / 3.0) -> float:
+def bivariate_orthogonality_residual(N: int) -> float:
     """Max deviation from the weighted orthogonality of the G_{m,n} with the
-    trinomial weight w_{x,y} = multinomial * p^x q^y (1-p-q)^(N-x-y)."""
+    trinomial weight w_{x,y} = multinomial * p^x q^y (1-p-q)^(N-x-y), with the
+    site probabilities p = TRINOMIAL_P and q = TRINOMIAL_Q."""
+    p, q = TRINOMIAL_P, TRINOMIAL_Q
     grid = [(x, y) for x in range(N + 1) for y in range(N + 1 - x)]
     degrees = grid
     values = {

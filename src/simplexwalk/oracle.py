@@ -106,11 +106,8 @@ def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:
     """Map each class index to the vertices related to the start vertex."""
     _guarded_size(spec, EVOLUTION_GUARD)
     ext = extension_scheme(spec.base, spec.copies)
-    out = {}
-    for beta in ext.index_set:
-        members = np.flatnonzero(materialize_class(ext, beta)[:, start_vertex])
-        out[beta] = members
-    return out
+    return {beta: np.flatnonzero(materialize_class(ext, beta)[:, start_vertex])
+            for beta in ext.index_set}
 
 
 @dataclasses.dataclass(frozen=True)

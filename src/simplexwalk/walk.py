@@ -10,18 +10,14 @@ base idempotents; no matrix of the full power scheme is ever formed here.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import warnings
 
 import numpy as np
 
-from .extension import (
-    class_valency,
-    enumerate_indices,
-    extension_scheme,
-    multinomial,
-    symmetric_power_row,
-)
+from .extension import ClassTable, class_table, symmetric_power_row
 from .schemes import AssociationScheme, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -59,10 +55,7 @@ def walk_spec(base: AssociationScheme, copies: int, weights) -> WalkSpec:
     weights.setflags(write=False)
     spec = WalkSpec(base=base, copies=copies, weights=weights)
     if not spec.is_hermitian:
-        warnings.warn(
-            "weights are not Hermitian; evolution will not be unitary",
-            stacklevel=2,
-        )
+        warnings.warn("weights are not Hermitian; evolution will not be unitary", stacklevel=2)
     return spec
 
 
@@ -98,10 +91,6 @@ def _coupling_rates(spec: WalkSpec) -> np.ndarray:
     """
     P = spec.base.first_eigenmatrix[:, 1:]
     return (P[0] - P[1:]) @ spec.weights
-
-
-def _total_rate(spec: WalkSpec) -> complex:
-    return complex(_one_copy_spectrum(spec)[0])
 
 
 def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
@@ -151,29 +140,23 @@ class AmplitudeProfile:
 
 
 def amplitudes(spec: WalkSpec, t: float) -> AmplitudeProfile:
-    """Evaluate f_beta(t) for every class of the power scheme."""
-    ext = extension_scheme(spec.base, spec.copies)
+    """Evaluate f_beta(t) = prefactor * prod_k p_k(t)^beta_k (k = 0..d in
+    turn, p_k^0 skipped) for every class in one pass over the class table."""
+    table = class_table(spec.base, spec.copies)
     p = site_factors(spec, t)
     sizeN = float(spec.base.size) ** spec.copies
-    prefactor = np.exp(-1j * t * spec.copies * _total_rate(spec)) / sizeN
+    theta0 = complex(_one_copy_spectrum(spec)[0])
+    prefactor = np.exp(-1j * t * spec.copies * theta0) / sizeN
 
-    coeffs = {}
-    sites = {}
-    probs = {}
-    for beta in ext.index_set:
-        f = prefactor
-        for k, bk in enumerate(beta):
-            if bk:
-                f = f * p[k] ** bk
-        kb = float(class_valency(ext, beta))
-        coeffs[beta] = complex(f)
-        sites[beta] = complex(f * math.sqrt(kb))
-        probs[beta] = float(kb * abs(f) ** 2)
+    f = np.full(len(table.order), prefactor)
+    for k, exponents in enumerate(table.index.T):
+        powers = np.array([p[k] ** e for e in range(spec.copies + 1)])
+        np.multiply(f, powers[exponents], out=f, where=exponents > 0)
     return AmplitudeProfile(
         time=float(t),
-        coefficients=coeffs,
-        site_amplitudes=sites,
-        class_probabilities=probs,
+        coefficients=dict(zip(table.order, f.tolist())),
+        site_amplitudes=dict(zip(table.order, (f * np.sqrt(table.valency)).tolist())),
+        class_probabilities=dict(zip(table.order, (table.valency * np.abs(f) ** 2).tolist())),
         hermitian=spec.is_hermitian,
     )
 
@@ -223,56 +206,58 @@ class ProjectedMatrix:
     states, rows indexed by the source class and columns by the target.
 
     ``one_body`` is the (d+1)x(d+1) one-copy matrix h (the projected matrix
-    at N = 1); ``entries`` is its bosonic one-body lift to N copies.
+    at N = 1); ``entries`` is its bosonic one-body lift to N copies, built
+    on first access.
     """
 
-    order: tuple
-    entries: np.ndarray
+    table: ClassTable
     one_body: np.ndarray
 
     @property
+    def order(self) -> tuple:
+        return self.table.order
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """Diagonal sum_j beta_j h[j,j]; for a move of one unit from slot s
+        to slot t, sqrt(beta_s (beta_t + 1)) h[s,t]."""
+        h, pos = self.one_body, self.table.position
+        B = np.diag(np.array([sum(b * h[j, j] for j, b in enumerate(beta)) for beta in self.order],
+                             dtype=complex))
+        for r, beta in enumerate(self.order):
+            for s, t in itertools.permutations(range(len(beta)), 2):
+                if beta[s]:
+                    gamma = list(beta)
+                    gamma[s] -= 1
+                    gamma[t] += 1
+                    B[r, pos[tuple(gamma)]] = math.sqrt(beta[s] * (beta[t] + 1)) * h[s, t]
+        return B
+
+    @property
     def hermiticity_residual(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
+        """max |B - B^dagger|, read off h: the lift scales the off-diagonal
+        defects of h by at most max_x sqrt(x (N - x + 1)), the diagonal by N."""
+        N = sum(self.order[0])
+        x = (N + 1) // 2
+        scale = np.full(self.one_body.shape, math.sqrt(x * (N - x + 1)))
+        np.fill_diagonal(scale, N)
+        return float((scale * np.abs(self.one_body - self.one_body.conj().T)).max())
 
 
 def projected_matrix(spec: WalkSpec) -> ProjectedMatrix:
-    """Entries: one-copy matrix h[s,t] = sqrt(k_t / k_s) sum_i w_i p[i,s,t];
-    diagonal sum_j beta_j h[j,j]; for a move of one unit from slot s to
-    slot t, sqrt(beta_s (beta_t + 1)) h[s,t].
+    """The projected matrix of ``spec``, held as the one-copy matrix
+    h[s,t] = sqrt(k_t / k_s) sum_i w_i p[i,s,t] and lifted on demand.
 
     The valency ratio drops out when all base valencies are equal; in
     general it is forced by the normalization of the class states, and with
     it Hermitian couplings yield a Hermitian matrix.
     """
-    order = tuple(enumerate_indices(spec.copies, spec.base.d))
-    pos = {beta: i for i, beta in enumerate(order)}
-    ptensor = spec.base.intersection
-    nc = spec.base.classes
-    w = spec.weights
     kv = spec.base.valencies.astype(float)
-
-    h = np.zeros((nc, nc), dtype=complex)
-    for i in range(1, nc):
-        for j in range(nc):
-            for k in range(nc):
-                h[j, k] += w[i - 1] * ptensor[i, j, k] * math.sqrt(kv[k] / kv[j])
-
-    B = np.zeros((len(order), len(order)), dtype=complex)
-    for beta in order:
-        r = pos[beta]
-        B[r, r] = sum(beta[j] * h[j, j] for j in range(nc))
-        for s in range(nc):
-            if beta[s] == 0:
-                continue
-            for t in range(nc):
-                if s == t:
-                    continue
-                gamma = list(beta)
-                gamma[s] -= 1
-                gamma[t] += 1
-                c = pos[tuple(gamma)]
-                B[r, c] = math.sqrt(beta[s] * (beta[t] + 1)) * h[s, t]
-    return ProjectedMatrix(order=order, entries=B, one_body=h)
+    ratio = np.sqrt(kv[np.newaxis, :] / kv[:, np.newaxis])
+    h = np.zeros((spec.base.classes,) * 2, dtype=complex)
+    for w, p in zip(spec.weights, spec.base.intersection[1:]):
+        h += w * p * ratio
+    return ProjectedMatrix(table=class_table(spec.base, spec.copies), one_body=h)
 
 
 def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
@@ -289,10 +274,9 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
     if pm.hermiticity_residual > 1e-9:
         raise ValueError("projected matrix is not Hermitian")
     start = tuple(int(b) for b in start)
-    if start not in pm.order:
+    if start not in pm.table.position:
         raise ValueError(f"{start} is not an index of this projected matrix")
     vals, vecs = np.linalg.eigh(pm.one_body)
     row = symmetric_power_row((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T, start)
-    N = sum(start)
-    top = multinomial(N, start)
-    return np.array([row[g] * math.sqrt(top / multinomial(N, g)) for g in pm.order])
+    scale = np.sqrt(pm.table.multinomial[pm.table.position[start]] / pm.table.multinomial)
+    return np.array([row[g] for g in pm.order]) * scale

@@ -229,3 +229,13 @@ def test_amplitudes_rejects_bad_time_range(tmp_path, capsys, t_min, t_max):
     assert rc == 2
     assert "--t-m" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("index, index_tilde", [("1-1", "1-1"), ("1-1-0", "1-1")])
+def test_krawtchouk_eval_rejects_index_length(tmp_path, capsys, index, index_tilde):
+    out = tmp_path / "value.json"
+    rc = run_cli(["krawtchouk", "eval", "--scheme", "ngon", "--n", "3", "--N", "2",
+                  "--index", index, "--index-tilde", index_tilde, "--out", str(out)])
+    assert rc == 2
+    assert "3 parts" in capsys.readouterr().err
+    assert not out.exists()

@@ -18,7 +18,8 @@ from simplexwalk import (
     ordered_word_scheme,
     trivial_scheme_2,
 )
-from simplexwalk.extension import symmetric_power_row
+from simplexwalk import extension, walk
+from simplexwalk.extension import class_table, symmetric_power_row
 
 
 def test_enumerate_counts():
@@ -47,6 +48,8 @@ def test_multinomial_values():
     assert multinomial(5, (5, 0, 0)) == 1
     assert multinomial(5, (2, 2, 1)) == 30
     assert multinomial(40, (20, 20)) == math.comb(40, 20)
+    big = (300, 0, 457, 183)
+    assert multinomial(940, big) == math.factorial(940) // math.prod(math.factorial(b) for b in big)
 
 
 def test_multinomial_mismatch():
@@ -184,3 +187,37 @@ def test_symmetric_power_row_sums_to_row_product():
     assert set(row) == set(enumerate_indices(6, 3))
     expected = np.prod(M.sum(axis=1) ** np.array(beta))
     assert abs(sum(row.values()) - expected) < 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("base, N", [(ordered_word_scheme(3), 4), (directed_ngon(4), 0),
+                                     (trivial_scheme_2(), 7)])
+def test_class_table_matches_exact_bookkeeping(base, N):
+    table = class_table(base, N)
+    ext = extension_scheme(base, N)
+    assert table.order == tuple(enumerate_indices(N, base.d)) == ext.index_set
+    assert table.position == {beta: i for i, beta in enumerate(table.order)}
+    np.testing.assert_array_equal(table.index, np.array(table.order))
+    assert table.valency.tolist() == [float(class_valency(ext, b)) for b in table.order]
+    assert table.multinomial.tolist() == [float(multinomial(N, b)) for b in table.order]
+
+
+def test_class_table_shared_by_equal_valencies():
+    # the table depends on N, d and the base valencies only
+    assert class_table(directed_ngon(3), 5) is class_table(directed_ngon(3), 5)
+    assert class_table(directed_ngon(3), 5) is not class_table(directed_ngon(3), 4)
+
+
+def test_amplitudes_compute_valencies_once_per_table(monkeypatch):
+    spec = walk.walk_spec(directed_ngon(3), 17, walk.canonical_ngon_weights(3))
+    calls = []
+    exact = extension.class_valency
+
+    def counting(ext, beta):
+        calls.append(beta)
+        return exact(ext, beta)
+
+    monkeypatch.setattr(extension, "class_valency", counting)
+    extension._class_table.cache_clear()
+    for t in (0.1, 0.2, 0.3):
+        walk.amplitudes(spec, t)
+    assert len(calls) == math.comb(17 + 2, 2)

@@ -65,6 +65,16 @@ def test_series_weight_mismatch():
         krawtchouk_series((1, 1), (2, 1), 2, HADAMARD)
 
 
+@pytest.mark.parametrize("n, n_tilde", [((1, 1), (1, 1)), ((1, 1, 0), (1, 1)), ((1, 1), (1, 1, 0))])
+def test_index_length_must_match_U(n, n_tilde):
+    U = directed_ngon(3).cosine
+    with pytest.raises(ValueError, match="3 parts"):
+        krawtchouk_series(n, n_tilde, 2, U)
+    if len(n_tilde) != 3:
+        with pytest.raises(ValueError, match="3 parts"):
+            krawtchouk_genfun(n_tilde, 2, U)
+
+
 def test_series_univariate_frozen_value():
     # (1+z)(1-z)^2 = 1 - z - z^2 + z^3; coefficient of z is -1, over C(3;2,1)=3
     value = krawtchouk_series((2, 1), (1, 2), 3, HADAMARD)

@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
+    WalkSpec,
     amplitudes,
     canonical_ngon_weights,
+    class_valency,
     directed_ngon,
     eigenvalue_lambda,
     enumerate_indices,
     evolve_projected,
+    extension_scheme,
+    multinomial,
     ordered_word_scheme,
     projected_matrix,
     site_factors,
@@ -136,6 +142,84 @@ def test_amplitudes_normalized_random_times():
     for spec in specs:
         for t in rng.uniform(0, 10, size=50):
             assert abs(amplitudes(spec, t).total_probability() - 1.0) < 1e-10
+
+
+def _amplitudes_per_class(spec, t):
+    # reference: the per-class loop that the array pass over the class
+    # table replaced, with one class_valency call per class
+    ext = extension_scheme(spec.base, spec.copies)
+    p = site_factors(spec, t)
+    sizeN = float(spec.base.size) ** spec.copies
+    total_rate = complex((spec.base.first_eigenmatrix[:, 1:] @ spec.weights)[0])
+    prefactor = np.exp(-1j * t * spec.copies * total_rate) / sizeN
+    coeffs, sites, probs = {}, {}, {}
+    for beta in ext.index_set:
+        f = prefactor
+        for k, bk in enumerate(beta):
+            if bk:
+                f = f * p[k] ** bk
+        kb = float(class_valency(ext, beta))
+        coeffs[beta] = complex(f)
+        sites[beta] = complex(f * math.sqrt(kb))
+        probs[beta] = float(kb * abs(f) ** 2)
+    return coeffs, sites, probs
+
+
+OW3_WEIGHTS = [0.7, -0.3, 0.25]
+
+
+@pytest.mark.parametrize(
+    "base, weights, max_N",
+    [
+        (directed_ngon(3), canonical_ngon_weights(3), 20),
+        (directed_ngon(5), canonical_ngon_weights(5), 6),
+        (ordered_word_scheme(3), OW3_WEIGHTS, 6),
+        (trivial_scheme_2(), [1.0], 40),
+    ],
+    ids=["ngon-3", "ngon-5", "ow-3", "trivial2"],
+)
+def test_amplitudes_match_per_class_loop(base, weights, max_N):
+    times = np.random.default_rng(11).uniform(0.0, 10.0, size=20)
+    for N in range(max_N + 1):
+        spec = walk_spec(base, N, weights)
+        for t in times:
+            prof = amplitudes(spec, t)
+            views = (prof.coefficients, prof.site_amplitudes, prof.class_probabilities)
+            for view, ref in zip(views, _amplitudes_per_class(spec, t)):
+                assert list(view) == list(ref)
+                assert max(abs(view[b] - ref[b]) for b in ref) <= 1e-15
+
+
+def _hermitian_weights(scheme, re, im):
+    # average w with its transpose-paired conjugate: exactly Hermitian
+    w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
+    pair = [scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]
+    return (w + np.conj(w[pair])) / 2
+
+
+KERNEL_SCHEMES = [directed_ngon(3), directed_ngon(4), directed_ngon(5),
+                  ordered_word_scheme(3), trivial_scheme_2()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(KERNEL_SCHEMES),
+    N=st.integers(0, 12),
+    t=st.floats(0.0, 10.0),
+    re=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    im=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+def test_class_distribution_is_multinomial(scheme, N, t, re, im):
+    # k_beta |f_beta|^2 = multinomial(N; beta) prod_k q_k^beta_k with
+    # q_k = k_k |p_k|^2 / |X|^2, a distribution on the simplex
+    spec = walk_spec(scheme, N, _hermitian_weights(scheme, re, im))
+    assert spec.is_hermitian
+    q = scheme.valencies * np.abs(site_factors(spec, t)) ** 2 / scheme.size ** 2
+    prof = amplitudes(spec, t)
+    for beta, prob in prof.class_probabilities.items():
+        expected = multinomial(N, beta) * math.prod(qk ** b for qk, b in zip(q, beta))
+        assert abs(prob - expected) <= 1e-12 * expected + 1e-300
+    assert abs(prof.total_probability() - 1.0) <= 1e-12
 
 
 def test_vanishing_rule():
@@ -306,6 +390,40 @@ def test_evolve_symmetric_power_matches_dense_eigh(spec, monkeypatch):
     for (start, t), ref in expected.items():
         np.testing.assert_allclose(evolve_projected(pm, t, start), ref, rtol=0, atol=1e-12)
     assert set(shapes) == {(spec.base.classes, spec.base.classes)}
+
+
+def test_evolve_never_builds_dense_matrix():
+    spec = canonical_spec(5, 20)
+    pm = projected_matrix(spec)
+    assert len(pm.order) == 10626
+    t = 0.9
+    state = evolve_projected(pm, t, pm.order[0])
+    assert "entries" not in vars(pm)
+    prof = amplitudes(spec, t)
+    expected = np.array([prof.site_amplitudes[b] for b in pm.order])
+    np.testing.assert_allclose(state, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("base", [directed_ngon(3), directed_ngon(4), ordered_word_scheme(3)])
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_hermiticity_residual_is_that_of_the_lift(base, N):
+    rng = np.random.default_rng(N)
+    w = rng.normal(size=base.d) + 1j * rng.normal(size=base.d)
+    pm = projected_matrix(WalkSpec(base=base, copies=N, weights=w))
+    dense = float(np.abs(pm.entries - pm.entries.conj().T).max())
+    assert abs(pm.hermiticity_residual - dense) <= 1e-15 * dense
+
+
+def test_evolve_rejects_lift_that_is_not_hermitian():
+    # h is within 1e-9 of Hermitian, but its lift to N = 4 copies is not:
+    # each off-diagonal defect grows by sqrt(2 * 3)
+    w = canonical_ngon_weights(3)
+    spec = WalkSpec(base=directed_ngon(3), copies=4, weights=np.array([w[0], w[1] + 6e-10]))
+    pm = projected_matrix(spec)
+    h = pm.one_body
+    assert np.abs(h - h.conj().T).max() < 1e-9 < pm.hermiticity_residual
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_projected(pm, 1.0, (4, 0, 0))
 
 
 def test_evolve_mpst_extreme_arrival():
