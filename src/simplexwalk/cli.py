@@ -273,6 +273,12 @@ def _add_weight_flags(p):
     p.add_argument("--solve-time", type=float, default=None)
 
 
+def _add_time_flags(p):
+    p.add_argument("--t-min", type=float, default=None)
+    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--steps", type=int, default=None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexwalk",
@@ -299,9 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = walk.add_parser(name)
         _add_scheme_flags(p, "--scheme")
         _add_weight_flags(p)
-        p.add_argument("--t-min", type=float, default=None)
-        p.add_argument("--t-max", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
+        if name == "amplitudes":
+            _add_time_flags(p)
         p.add_argument("--out", default=None)
     det = walk.add_parser("detect")
     det.add_argument("--scenario", choices=["ngon", "hypercube", "ow"], default=None)
@@ -309,9 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--d", type=int, default=None)
     det.add_argument("--N", dest="copies", type=int, default=None)
     det.add_argument("--k", type=int, default=None)
-    det.add_argument("--t-min", type=float, default=None)
-    det.add_argument("--t-max", type=float, default=None)
-    det.add_argument("--steps", type=int, default=None)
+    _add_time_flags(det)
     det.add_argument("--tol", type=float, default=None)
     det.add_argument("--out", default=None)
 

@@ -1,5 +1,6 @@
-"""Classify amplitude profiles into transfer events and package the
-ready-made scenarios (cycle hopping, hypercube flip, ordered-word revival).
+"""Classify amplitude profiles into transfer events, scan time grids for
+events on the faces of the base simplex, and package the ready-made
+scenarios (cycle hopping, hypercube flip, ordered-word revival).
 """
 
 from __future__ import annotations
@@ -9,12 +10,13 @@ import math
 
 import numpy as np
 
-from .extension import class_table
+from .extension import class_table, enumerate_indices
 from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
     amplitudes,
     canonical_ngon_weights,
+    eigenvalue_lambda,
     site_factors,
     solve_weights,
     walk_spec,
@@ -22,7 +24,6 @@ from .walk import (
 
 PST_TOL = 1e-8
 FR_TOL = 1e-6
-COARSE_TOL = 1e-3
 MAX_SUPPORT_FRACTION = 0.5
 NORMALIZATION_TOL = 1e-6
 
@@ -32,7 +33,8 @@ class TransferEvent:
     """A detected concentration of probability at one time.
 
     ``support`` is the smallest set of class indices holding at least
-    1 - tol of the probability; ``phase`` is filled for single-site events.
+    1 - tol of the probability (for ``scan``, the classes of the smallest
+    such face of the base simplex); ``phase`` is filled for single-site events.
     """
 
     kind: str  # PST | GME | FR | ZT-candidate | none
@@ -88,11 +90,6 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     return TransferEvent(kind="FR", time=profile.time, support=indices, fidelity=cum)
 
 
-def _support_probability(spec: WalkSpec, t: float, support) -> float:
-    prof = amplitudes(spec, t)
-    return sum(prof.class_probabilities[beta] for beta in support)
-
-
 def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
     """Golden-section maximization on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,95 +108,109 @@ def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
     return (a + b) / 2.0
 
 
+def _time_grid(t_grid) -> np.ndarray:
+    grid = np.fromiter(t_grid, dtype=float)
+    if not np.isfinite(grid).all():
+        raise ValueError("time grid must be finite")
+    if (np.diff(grid) < 0).any():
+        raise ValueError("time grid must be sorted")
+    return grid
+
+
+def _site_masses(spec: WalkSpec, t: float) -> np.ndarray:
+    """q_k(t) = k_k |p_k(t)|^2 / |X|^2: the class distribution is
+    multinomial(N; q), so the face of the base simplex on the sites S holds
+    probability (sum_{k in S} q_k)^N."""
+    return spec.base.valencies * np.abs(site_factors(spec, t)) ** 2 / float(spec.base.size) ** 2
+
+
+def _face_classes(sites, N: int, d: int) -> tuple:
+    """The classes beta with beta_k = 0 off ``sites``, in ascending order."""
+    out = []
+    for part in enumerate_indices(N, len(sites) - 1):
+        beta = [0] * (d + 1)
+        for k, b in zip(sites, part):
+            beta[k] = b
+        out.append(tuple(beta))
+    return tuple(sorted(out))
+
+
+def _face_event(spec: WalkSpec, t: float, tol: float):
+    """Simplex analogue of ``classify``: the event at ``t`` is named by the
+    smallest face holding 1 - max(tol, FR_TOL) of the probability, and its
+    support is the classes of that face; None when there is no event."""
+    N, d = spec.copies, spec.base.d
+    fr_tol = max(tol, FR_TOL)
+    q = _site_masses(spec, t)
+    ranked = np.argsort(-q, kind="stable")
+    held = np.cumsum(q[ranked]) ** N
+    size = next((r for r in range(1, d + 1) if held[r - 1] >= 1.0 - fr_tol), d + 1)
+    sites = sorted(ranked[:size].tolist())
+    fidelity = float(held[size - 1])
+    count = math.comb(N + size - 1, size - 1)
+    if size == 1:
+        if fidelity < 1.0 - tol:
+            return None
+        j = sites[0]
+        # N theta_0 is the eigenvalue on the trivial idempotent (N, 0, ..., 0)
+        prefactor = np.exp(-1j * t * eigenvalue_lambda(spec, _extreme_index(d, N, 0)))
+        phase = float(np.angle(prefactor * site_factors(spec, t)[j] ** N))
+        return TransferEvent(kind="PST", time=t, support=_face_classes(sites, N, d),
+                             fidelity=fidelity, phase=phase)
+    if count == 2 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
+        kind = "GME"
+    elif size == d + 1 or count > MAX_SUPPORT_FRACTION * math.comb(N + d, d):
+        # unconfined: the probability reaches every site, or most classes
+        return None
+    else:
+        kind = "FR"
+    return TransferEvent(kind=kind, time=t, support=_face_classes(sites, N, d), fidelity=fidelity)
+
+
 def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """Locate transfer events along a sorted time grid.
 
-    Event times rarely fall on grid points, so detection is two-pass: grid
-    points are classified at ``max(tol, COARSE_TOL)``, maximal stretches of
-    identical coarse classification are bracketed, each bracket's time is
-    refined by golden-section fidelity maximization, and the refined
-    profile is classified at the strict tolerance.  Revival events whose
-    support exceeds ``MAX_SUPPORT_FRACTION`` of the classes are treated as
-    unconfined and dropped; adjacent duplicates are merged on the best
+    Every event lives on a face of the base simplex and is fixed by the d+1
+    site masses q(t).  For r = 1..d, each run of grid points where the mass
+    of the r heaviest sites peaks on one site set S is bracketed by its
+    neighbouring grid points, the mass of S is maximized there by golden
+    section, and the face holding the probability at that time names the
+    event (PST, GME or FR; faces with more than ``MAX_SUPPORT_FRACTION`` of
+    the classes are unconfined).  Adjacent duplicates are merged on the best
     fidelity.
     """
-    coarse_tol = max(tol, COARSE_TOL)
-    t_grid = list(t_grid)
-    if any(b < a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("time grid must be sorted")
+    grid = _time_grid(t_grid)
+    if not spec.is_hermitian:
+        raise ValueError("cannot scan a non-unitary walk")
+    q = np.array([_site_masses(spec, t) for t in grid]).reshape(len(grid), spec.base.classes)
+    ranked = np.argsort(-q, axis=1, kind="stable")
+    heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
 
-    candidates = {}
-    for i, t in enumerate(t_grid):
-        ev = classify(amplitudes(spec, t), coarse_tol)
-        if ev.kind != "none":
-            candidates[i] = ev
-
-    segments = []
-    run = []
-    for i in sorted(candidates):
-        if run and (i != run[-1] + 1
-                    or candidates[i].kind != candidates[run[-1]].kind
-                    or candidates[i].support != candidates[run[-1]].support):
-            segments.append(run)
-            run = []
-        run.append(i)
-    if run:
-        segments.append(run)
-
-    spacing = _grid_spacing(t_grid)
     events = []
-    for seg in segments:
-        ev = _refine_segment(spec, t_grid, seg, candidates, tol, coarse_tol)
-        if ev is None or ev.kind == "none":
-            continue
-        if ev.kind == "FR" and len(ev.support) > MAX_SUPPORT_FRACTION * _class_count(spec):
-            continue
-        if not _is_local_fidelity_max(spec, ev, spacing, t_grid):
-            continue
-        events.append(ev)
-    events = _drop_shoulders(events, spacing)
-    return _dedupe(events, spacing)
-
-
-def _class_count(spec: WalkSpec) -> int:
-    return len(class_table(spec.base, spec.copies).order)
+    for r in range(1, spec.base.d + 1):
+        mass = heaviest[:, r - 1]
+        peak = np.ones(len(grid), dtype=bool)
+        peak[1:] &= mass[1:] >= mass[:-1]
+        peak[:-1] &= mass[:-1] >= mass[1:]
+        runs = []  # [first, last, sites]
+        for i in np.flatnonzero(peak):
+            sites = sorted(ranked[i, :r].tolist())
+            if runs and runs[-1][1] == i - 1 and runs[-1][2] == sites:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i, sites])
+        for first, last, sites in runs:
+            a, b = grid[max(first - 1, 0)], grid[min(last + 1, len(grid) - 1)]
+            t = _golden_max(lambda s: _site_masses(spec, s)[sites].sum(), a, b) if b > a else a
+            ev = _face_event(spec, float(t), tol)
+            if ev is not None:
+                events.append(ev)
+    events.sort(key=lambda ev: ev.time)
+    return _dedupe(events, _grid_spacing(grid))
 
 
 def _grid_spacing(t_grid) -> float:
-    gaps = [b - a for a, b in zip(t_grid, t_grid[1:])]
-    return max(gaps) if gaps else 0.0
-
-
-def _is_local_fidelity_max(spec, ev, spacing, t_grid) -> bool:
-    """True when the support probability peaks at the event time rather
-    than still rising toward a concentration elsewhere."""
-    if spacing == 0.0:
-        return True
-    here = 1.0 - _support_probability(spec, ev.time, ev.support)
-    lo = max(ev.time - spacing, t_grid[0])
-    hi = min(ev.time + spacing, t_grid[-1])
-    for other in (lo, hi):
-        if abs(other - ev.time) < spacing / 4.0:
-            continue
-        if 1.0 - _support_probability(spec, other, ev.support) < here - 1e-15:
-            return False
-    return True
-
-
-def _drop_shoulders(events, spacing) -> list:
-    """Drop revival events whose support strictly contains that of a nearby
-    sharper event: they are the flanks of the sharper concentration."""
-    keep = []
-    for ev in events:
-        shadowed = any(
-            set(other.support) < set(ev.support)
-            and abs(other.time - ev.time) <= 2.0 * spacing + 1e-12
-            for other in events
-            if other is not ev
-        )
-        if not shadowed:
-            keep.append(ev)
-    return keep
+    return float(np.diff(t_grid).max()) if len(t_grid) > 1 else 0.0
 
 
 def _dedupe(events, spacing) -> list:
@@ -215,45 +226,13 @@ def _dedupe(events, spacing) -> list:
     return out
 
 
-def _refine_segment(spec, t_grid, seg, candidates, tol, coarse_tol):
-    best_i = max(seg, key=lambda i: candidates[i].fidelity)
-    candidate = candidates[best_i]
-    a = t_grid[max(seg[0] - 1, 0)]
-    b = t_grid[min(seg[-1] + 1, len(t_grid) - 1)]
-    t_ref = t_grid[best_i]
-
-    def objective_for(event):
-        if event.kind == "GME":
-            # balance point: maximize the smaller of the two probabilities
-            return lambda t: min(
-                amplitudes(spec, t).class_probabilities[beta] for beta in event.support
-            )
-        return lambda t: _support_probability(spec, t, event.support)
-
-    if b > a:
-        # re-maximize whenever the support sharpens: the first pass can
-        # stall on the plateau of a support larger than the true one
-        current = candidate
-        for _ in range(4):
-            t_ref = _golden_max(objective_for(current), a, b)
-            sharper = classify(amplitudes(spec, t_ref), coarse_tol)
-            if sharper.support == current.support or not set(sharper.support) < set(current.support):
-                break
-            current = sharper
-    for t in (t_ref, t_grid[best_i]):
-        ev = classify(amplitudes(spec, t), tol)
-        if ev.kind != "none":
-            return ev
-    return None
-
-
 def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """Classes whose probability stays below tol over the whole grid.
 
     Only candidates: a finite grid cannot certify vanishing for all times.
     """
     worst = {}
-    for t in t_grid:
+    for t in _time_grid(t_grid):
         prof = amplitudes(spec, t)
         for beta, prob in prof.class_probabilities.items():
             worst[beta] = max(worst.get(beta, 0.0), prob)

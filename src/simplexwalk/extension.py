@@ -145,12 +145,12 @@ def class_table(base: AssociationScheme, N: int) -> ClassTable:
 def _class_table(N: int, d: int, valencies: tuple) -> ClassTable:
     order = tuple(enumerate_indices(N, d))
     position = types.MappingProxyType({beta: i for i, beta in enumerate(order)})
-    # class_valency reads only d and the valencies of a base: no scheme is cached
-    ext = ExtensionScheme(base=types.SimpleNamespace(d=d, valencies=valencies), copies=N,
-                          index_set=order, position=position)
     index = np.array(order, dtype=np.intp)
-    valency = np.array([float(class_valency(ext, beta)) for beta in order])
-    multinomials = np.array([float(multinomial(N, beta)) for beta in order])
+    exact = [multinomial(N, beta) for beta in order]
+    # k_beta = multinomial(N; beta) * prod_i k_i^beta_i, as in class_valency
+    valency = np.array([float(m * math.prod(int(k) ** b for k, b in zip(valencies, beta)))
+                        for m, beta in zip(exact, order)])
+    multinomials = np.array([float(m) for m in exact])
     for a in (index, valency, multinomials):
         a.setflags(write=False)
     return ClassTable(order=order, position=position, index=index, valency=valency,

@@ -87,6 +87,15 @@ def test_walk_bmatrix_solver_weights(tmp_path):
     assert payload["hermiticity_residual"] < 1e-9
 
 
+def test_walk_bmatrix_has_no_time_flags(tmp_path):
+    # the projected matrix does not depend on time
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["walk", "bmatrix", "--scheme", "ngon", "--n", "3", "--N", "3", "--steps", "5",
+                 "--out", str(tmp_path / "bm.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bm.json").exists()
+
+
 def test_walk_detect_ngon(tmp_path):
     out = tmp_path / "events.json"
     rc = run_cli(["walk", "detect", "--scenario", "ngon", "--n", "3", "--N", "2",

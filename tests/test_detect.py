@@ -108,6 +108,91 @@ def test_scan_requires_sorted_grid():
         scan(spec, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scan_and_zt_candidates_reject_non_finite_times(bad):
+    spec = walk_spec(trivial_scheme_2(), 2, [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        scan(spec, [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        zt_candidates(spec, [bad])
+
+
+def test_scan_rejects_non_hermitian_walk():
+    with pytest.warns(UserWarning):
+        spec = walk_spec(directed_ngon(3), 1, [0.7, 0.1])
+    with pytest.raises(ValueError):
+        scan(spec, np.linspace(0.0, 1.0, 10))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_scan_finds_single_copy_transfers_on_coarse_grid(n):
+    # 40 steps over 1.05 times the last arrival: no grid point comes close
+    # to a transfer, yet each one is a peak of the heaviest site mass
+    sc = ngon_mpst_scenario(n, 1)
+    last = max(t for t, _, _ in sc.expected_events)
+    events = scan(sc.spec, np.linspace(0.0, 1.05 * last, 40))
+    for time, kind, support in sc.expected_events:
+        assert any(ev.kind == kind and ev.support == support and abs(ev.time - time) < 1e-6
+                   and ev.fidelity > 1 - 1e-9 for ev in events)
+
+
+def test_scan_hypercube_many_copies_only_transfers():
+    # the binomial spread between the transfers is not confined to a face
+    N = 200
+    events = scan(hypercube_pst_scenario(N).spec, np.linspace(0.0, math.pi, 100))
+    assert [(ev.kind, ev.support) for ev in events] == [
+        ("PST", ((N, 0),)), ("PST", ((0, N),)), ("PST", ((N, 0),))]
+    np.testing.assert_allclose([ev.time for ev in events], [0.0, math.pi / 2, math.pi], atol=1e-6)
+
+
+def test_scan_ngon_many_copies_only_transfers():
+    N = 40
+    sc = ngon_mpst_scenario(3, N)
+    events = scan(sc.spec, np.linspace(0.0, 2 * math.pi, 200))
+    expected = [(0.0, "PST", ((N, 0, 0),))] + list(sc.expected_events)
+    assert [(ev.kind, ev.support) for ev in events] == [(k, s) for _, k, s in expected]
+    np.testing.assert_allclose([ev.time for ev in events], [t for t, _, _ in expected], atol=1e-6)
+
+
+ORACLE_SCANS = [
+    (ngon_mpst_scenario(3, 2), 0.0, 6.2832, 400, 1e-8),
+    (ngon_mpst_scenario(3, 2), 0.0, 2 * math.pi, 200, 1e-8),
+    (ngon_mpst_scenario(3, 2), 0.0, 6.2832, 150, 1e-8),
+    (hypercube_pst_scenario(3), 0.0, math.pi, 120, 1e-8),
+    (hypercube_pst_scenario(4), 0.0, 3.1416, 120, 1e-8),
+    (ow_fr_scenario(3, 3, 2), 0.0, 3.15, 90, 1e-6),
+    (ow_fr_scenario(3, 5, 2), 0.0, 3.1416, 200, 1e-6),
+    (ow_fr_scenario(3, 1, 2), 0.0, 3.1416, 120, 1e-8),
+]
+
+
+@pytest.mark.parametrize("sc, t_min, t_max, steps, tol", ORACLE_SCANS,
+                         ids=[f"{sc.label}-{steps}" for sc, *_, steps, _ in ORACLE_SCANS])
+def test_scan_events_agree_with_class_level_classify(sc, t_min, t_max, steps, tol):
+    events = scan(sc.spec, np.linspace(t_min, t_max, steps), tol=tol)
+    assert events
+    for ev in events:
+        ref = classify(amplitudes(sc.spec, ev.time), tol)
+        assert (ref.kind, ref.support) == (ev.kind, ev.support)
+        assert abs(ref.fidelity - ev.fidelity) < 1e-12
+        if ev.phase is None:
+            assert ref.phase is None
+        else:
+            assert abs(np.angle(np.exp(1j * (ref.phase - ev.phase)))) < 1e-12
+
+
+def test_scan_never_evaluates_class_profiles(monkeypatch):
+    from simplexwalk import detect, walk
+
+    def forbidden(spec, t):
+        raise AssertionError("scan evaluated a class profile")
+
+    monkeypatch.setattr(walk, "amplitudes", forbidden)
+    monkeypatch.setattr(detect, "amplitudes", forbidden)
+    for sc, t_min, t_max, steps, tol in ORACLE_SCANS:
+        assert scan(sc.spec, np.linspace(t_min, t_max, steps), tol=tol)
+
+
 def test_zt_candidates_zero_weights():
     spec = walk_spec(trivial_scheme_2(), 2, [0.0])
     cands = zt_candidates(spec, np.linspace(0.0, math.pi, 30))

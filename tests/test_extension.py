@@ -208,15 +208,16 @@ def test_class_table_shared_by_equal_valencies():
 
 
 def test_amplitudes_compute_valencies_once_per_table(monkeypatch):
+    # one exact multinomial per class per build; the valency is derived from it
     spec = walk.walk_spec(directed_ngon(3), 17, walk.canonical_ngon_weights(3))
     calls = []
-    exact = extension.class_valency
+    exact = extension.multinomial
 
-    def counting(ext, beta):
+    def counting(N, beta):
         calls.append(beta)
-        return exact(ext, beta)
+        return exact(N, beta)
 
-    monkeypatch.setattr(extension, "class_valency", counting)
+    monkeypatch.setattr(extension, "multinomial", counting)
     extension._class_table.cache_clear()
     for t in (0.1, 0.2, 0.3):
         walk.amplitudes(spec, t)
