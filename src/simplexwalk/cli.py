@@ -233,7 +233,8 @@ def _run_walk_detect(config: ExperimentConfig) -> int:
 def _run_verify(config: ExperimentConfig) -> int:
     report = oracle.run_suite(config.suite)
     _write_text(config.out, _json_text(report))
-    worst = max((c["residual"] for c in report["checks"]), default=0.0)
+    # np.max propagates NaN, as in ValidationReport.max_residual
+    worst = float(np.max([c["residual"] for c in report["checks"]], initial=0.0))
     n_fail = sum(1 for c in report["checks"] if not c["passed"])
     print(
         f"suite {config.suite}: {len(report['checks'])} checks, "

@@ -14,7 +14,6 @@ from .extension import class_table, enumerate_indices
 from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
-    amplitudes,
     canonical_ngon_weights,
     eigenvalue_lambda,
     site_factors,
@@ -90,13 +89,13 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     return TransferEvent(kind="FR", time=profile.time, support=indices, fidelity=cum)
 
 
-def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
-    """Golden-section maximization on [a, b]."""
+def _golden_max(fun, a: float, b: float) -> float:
+    """Golden-section maximization on [a, b], 60 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -182,6 +181,9 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     grid = _time_grid(t_grid)
     if not spec.is_hermitian:
         raise ValueError("cannot scan a non-unitary walk")
+    if spec.copies == 0:
+        # the one class holds probability 1 at every time: one event at most
+        grid = grid[:1]
     q = np.array([_site_masses(spec, t) for t in grid]).reshape(len(grid), spec.base.classes)
     ranked = np.argsort(-q, axis=1, kind="stable")
     heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
@@ -231,13 +233,17 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
 
     Only candidates: a finite grid cannot certify vanishing for all times.
     """
-    worst = {}
-    for t in _time_grid(t_grid):
-        prof = amplitudes(spec, t)
-        for beta, prob in prof.class_probabilities.items():
-            worst[beta] = max(worst.get(beta, 0.0), prob)
+    grid = _time_grid(t_grid)
+    if not len(grid):
+        return []
+    table = class_table(spec.base, spec.copies)
+    worst = np.zeros(len(table.order))
+    for t in grid:
+        # class beta holds multinomial(N; beta) prod_k q_k^beta_k
+        probs = table.multinomial * np.prod(_site_masses(spec, t) ** table.index, axis=1)
+        worst = np.maximum(worst, probs)
     return [TransferEvent(kind="ZT-candidate", time=None, support=(beta,), fidelity=0.0)
-            for beta in sorted(worst) if worst[beta] < tol]
+            for beta in sorted(b for b, w in zip(table.order, worst) if w < tol)]
 
 
 def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
@@ -289,15 +295,16 @@ def hypercube_pst_scenario(N: int) -> Scenario:
     return Scenario(label=f"hypercube-pst(N={N})", spec=spec, expected_events=expected)
 
 
-def ow_fr_scenario(d: int, N: int, k: int, t_star: float = math.pi / 2.0) -> Scenario:
+def ow_fr_scenario(d: int, N: int, k: int) -> Scenario:
     """Ordered-word walk with solved couplings whose phases are trivial up
     to position d-k+1 and a quarter turn beyond, so the probability at
-    t_star is confined to the classes with beta_k = ... = beta_d = 0."""
+    t = pi/2 is confined to the classes with beta_k = ... = beta_d = 0."""
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     if N < 1:
         raise ValueError("need N >= 1")
     scheme = ordered_word_scheme(d)
+    t_star = math.pi / 2.0
     args = [2.0 * math.pi if l <= d - k + 1 else math.pi / 2.0 for l in range(1, d + 1)]
     sol = solve_weights(scheme, t_star, args)
     spec = walk_spec(scheme, N, sol.weights)

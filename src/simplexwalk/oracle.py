@@ -15,6 +15,7 @@ import numpy as np
 
 from . import krawtchouk
 from .extension import (
+    DEFAULT_GUARD,
     enumerate_indices,
     extension_scheme,
     materialize_class,
@@ -36,11 +37,10 @@ from .walk import (
     walk_spec,
 )
 
-EVOLUTION_GUARD = 4096
 SWEEP_GUARD = 1024
 
 
-def _guarded_size(spec: WalkSpec, default: int) -> int:
+def _guarded_size(spec: WalkSpec, default: int = DEFAULT_GUARD) -> int:
     rows = spec.base.size ** spec.copies
     guard = size_guard(default)
     if rows > guard:
@@ -50,7 +50,7 @@ def _guarded_size(spec: WalkSpec, default: int) -> int:
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
     """Materialize the walk Hamiltonian on the full vertex set."""
-    rows = _guarded_size(spec, EVOLUTION_GUARD)
+    rows = _guarded_size(spec)
     ext = extension_scheme(spec.base, spec.copies)
     H = np.zeros((rows, rows), dtype=complex)
     if spec.copies == 0:
@@ -81,7 +81,7 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     method "eig" diagonalizes the materialized Hamiltonian.  Both are exact
     up to roundoff and must agree.
     """
-    rows = _guarded_size(spec, EVOLUTION_GUARD)
+    rows = _guarded_size(spec)
     if not 0 <= start_vertex < rows:
         raise ValueError("start vertex out of range")
     if method == "projector":
@@ -104,7 +104,7 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
 
 def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:
     """Map each class index to the vertices related to the start vertex."""
-    _guarded_size(spec, EVOLUTION_GUARD)
+    _guarded_size(spec)
     ext = extension_scheme(spec.base, spec.copies)
     return {beta: np.flatnonzero(materialize_class(ext, beta)[:, start_vertex])
             for beta in ext.index_set}

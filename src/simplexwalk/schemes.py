@@ -8,7 +8,7 @@ powers of two), never from a generic eigensolver.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -132,26 +132,28 @@ def _intersection_tensor(adjacency) -> np.ndarray:
     return p
 
 
-def _transpose_map(adjacency) -> tuple:
-    out = []
-    for i, a in enumerate(adjacency):
-        at = a.T
-        for j, b in enumerate(adjacency):
-            if np.array_equal(at, b):
-                out.append(j)
-                break
-        else:
-            raise SchemeError(f"A_{i}^T is not one of the adjacency matrices")
-    return tuple(out)
-
-
-def _integer_row(row, what: str) -> np.ndarray:
-    vals = np.rint(row.real).astype(np.int64)
-    if np.abs(vals - row).max() > 1e-9:
-        raise SchemeError(f"{what} are not integers: {row}")
-    if np.any(vals <= 0):
-        raise SchemeError(f"{what} must be positive: {vals}")
+def _integers(values, what: str, least: int) -> np.ndarray:
+    vals = np.rint(values.real).astype(np.int64)
+    if np.abs(vals - values).max() > 1e-9:
+        raise SchemeError(f"{what} are not integers: {values}")
+    if np.any(vals < least):
+        raise SchemeError(f"{what} must be at least {least}: {vals}")
     return vals
+
+
+def _spectral_intersection(P, size: int, valencies, multiplicities) -> np.ndarray:
+    """p_ij^k = (1/(|X| k_k)) sum_l m_l P_li P_lj conj(P_lk) (Bannai & Ito),
+    rounded to the exact non-negative integers it must be."""
+    raw = np.einsum("l,li,lj,lk->ijk", multiplicities, P, P, np.conj(P), optimize=True)
+    return _integers(raw / (size * valencies), "intersection numbers", 0)
+
+
+def _spectral_transpose(inter) -> tuple:
+    """The transpose of class i is the one class j with p_ij^0 != 0."""
+    hits = inter[:, :, 0] != 0
+    if np.any(hits.sum(axis=1) != 1):
+        raise SchemeError("transpose map: p_ij^0 must be non-zero for exactly one j per i")
+    return tuple(int(j) for j in hits.argmax(axis=1))
 
 
 def _make_scheme(adjacency, P, Q) -> AssociationScheme:
@@ -170,15 +172,11 @@ def _make_scheme(adjacency, P, Q) -> AssociationScheme:
     if resid > SPECTRAL_TOL * size:
         raise SchemeError(f"PQ != |X| I (residual {resid:.3e})")
 
-    valencies = _integer_row(P[0], "valencies")
-    multiplicities = _integer_row(Q[0], "multiplicities")
+    valencies = _integers(P[0], "valencies", 1)
+    multiplicities = _integers(Q[0], "multiplicities", 1)
     cosine = P / valencies[np.newaxis, :]
-    tmap = _transpose_map(adjacency)
-    if any(tmap[tmap[i]] != i for i in range(nc)):
-        raise SchemeError("transpose map is not an involution")
-    if any(valencies[tmap[i]] != valencies[i] for i in range(nc)):
-        raise SchemeError("valencies not preserved by transposition")
-    inter = _intersection_tensor(adjacency)
+    inter = _spectral_intersection(P, size, valencies, multiplicities)
+    tmap = _spectral_transpose(inter)
 
     for arr in adjacency:
         arr.setflags(write=False)
@@ -217,84 +215,28 @@ def directed_ngon(n: int) -> AssociationScheme:
     return _make_scheme(adjacency, P, Q)
 
 
-def _ow_orbits(d: int):
-    """Orbits of binary words under the flip-left-of-a-one actions."""
-    orbits = []
-    seen = set()
-    for w in itertools.product((0, 1), repeat=d):
-        if w in seen:
-            continue
-        orbit = {w}
-        stack = [w]
-        while stack:
-            u = stack.pop()
-            for j in range(1, d):
-                if u[j] == 1:
-                    v = list(u)
-                    v[j - 1] ^= 1
-                    v = tuple(v)
-                    if v not in orbit:
-                        orbit.add(v)
-                        stack.append(v)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return orbits
-
-
-def _word_matrix(word, factors) -> np.ndarray:
-    out = np.eye(1, dtype=np.int64)
-    for t in word:
-        out = np.kron(out, factors[t])
-    return out
-
-
 def ordered_word_scheme(d: int) -> AssociationScheme:
     """Binary-word scheme of depth d on 2^d points.
 
     Built by fusing the d-fold tensor power of the two-point scheme under
     the group generated by "flip position j-1 whenever position j holds a
     one"; class j collects the words whose last one sits at position j, so
-    k_0 = 1 and k_j = 2^(j-1).
+    k_0 = 1 and k_j = 2^(j-1).  Summing those words position by position
+    gives the closed form A_j = J_2^(x)(j-1) (x) S (x) I_2^(x)(d-j), with
+    J_2 the all-ones and S the swap matrix of the two-point scheme.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    base = trivial_scheme_2()
-    orbits = _ow_orbits(d)
-
-    def last_one(word):
-        return max((t + 1 for t in range(d) if word[t]), default=0)
-
-    by_class = {}
-    for orbit in orbits:
-        labels = {last_one(w) for w in orbit}
-        if len(labels) != 1:
-            raise SchemeError("word orbit mixes classes")
-        label = labels.pop()
-        if label in by_class:
-            raise SchemeError("two orbits with the same class label")
-        by_class[label] = orbit
-    if sorted(by_class) != list(range(d + 1)):
-        raise SchemeError("unexpected orbit structure")
-
-    adjacency = []
-    for j in range(d + 1):
-        total = np.zeros((2 ** d, 2 ** d), dtype=np.int64)
-        for word in by_class[j]:
-            total += _word_matrix(word, base.adjacency)
-        adjacency.append(total)
+    eye, swap = trivial_scheme_2().adjacency
+    ones = eye + swap
+    adjacency = [functools.reduce(np.kron, [eye] * d)] + [
+        functools.reduce(np.kron, [ones] * (j - 1) + [swap] + [eye] * (d - j)) for j in range(1, d + 1)]
 
     k = np.array([1] + [2 ** (j - 1) for j in range(1, d + 1)], dtype=np.int64)
-    m = k.copy()
-    C = np.zeros((d + 1, d + 1))
-    C[0, :] = 1.0
-    for i in range(1, d + 1):
-        for j in range(d + 1):
-            if j <= d - i:
-                C[i, j] = 1.0
-            elif j == d - i + 1:
-                C[i, j] = -1.0
+    i, j = np.indices((d + 1, d + 1))
+    C = np.where(i + j <= d, 1.0, np.where(i + j == d + 1, -1.0, 0.0))
     P = C * k[np.newaxis, :]
-    Q = (C * m[:, np.newaxis]).T
+    Q = (C * k[:, np.newaxis]).T  # the scheme is self-dual: m = k
     return _make_scheme(adjacency, P, Q)
 
 

@@ -248,3 +248,14 @@ def test_krawtchouk_eval_rejects_index_length(tmp_path, capsys, index, index_til
     assert rc == 2
     assert "3 parts" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_summary_shows_nan_residual(monkeypatch, capsys):
+    from simplexwalk import oracle
+
+    checks = [{"name": "a", "passed": True, "residual": 0.1},
+              {"name": "b", "passed": False, "residual": math.nan},
+              {"name": "c", "passed": True, "residual": 0.2}]
+    monkeypatch.setattr(oracle, "run_suite", lambda name: {"suite": name, "checks": checks, "passed": False})
+    assert run_cli(["verify", "--suite", "axioms"]) == 1
+    assert capsys.readouterr().err == "suite axioms: 3 checks, 1 failures, max residual nan\n"

@@ -188,7 +188,7 @@ def test_scan_never_evaluates_class_profiles(monkeypatch):
         raise AssertionError("scan evaluated a class profile")
 
     monkeypatch.setattr(walk, "amplitudes", forbidden)
-    monkeypatch.setattr(detect, "amplitudes", forbidden)
+    monkeypatch.setattr(detect, "amplitudes", forbidden, raising=False)
     for sc, t_min, t_max, steps, tol in ORACLE_SCANS:
         assert scan(sc.spec, np.linspace(t_min, t_max, steps), tol=tol)
 
@@ -332,3 +332,50 @@ def test_ow_generic_weights_spread():
     ev = classify(amplitudes(spec, 0.83))
     assert ev.kind in ("none", "FR")
     assert len(ev.support) > 1
+
+
+@pytest.mark.parametrize("spec, t_max, steps", [
+    (walk_spec(trivial_scheme_2(), 0, [1.0]), math.pi, 5),
+    (walk_spec(directed_ngon(3), 0, canonical_ngon_weights(3)), 2 * math.pi, 9),
+])
+def test_scan_without_copies_reports_one_transfer(spec, t_max, steps):
+    grid = np.linspace(0.0, t_max, steps)
+    events = scan(spec, grid)
+    assert len(events) == 1
+    ev = events[0]
+    assert (ev.kind, ev.support, ev.fidelity) == ("PST", ((0,) * spec.base.classes,), 1.0)
+    assert ev.time in grid
+    assert scan(spec, []) == []
+
+
+def _zt_by_class(spec, t_grid, tol=1e-8):
+    # class-level reference: the largest class probability over the grid
+    worst = {}
+    for t in t_grid:
+        for beta, prob in amplitudes(spec, t).class_probabilities.items():
+            worst[beta] = max(worst.get(beta, 0.0), prob)
+    return [beta for beta in sorted(worst) if worst[beta] < tol]
+
+
+ZT_CASES = [(sc, grid) for sc in (ow_fr_scenario(3, 3, 2), ow_fr_scenario(4, 2, 2), ow_fr_scenario(3, 4, 1),
+                                  ngon_mpst_scenario(3, 2), ngon_mpst_scenario(5, 2))
+            for grid in ([0.0], [sc.expected_events[0][0]], np.linspace(0.0, math.pi, 40))]
+
+
+def test_zt_candidates_read_site_masses(monkeypatch):
+    from simplexwalk import detect, walk
+
+    expected = [_zt_by_class(sc.spec, grid) for sc, grid in ZT_CASES]
+    assert any(expected) and not all(expected)
+
+    def forbidden(spec, t):
+        raise AssertionError("zt_candidates evaluated a class profile")
+
+    monkeypatch.setattr(walk, "amplitudes", forbidden)
+    monkeypatch.setattr(detect, "amplitudes", forbidden, raising=False)
+    for (sc, grid), ref in zip(ZT_CASES, expected):
+        assert [ev.support[0] for ev in zt_candidates(sc.spec, grid)] == ref, sc.label
+
+
+def test_zt_candidates_empty_grid():
+    assert zt_candidates(walk_spec(trivial_scheme_2(), 2, [0.0]), []) == []

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from simplexwalk import (
     trivial_scheme_2,
     validate_scheme,
 )
+from simplexwalk import schemes
 from simplexwalk.schemes import CheckResult, ValidationReport
 
 
@@ -62,7 +65,7 @@ def test_ngon_rejects_zero():
         directed_ngon(0)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_ngon_validates(n):
     report = validate_scheme(directed_ngon(n))
     assert report.ok
@@ -106,7 +109,7 @@ def test_ow2_axioms_brute_force():
     assert validate_scheme(ow).ok
 
 
-@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("d", range(1, 7))
 def test_ow_validates(d):
     report = validate_scheme(ordered_word_scheme(d))
     assert report.ok
@@ -199,3 +202,76 @@ def test_adjacency_is_readonly():
     s = directed_ngon(3)
     with pytest.raises(ValueError):
         s.adjacency[0][0, 0] = 5
+
+
+def _ow_class_by_words(d, j):
+    # sum of the word matrices whose last one sits at position j
+    eye, swap = np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]], dtype=np.int64)
+    total = np.zeros((2 ** d, 2 ** d), dtype=np.int64)
+    for word in itertools.product((0, 1), repeat=d):
+        if max((t + 1 for t in range(d) if word[t]), default=0) == j:
+            total += functools.reduce(np.kron, [swap if w else eye for w in word])
+    return total
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_ow_classes_match_word_sums(d):
+    ow = ordered_word_scheme(d)
+    for j in range(d + 1):
+        np.testing.assert_array_equal(ow.adjacency[j], _ow_class_by_words(d, j))
+        assert ow.adjacency[j].dtype == np.int64
+
+
+SPECTRAL_BUILDS = ([("trivial2", trivial_scheme_2)]
+                   + [(f"ngon{n}", lambda n=n: directed_ngon(n)) for n in range(1, 17)]
+                   + [(f"ow{d}", lambda d=d: ordered_word_scheme(d)) for d in range(1, 8)])
+
+
+@pytest.mark.parametrize("build", [b for _, b in SPECTRAL_BUILDS], ids=[n for n, _ in SPECTRAL_BUILDS])
+def test_spectral_data_match_dense_products(build):
+    s = build()
+    np.testing.assert_array_equal(s.intersection, intersection_numbers(s))
+    assert s.intersection.dtype == np.int64
+    dense = tuple(next(j for j, b in enumerate(s.adjacency) if np.array_equal(a.T, b))
+                  for a in s.adjacency)
+    assert s.transpose_map == dense
+
+
+def test_construction_never_forms_dense_products(monkeypatch):
+    def forbidden(adjacency):
+        raise AssertionError("construction formed the dense intersection tensor")
+
+    monkeypatch.setattr(schemes, "_intersection_tensor", forbidden)
+    trivial_scheme_2()
+    for n in range(1, 10):
+        directed_ngon(n)
+    for d in range(1, 7):
+        ordered_word_scheme(d)
+
+
+def test_mislabelled_eigenmatrices_fail_dense_cross_checks():
+    g = directed_ngon(5)
+    swap = [0, 2, 1, 3, 4]
+    P = g.first_eigenmatrix[:, swap]
+    Q = g.second_eigenmatrix[swap, :]
+    s = schemes._make_scheme(g.adjacency, P, Q)
+    report = validate_scheme(s)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"commuting-integer-products", "transpose-closure"} <= failed
+
+
+def test_non_integral_structure_constants_rejected():
+    # PQ = 3 I with integral valencies and multiplicities, yet p_00^0 = 3/4
+    P = [[1, 2], [0.5, -2]]
+    Q = [[2, 2], [0.5, -1]]
+    adjacency = [np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)]
+    with pytest.raises(SchemeError, match="intersection numbers are not integers"):
+        schemes._make_scheme(adjacency, P, Q)
+
+
+@pytest.mark.parametrize("hits", [[[1, 0], [0, 0]], [[1, 0], [1, 1]]])
+def test_transpose_map_needs_one_hit_per_row(hits):
+    inter = np.zeros((2, 2, 2), dtype=np.int64)
+    inter[:, :, 0] = hits
+    with pytest.raises(SchemeError, match="exactly one"):
+        schemes._spectral_transpose(inter)
