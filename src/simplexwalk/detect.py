@@ -50,6 +50,11 @@ class Scenario:
     expected_events: tuple  # of (time, kind, support tuple)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     """Name the event at ``profile.time`` by its minimal high-probability
     support: one site is a perfect transfer, two balanced sites a maximal
@@ -58,6 +63,7 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     The support is taken at ``max(tol, FR_TOL)``; the stricter ``tol``
     gates the single-site perfect-transfer claim.
     """
+    _check_tol(tol)
     if not profile.hermitian:
         raise ValueError("cannot classify a non-unitary profile")
     total = profile.total_probability()
@@ -178,6 +184,7 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     the classes are unconfined).  Adjacent duplicates are merged on the best
     fidelity.
     """
+    _check_tol(tol)
     grid = _time_grid(t_grid)
     if not spec.is_hermitian:
         raise ValueError("cannot scan a non-unitary walk")
@@ -233,6 +240,7 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
 
     Only candidates: a finite grid cannot certify vanishing for all times.
     """
+    _check_tol(tol)
     grid = _time_grid(t_grid)
     if not len(grid):
         return []

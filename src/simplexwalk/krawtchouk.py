@@ -5,6 +5,10 @@ integer matrices and an exact generating-function expansion.  They must
 agree; tests and the verification suites cross-check them.  Integer parts
 (Pochhammer symbols, factorials) are kept exact and only combined with the
 complex weight factors at the last moment.
+
+``spectral_residual`` checks the spectral identity B v_alpha = lambda_alpha
+v_alpha of the projected matrix on any scheme; the bivariate recurrence and
+orthogonality of the paper are its 3-cycle instances.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .extension import enumerate_indices, multinomial, symmetric_power_row
-from .schemes import AssociationScheme, unit_root
+from .schemes import AssociationScheme, directed_ngon
+from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
 PARAM_TOL = 1e-8
 
@@ -176,9 +181,9 @@ def _power(vals, exps) -> float:
 
 
 def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
-    """Max deviation from the two sesquilinear orthogonality relations."""
-    d = gp.dimension
-    idx = enumerate_indices(N, d)
+    """Max deviation from the two sesquilinear orthogonality relations: over
+    the columns of the table with weight p_tilde, and over its rows with p."""
+    idx = enumerate_indices(N, gp.dimension)
     table = krawtchouk_table(N, gp.U)
     factN = math.factorial(N)
     nuN = gp.nu ** N
@@ -186,36 +191,36 @@ def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
     def fact(n):
         return math.prod(math.factorial(v) for v in n)
 
+    def relation(value, weight, dual):
+        worst = 0.0
+        for a in idx:
+            for b in idx:
+                lhs = factN * sum(
+                    np.conj(value(a, c)) * value(b, c) * _power(weight, c) / fact(c) for c in idx
+                )
+                rhs = fact(a) / (factN * nuN * _power(dual, a)) if a == b else 0.0
+                worst = max(worst, abs(lhs - rhs))
+        return worst
+
+    return max(relation(lambda nt, n: table[nt][n], gp.p_tilde, gp.p),
+               relation(lambda n, nt: table[nt][n], gp.p, gp.p_tilde))
+
+
+# -- the spectral identity and its bivariate instance on the 3-cycle --------
+
+def spectral_residual(spec: WalkSpec) -> float:
+    """max over alpha of |B v_alpha - lambda_alpha v_alpha|, where B is the
+    projected matrix, lambda_alpha = eigenvalue_lambda(spec, alpha) and
+    v_alpha[beta] = sqrt(k_beta) K(beta; alpha) is a Krawtchouk column of
+    the base cosine matrix: the columns diagonalize B for any couplings."""
+    pm = projected_matrix(spec)
+    root_k = np.sqrt(pm.table.valency)
     worst = 0.0
-    for nt in idx:
-        for kt in idx:
-            lhs = factN * sum(
-                np.conj(table[nt][n]) * table[kt][n] * _power(gp.p_tilde, n) / fact(n)
-                for n in idx
-            )
-            rhs = 0.0
-            if nt == kt:
-                rhs = fact(nt) / (factN * nuN * _power(gp.p, nt))
-            worst = max(worst, abs(lhs - rhs))
-
-    for n in idx:
-        for k in idx:
-            lhs = factN * sum(
-                np.conj(table[nt][n]) * table[nt][k] * _power(gp.p, nt) / fact(nt)
-                for nt in idx
-            )
-            rhs = 0.0
-            if n == k:
-                rhs = fact(n) / (factN * nuN * _power(gp.p_tilde, n))
-            worst = max(worst, abs(lhs - rhs))
+    for alpha in pm.order:
+        K = krawtchouk_genfun(alpha, spec.copies, spec.base.cosine)
+        v = root_k * np.array([K[beta] for beta in pm.order])
+        worst = max(worst, float(np.abs(pm.entries @ v - eigenvalue_lambda(spec, alpha) * v).max()))
     return worst
-
-
-# -- bivariate specialization on the 3-cycle cosine matrix ------------------
-
-_ZETA3 = unit_root(1, 3)
-_U3 = np.array([[unit_root(i * j, 3) for j in range(3)] for i in range(3)])
-TRINOMIAL_P = TRINOMIAL_Q = 1.0 / 3.0
 
 
 def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
@@ -228,7 +233,7 @@ def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
         raise ValueError(f"degree indices ({m},{n}) out of range for N={N}")
     if not (0 <= x and 0 <= y and x + y <= N):
         raise ValueError(f"grid point ({x},{y}) out of range for N={N}")
-    return krawtchouk_series((N - x - y, x, y), (N - m - n, m, n), N, _U3)
+    return krawtchouk_series((N - x - y, x, y), (N - m - n, m, n), N, directed_ngon(3).cosine)
 
 
 def bivariate_G_tilde(m: int, n: int, x: int, y: int, N: int) -> complex:
@@ -238,70 +243,16 @@ def bivariate_G_tilde(m: int, n: int, x: int, y: int, N: int) -> complex:
 
 
 def bivariate_orthogonality_residual(N: int) -> float:
-    """Max deviation from the weighted orthogonality of the G_{m,n} with the
-    trinomial weight w_{x,y} = multinomial * p^x q^y (1-p-q)^(N-x-y), with the
-    site probabilities p = TRINOMIAL_P and q = TRINOMIAL_Q."""
-    p, q = TRINOMIAL_P, TRINOMIAL_Q
-    grid = [(x, y) for x in range(N + 1) for y in range(N + 1 - x)]
-    degrees = grid
-    values = {
-        (m, n): {(x, y): bivariate_G(m, n, x, y, N) for (x, y) in grid} for (m, n) in degrees
-    }
-    weight = {
-        (x, y): multinomial(N, (N - x - y, x, y)) * p ** x * q ** y * (1 - p - q) ** (N - x - y)
-        for (x, y) in grid
-    }
-    worst = 0.0
-    for m1, n1 in degrees:
-        for m2, n2 in degrees:
-            acc = sum(
-                weight[pt] * values[(m1, n1)][pt] * np.conj(values[(m2, n2)][pt]) for pt in grid
-            )
-            rhs = 0.0
-            if (m1, n1) == (m2, n2):
-                rhs = 1.0 / multinomial(N, (N - m1 - n1, m1, n1))
-            worst = max(worst, abs(acc - rhs))
-    return worst
-
-
-def canonical_bivariate_weights() -> tuple:
-    """The coupling pair (1/(zeta^-1 - 1), 1/(zeta - 1)) for the 3-cycle."""
-    return 1.0 / (_ZETA3 ** -1 - 1.0), 1.0 / (_ZETA3 - 1.0)
+    """Weighted orthogonality of the G_{m,n} under the trinomial weight with
+    site probabilities 1/3: the 3-cycle instance of orthogonality_residual."""
+    return orthogonality_residual(params_from_scheme(directed_ngon(3)), N)
 
 
 def bivariate_recurrence_residual(N: int, w1: complex = None, w2: complex = None) -> float:
-    """Max deviation from the six-term recurrence of the orthonormal
-    G-tilde values over the whole degree/grid range."""
-    if w1 is None or w2 is None:
-        w1, w2 = canonical_bivariate_weights()
-    sqrt3 = math.sqrt(3.0)
-    grid = [(x, y) for x in range(N + 1) for y in range(N + 1 - x)]
-    degrees = grid
-
-    gt = {}
-    for m, n in degrees:
-        for pt in grid:
-            gt[(m, n, pt)] = bivariate_G_tilde(m, n, pt[0], pt[1], N)
-
-    def val(m, n, pt):
-        if m < 0 or n < 0 or m + n > N:
-            return 0.0 + 0.0j
-        return gt[(m, n, pt)]
-
-    worst = 0.0
-    for m, n in degrees:
-        for pt in grid:
-            x, y = pt
-            lam1 = N + sqrt3 * 1j * (_ZETA3 * y - _ZETA3 ** -1 * x)
-            lam2 = N + sqrt3 * 1j * (_ZETA3 * x - _ZETA3 ** -1 * y)
-            lhs = (w1 * lam1 + w2 * lam2) * val(m, n, pt)
-            rhs = (
-                w1 * math.sqrt((N - m - n) * (m + 1)) * val(m + 1, n, pt)
-                + w1 * math.sqrt(m * (n + 1)) * val(m - 1, n + 1, pt)
-                + w2 * math.sqrt((N - m - n) * (n + 1)) * val(m, n + 1, pt)
-                + w2 * math.sqrt(n * (m + 1)) * val(m + 1, n - 1, pt)
-                + w1 * math.sqrt((N + 1 - m - n) * n) * val(m, n - 1, pt)
-                + w2 * math.sqrt((N + 1 - m - n) * m) * val(m - 1, n, pt)
-            )
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    """The six-term recurrence of the orthonormal G-tilde values with the
+    couplings (w1, w2) (canonical when either is None): the 3-cycle
+    instance of spectral_residual.  The spec is built directly, since the
+    identity holds for any pair, Hermitian or not."""
+    weights = canonical_ngon_weights(3) if w1 is None or w2 is None else [w1, w2]
+    spec = WalkSpec(base=directed_ngon(3), copies=N, weights=np.asarray(weights, dtype=complex))
+    return spectral_residual(spec)

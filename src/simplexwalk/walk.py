@@ -96,7 +96,7 @@ def _coupling_rates(spec: WalkSpec) -> np.ndarray:
 def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
     """Eigenvalue of the Hamiltonian on the idempotent labelled by alpha."""
     alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != spec.base.classes or sum(alpha) != spec.copies:
+    if len(alpha) != spec.base.classes or sum(alpha) != spec.copies or min(alpha) < 0:
         raise ValueError(f"{alpha} is not a valid index for this walk")
     return complex(np.dot(alpha, _one_copy_spectrum(spec)))
 

@@ -27,6 +27,16 @@ def test_scheme_info_stdout(capsys):
     assert payload["classes"] == 2
 
 
+def test_scheme_info_trivial2_q_has_positive_zero_imaginary_parts(capsys):
+    # directed_ngon(2) has Q = conj(P), whose imaginary parts are -0.0;
+    # trivial2 is built with Q = P and prints +0.0
+    assert run_cli(["scheme", "info", "--kind", "trivial2"]) == 0
+    text = capsys.readouterr().out
+    assert "-0.0" not in text
+    Q = json.loads(text)["Q"]
+    assert [[math.copysign(1.0, z["im"]) for z in row] for row in Q] == [[1.0, 1.0], [1.0, 1.0]]
+
+
 def test_krawtchouk_eval(tmp_path):
     out = tmp_path / "value.json"
     rc = run_cli(

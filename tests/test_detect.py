@@ -117,6 +117,20 @@ def test_scan_and_zt_candidates_reject_non_finite_times(bad):
         zt_candidates(spec, [bad])
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("name", ["classify", "scan", "zt_candidates"])
+def test_tol_must_be_positive(name, tol):
+    spec = walk_spec(trivial_scheme_2(), 2, [1.0])
+    grid = np.linspace(0.0, 3.2, 30)
+    call = {
+        "classify": lambda: classify(amplitudes(spec, 0.3), tol),
+        "scan": lambda: scan(spec, grid, tol=tol),
+        "zt_candidates": lambda: zt_candidates(spec, grid, tol=tol),
+    }[name]
+    with pytest.raises(ValueError, match="tol must be positive"):
+        call()
+
+
 def test_scan_rejects_non_hermitian_walk():
     with pytest.warns(UserWarning):
         spec = walk_spec(directed_ngon(3), 1, [0.7, 0.1])

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
+    ProjectedMatrix,
+    WalkSpec,
     bivariate_G,
     bivariate_orthogonality_residual,
     bivariate_recurrence_residual,
     directed_ngon,
     enumerate_indices,
     griffiths_params,
+    krawtchouk,
     krawtchouk_genfun,
     krawtchouk_series,
     krawtchouk_table,
@@ -18,8 +23,11 @@ from simplexwalk import (
     orthogonality_residual,
     params_from_scheme,
     pochhammer,
+    projected_matrix,
     trivial_scheme_2,
 )
+from simplexwalk.krawtchouk import spectral_residual
+from simplexwalk.oracle import _oracle_specs
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
 
@@ -176,10 +184,78 @@ def test_bivariate_recurrence(N):
 
 
 def test_bivariate_recurrence_generic_weights():
-    # the identity is linear in the couplings, so it holds beyond the
-    # canonical pair as long as the pair is conjugate
+    # the identity is linear in the couplings, so it holds for any pair,
+    # conjugate or not
     w1 = 0.3 + 0.25j
     assert bivariate_recurrence_residual(3, w1, np.conj(w1)) < 1e-9
+    assert bivariate_recurrence_residual(3, 0.3 + 0.25j, 0.1 - 0.7j) < 1e-9
+
+
+@pytest.mark.parametrize("name, spec", _oracle_specs())
+def test_spectral_identity_oracle_cases(name, spec):
+    assert spectral_residual(spec) <= 1e-12
+
+
+SPECTRAL_SCHEMES = [directed_ngon(3), directed_ngon(4), directed_ngon(5), ordered_word_scheme(3)]
+UNIT_SQUARE = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(SPECTRAL_SCHEMES),
+    N=st.integers(0, 4),
+    parts=st.lists(st.tuples(UNIT_SQUARE, UNIT_SQUARE), min_size=4, max_size=4),
+    hermitian=st.booleans(),
+)
+def test_spectral_identity_random_weights(scheme, N, parts, hermitian):
+    w = np.array([complex(re, im) for re, im in parts[:scheme.d]])
+    if hermitian:
+        # w of the transposed class is conj(w); self-paired classes get real weights
+        for i in range(scheme.d):
+            j = scheme.transpose_map[i + 1] - 1
+            if j == i:
+                w[i] = w[i].real
+            elif j < i:
+                w[i] = np.conj(w[j])
+    spec = WalkSpec(base=scheme, copies=N, weights=w)
+    if hermitian:
+        assert spec.is_hermitian
+    assert spectral_residual(spec) <= 1e-12
+
+
+def _transposed(h, spec):
+    return h.T
+
+
+def _adjoint(h, spec):
+    return h.conj().T
+
+
+def _without_valency_ratio(h, spec):
+    return sum(w * p for w, p in zip(spec.weights, spec.base.intersection[1:]))
+
+
+@pytest.mark.parametrize(
+    "scheme, weights, mutate",
+    [
+        (directed_ngon(3), [0.3 + 0.25j, 0.1 - 0.7j], _transposed),
+        (ordered_word_scheme(3), [0.3 + 0.25j, 0.1 - 0.7j, -0.6 + 0.2j], _adjoint),
+        (ordered_word_scheme(3), [0.3 + 0.25j, 0.1 - 0.7j, -0.6 + 0.2j], _without_valency_ratio),
+    ],
+)
+def test_spectral_identity_catches_wrong_projected_matrix(monkeypatch, scheme, weights, mutate):
+    # OW(3) has only self-paired classes, so its h is complex symmetric and a
+    # plain transpose leaves it unchanged; the adjoint and the dropped
+    # valency ratio do change it
+    spec = WalkSpec(base=scheme, copies=2, weights=np.asarray(weights, dtype=complex))
+    assert spectral_residual(spec) <= 1e-12
+
+    def wrong(s):
+        pm = projected_matrix(s)
+        return ProjectedMatrix(table=pm.table, one_body=mutate(pm.one_body, s))
+
+    monkeypatch.setattr(krawtchouk, "projected_matrix", wrong)
+    assert spectral_residual(spec) > 1e-3
 
 
 def test_recurrence_eigenvalue_factors():

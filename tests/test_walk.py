@@ -72,6 +72,14 @@ def test_eigenvalue_top_index():
     assert abs(eigenvalue_lambda(spec, (5, 0)) - 5.0) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [(-1, 2), (2, -1), (3, -2)])
+def test_eigenvalue_rejects_negative_entries(alpha):
+    # each index sums to N = 1 with the right length; only the sign is wrong
+    spec = walk_spec(trivial_scheme_2(), 1, [1.0])
+    with pytest.raises(ValueError, match="not a valid index"):
+        eigenvalue_lambda(spec, alpha)
+
+
 def test_eigenvalue_differences_integral():
     for n in (2, 3, 5):
         spec = canonical_spec(n, 2)
