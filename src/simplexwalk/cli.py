@@ -210,8 +210,8 @@ def _build_scenario(config: ExperimentConfig):
 
 
 def _run_walk_detect(config: ExperimentConfig) -> int:
-    if not config.tol > 0:
-        raise ConfigError("--tol must be positive")
+    if not 0 < config.tol < 1:
+        raise ConfigError("--tol must be positive and below 1")
     scenario = _build_scenario(config)
     events = scan(scenario.spec, _sweep_times(config), tol=config.tol)
     payload = [
@@ -320,8 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify")
-    ver.add_argument("--suite", choices=["axioms", "krawtchouk", "amplitudes", "bmatrix", "all"],
-                     default=None)
+    ver.add_argument("--suite", choices=[*oracle.SUITES, "all"], default=None)
     ver.add_argument("--out", default=None)
     return parser
 

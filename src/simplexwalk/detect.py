@@ -23,7 +23,6 @@ from .walk import (
 
 PST_TOL = 1e-8
 FR_TOL = 1e-6
-MAX_SUPPORT_FRACTION = 0.5
 NORMALIZATION_TOL = 1e-6
 
 
@@ -51,8 +50,8 @@ class Scenario:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < 1:  # NaN fails too
+        raise ValueError(f"tol must be positive and below 1, got {tol!r}")
 
 
 def classify(profile, tol: float = PST_TOL) -> TransferEvent:
@@ -164,8 +163,8 @@ def _face_event(spec: WalkSpec, t: float, tol: float):
                              fidelity=fidelity, phase=phase)
     if count == 2 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
         kind = "GME"
-    elif size == d + 1 or count > MAX_SUPPORT_FRACTION * math.comb(N + d, d):
-        # unconfined: the probability reaches every site, or most classes
+    elif size == d + 1:
+        # unconfined: the probability reaches every site
         return None
     else:
         kind = "FR"
@@ -180,9 +179,8 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     of the r heaviest sites peaks on one site set S is bracketed by its
     neighbouring grid points, the mass of S is maximized there by golden
     section, and the face holding the probability at that time names the
-    event (PST, GME or FR; faces with more than ``MAX_SUPPORT_FRACTION`` of
-    the classes are unconfined).  Adjacent duplicates are merged on the best
-    fidelity.
+    event (PST, GME or FR; the face of every site is unconfined and names no
+    event).  Adjacent duplicates are merged on the best fidelity.
     """
     _check_tol(tol)
     grid = _time_grid(t_grid)

@@ -6,9 +6,11 @@ agree; tests and the verification suites cross-check them.  Integer parts
 (Pochhammer symbols, factorials) are kept exact and only combined with the
 complex weight factors at the last moment.
 
-``spectral_residual`` checks the spectral identity B v_alpha = lambda_alpha
-v_alpha of the projected matrix on any scheme; the bivariate recurrence and
-orthogonality of the paper are its 3-cycle instances.
+The table K[n_tilde, n] = K(n; n_tilde) is one D x D matrix: both
+orthogonality relations (``orthogonality_residual``) and the spectral
+identity B V = V Lambda of the projected matrix on any scheme
+(``spectral_residual``) are matrix identities on it.  The bivariate
+recurrence and orthogonality of the paper are their 3-cycle instances.
 """
 
 from __future__ import annotations
@@ -176,51 +178,41 @@ def krawtchouk_table(N: int, U) -> dict:
     return {nt: krawtchouk_genfun(nt, N, U) for nt in enumerate_indices(N, d)}
 
 
-def _power(vals, exps) -> float:
-    return math.prod(float(v) ** int(e) for v, e in zip(vals, exps))
+def _krawtchouk_matrix(N: int, U):
+    """The compositions of N in canonical order and the matrix
+    K[n_tilde, n] = K(n; n_tilde) over them."""
+    table = krawtchouk_table(N, U)
+    idx = list(table)
+    return idx, np.array([[table[nt][n] for n in idx] for nt in idx], dtype=complex)
 
 
 def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
-    """Max deviation from the two sesquilinear orthogonality relations: over
-    the columns of the table with weight p_tilde, and over its rows with p."""
-    idx = enumerate_indices(N, gp.dimension)
-    table = krawtchouk_table(N, gp.U)
-    factN = math.factorial(N)
-    nuN = gp.nu ** N
+    """Max deviation from the two sesquilinear orthogonality relations:
+    conj(K) diag(w_tilde) K^T = diag(1 / (nu^N w)), and the same on K^T with
+    w and w_tilde exchanged, where w_n = multinomial(N; n) prod_i p_i^n_i and
+    w_tilde is w with p_tilde in place of p."""
+    idx, K = _krawtchouk_matrix(N, gp.U)
+    multi = np.array([multinomial(N, n) for n in idx], dtype=float)
+    w, w_tilde = (multi * np.prod(q ** np.array(idx), axis=1) for q in (gp.p, gp.p_tilde))
 
-    def fact(n):
-        return math.prod(math.factorial(v) for v in n)
+    def relation(M, weight, dual):
+        gram = M.conj() @ (weight[:, None] * M.T)
+        return float(np.abs(gram - np.diag(1.0 / (gp.nu ** N * dual))).max())
 
-    def relation(value, weight, dual):
-        worst = 0.0
-        for a in idx:
-            for b in idx:
-                lhs = factN * sum(
-                    np.conj(value(a, c)) * value(b, c) * _power(weight, c) / fact(c) for c in idx
-                )
-                rhs = fact(a) / (factN * nuN * _power(dual, a)) if a == b else 0.0
-                worst = max(worst, abs(lhs - rhs))
-        return worst
-
-    return max(relation(lambda nt, n: table[nt][n], gp.p_tilde, gp.p),
-               relation(lambda n, nt: table[nt][n], gp.p, gp.p_tilde))
+    return max(relation(K, w_tilde, w), relation(K.T, w, w_tilde))
 
 
 # -- the spectral identity and its bivariate instance on the 3-cycle --------
 
 def spectral_residual(spec: WalkSpec) -> float:
-    """max over alpha of |B v_alpha - lambda_alpha v_alpha|, where B is the
-    projected matrix, lambda_alpha = eigenvalue_lambda(spec, alpha) and
-    v_alpha[beta] = sqrt(k_beta) K(beta; alpha) is a Krawtchouk column of
-    the base cosine matrix: the columns diagonalize B for any couplings."""
+    """max |B V - V Lambda| for the projected matrix B: the columns
+    v_alpha[beta] = sqrt(k_beta) K(beta; alpha) of V = diag(sqrt(k)) K^T
+    diagonalize B for any couplings, with Lambda_alpha = eigenvalue_lambda."""
     pm = projected_matrix(spec)
-    root_k = np.sqrt(pm.table.valency)
-    worst = 0.0
-    for alpha in pm.order:
-        K = krawtchouk_genfun(alpha, spec.copies, spec.base.cosine)
-        v = root_k * np.array([K[beta] for beta in pm.order])
-        worst = max(worst, float(np.abs(pm.entries @ v - eigenvalue_lambda(spec, alpha) * v).max()))
-    return worst
+    order, K = _krawtchouk_matrix(spec.copies, spec.base.cosine)
+    V = np.sqrt(pm.table.valency)[:, None] * K.T
+    lam = np.array([eigenvalue_lambda(spec, alpha) for alpha in order])
+    return float(np.abs(pm.entries @ V - V * lam).max())
 
 
 def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:

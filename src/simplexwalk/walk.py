@@ -178,6 +178,8 @@ def solve_weights(scheme: AssociationScheme, t: float, target_args) -> WeightSol
     if t == 0:
         raise ValueError("t must be nonzero")
     target_args = np.asarray(target_args, dtype=float)
+    if not (math.isfinite(t) and np.isfinite(target_args).all()):
+        raise ValueError("t and the target phases must be finite")
     d = scheme.d
     if target_args.shape != (d,):
         raise ValueError(f"expected {d} target phases, got {target_args.shape}")
@@ -191,7 +193,7 @@ def solve_weights(scheme: AssociationScheme, t: float, target_args) -> WeightSol
     spec = WalkSpec(base=scheme, copies=1, weights=w)
     z = z_factors(spec, t)
     roundtrip = float(np.abs(z - np.exp(1j * target_args)).max())
-    if roundtrip > 1e-9:
+    if not roundtrip <= 1e-9:  # NaN fails too
         raise ValueError(f"weight solution failed to reproduce targets (residual {roundtrip:.3e})")
     return WeightSolution(
         weights=w,

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from simplexwalk.cli import main
+from simplexwalk import oracle
+from simplexwalk.cli import _build_parser, main
 
 
 def run_cli(args):
@@ -230,7 +231,7 @@ def test_non_finite_weights_exit_code(tmp_path, capsys, weights):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "1.0", "1.5"])
 def test_detect_rejects_non_positive_tol(tmp_path, capsys, tol):
     out = tmp_path / "events.json"
     rc = run_cli(["walk", "detect", "--scenario", "hypercube", "--N", "2",
@@ -238,6 +239,21 @@ def test_detect_rejects_non_positive_tol(tmp_path, capsys, tol):
     assert rc == 2
     assert "--tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bmatrix_rejects_non_finite_solve_time(tmp_path, capsys):
+    out = tmp_path / "bm.json"
+    rc = run_cli(["walk", "bmatrix", "--scheme", "ow", "--d", "2", "--N", "1",
+                  "--solve-targets", "1,1", "--solve-time", "inf", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_parser_accepts_every_suite():
+    parser = _build_parser()
+    for name in [*oracle.SUITES, "all"]:
+        assert parser.parse_args(["verify", "--suite", name]).suite == name
 
 
 @pytest.mark.parametrize("t_min, t_max", [("3", "1"), ("0", "inf"), ("nan", "1")])

@@ -117,7 +117,7 @@ def test_scan_and_zt_candidates_reject_non_finite_times(bad):
         zt_candidates(spec, [bad])
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 1.0, 1.5])
 @pytest.mark.parametrize("name", ["classify", "scan", "zt_candidates"])
 def test_tol_must_be_positive(name, tol):
     spec = walk_spec(trivial_scheme_2(), 2, [1.0])
@@ -177,6 +177,8 @@ ORACLE_SCANS = [
     (ow_fr_scenario(3, 3, 2), 0.0, 3.15, 90, 1e-6),
     (ow_fr_scenario(3, 5, 2), 0.0, 3.1416, 200, 1e-6),
     (ow_fr_scenario(3, 1, 2), 0.0, 3.1416, 120, 1e-8),
+    (ow_fr_scenario(3, 1, 3), 0.0, 3.1416, 120, 1e-8),
+    (ow_fr_scenario(3, 2, 3), 0.0, 3.1416, 200, 1e-6),
 ]
 
 
@@ -193,6 +195,18 @@ def test_scan_events_agree_with_class_level_classify(sc, t_min, t_max, steps, to
             assert ref.phase is None
         else:
             assert abs(np.angle(np.exp(1j * (ref.phase - ev.phase)))) < 1e-12
+
+
+@pytest.mark.parametrize("d, N, k", [(3, 1, 3), (3, 2, 3), (4, 1, 4)])
+def test_scan_names_revival_by_its_face_at_any_N(d, N, k):
+    # the revival face holds 3 or 4 of d+1 sites, which is more than half of
+    # the classes at these N; the event is a property of the face alone
+    sc = ow_fr_scenario(d, N, k)
+    (t_star, kind, support), = sc.expected_events
+    events = scan(sc.spec, np.linspace(0.0, 3.1416, 200), tol=1e-6)
+    assert kind == "FR"
+    assert any(ev.kind == kind and set(ev.support) == set(support) and abs(ev.time - t_star) < 1e-6
+               and ev.fidelity > 1 - 1e-6 for ev in events)
 
 
 def test_scan_never_evaluates_class_profiles(monkeypatch):

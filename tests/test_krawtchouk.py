@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,24 @@ def test_orthogonality_ngon3():
 def test_orthogonality_three_variables(scheme):
     gp = params_from_scheme(scheme)
     assert max(orthogonality_residual(gp, N) for N in range(5)) < 1e-10
+
+
+# Eigenmatrix of the Petersen graph scheme: m = (1, 5, 4) differs from
+# k = (1, 3, 6), so p != p_tilde and U is not symmetric, and the relation over
+# the rows is tested apart from the one over the columns.
+PETERSEN_P = np.array([[1, 3, 6], [1, 1, -2], [1, -2, 1]], dtype=float)
+PETERSEN_K = np.array([1.0, 3.0, 6.0])
+PETERSEN_M = np.array([1.0, 5.0, 4.0])
+
+
+@pytest.mark.parametrize("N", range(5))
+def test_orthogonality_not_self_dual(N):
+    gp = griffiths_params(10.0, PETERSEN_M / 10, PETERSEN_K / 10, PETERSEN_P / PETERSEN_K)
+    assert orthogonality_residual(gp, N) <= 1e-12
+    if N:
+        swapped = dataclasses.replace(gp, p=gp.p_tilde, p_tilde=gp.p)
+        assert orthogonality_residual(swapped, N) > 1e-3
+        assert orthogonality_residual(dataclasses.replace(gp, U=gp.U.T), N) > 1e-3
 
 
 def test_orthogonality_N0_exact():

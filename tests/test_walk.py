@@ -289,8 +289,10 @@ def test_solve_weights_singular_system():
 
 
 def test_solve_weights_rejects_t_zero():
-    with pytest.raises(ValueError):
-        solve_weights(directed_ngon(3), 0.0, [0.1, 0.1])
+    for t, targets in [(0.0, [0.1, 0.1]), (math.inf, [0.1, 0.1]), (math.nan, [0.1, 0.1]),
+                       (1.0, [0.1, math.inf]), (1.0, [math.nan, 0.1])]:
+        with pytest.raises(ValueError):
+            solve_weights(directed_ngon(3), t, targets)
 
 
 def test_projected_matrix_golden():
