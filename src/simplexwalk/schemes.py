@@ -102,33 +102,45 @@ def _as_int_matrix(m) -> np.ndarray:
 def _intersection_tensor(adjacency) -> np.ndarray:
     """Structure constants of the products A_i A_j, exact integers.
 
-    Raises SchemeError if products do not commute or a coefficient is not
-    constant across a relation (i.e. the matrices are not a scheme).
+    The products run in float64 on BLAS; products of 0/1 matrices have
+    integer entries of at most |X| < 2^53, so they are exact.  Raises
+    SchemeError, for the first failing (i, j, k), if products do not commute
+    or a coefficient is not constant across a relation (i.e. the matrices
+    are not a scheme).
     """
     nc = len(adjacency)
+    A = np.array(adjacency, dtype=float)
+    flat = A.reshape(nc, -1)
+    cells = [np.flatnonzero(f) for f in flat]
+    empty = [c.size == 0 for c in cells]
+    # flat cells relation by relation, then a sentinel so that every segment
+    # of `starts`, an empty one too, reduces over at least one cell
+    order = np.concatenate(cells + [[0]])
+    starts = np.cumsum([0] + [c.size for c in cells])
     p = np.zeros((nc, nc, nc), dtype=np.int64)
-    masks = [a.astype(bool) for a in adjacency]
     for i in range(nc):
-        for j in range(i, nc):
-            prod = adjacency[i] @ adjacency[j]
-            if not np.array_equal(prod, adjacency[j] @ adjacency[i]):
-                raise SchemeError(f"A_{i} and A_{j} do not commute")
-            rem = prod.copy()
-            for k in range(nc):
-                vals = prod[masks[k]]
-                if vals.size == 0:
-                    raise SchemeError(f"relation {k} is empty")
-                v0 = vals[0]
-                if not np.all(vals == v0):
-                    raise SchemeError(
-                        f"A_{i} A_{j} is not constant on relation {k}: "
-                        "not an association scheme"
-                    )
-                p[i, j, k] = v0
-                p[j, i, k] = v0
-                rem -= v0 * adjacency[k]
-            if np.any(rem):
-                raise SchemeError(f"A_{i} A_{j} leaves the adjacency span")
+        prod = A[i] @ A[i:]
+        commute = (prod == A[i:] @ A[i]).all(axis=(1, 2))
+        pf = prod.reshape(nc - i, -1)
+        v = pf[:, order[starts[:-1]]]
+        spanned = ~(pf != v @ flat).any(axis=1)
+        on = pf[:, order]
+        constant = np.maximum.reduceat(on, starts, axis=1) == np.minimum.reduceat(on, starts, axis=1)
+        if any(empty) or not (commute.all() and constant.all() and spanned.all()):
+            for j, com, const, span in zip(range(i, nc), commute, constant.tolist(), spanned):
+                if not com:
+                    raise SchemeError(f"A_{i} and A_{j} do not commute")
+                for k in range(nc):
+                    if empty[k]:
+                        raise SchemeError(f"relation {k} is empty")
+                    if not const[k]:
+                        raise SchemeError(f"A_{i} A_{j} is not constant on relation {k}: "
+                                          "not an association scheme")
+                if not span:
+                    raise SchemeError(f"A_{i} A_{j} leaves the adjacency span")
+        p[i, i:] = v
+        p[i:, i] = v
+        del prod, pf, on  # free this block before the next one is formed
     return p
 
 

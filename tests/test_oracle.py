@@ -16,7 +16,9 @@ from simplexwalk import (
     trivial_scheme_2,
     walk_spec,
 )
+from simplexwalk import extension, oracle
 from simplexwalk.oracle import (
+    ComparisonReport,
     compare_amplitudes,
     dense_evolution,
     dense_hamiltonian,
@@ -106,6 +108,65 @@ def test_vertex_classes_partition():
     members = vertex_classes(spec)
     seen = np.concatenate(list(members.values()))
     assert sorted(seen.tolist()) == list(range(16))
+
+
+@pytest.mark.parametrize("start", [-1, 16])
+def test_vertex_classes_rejects_start_out_of_range(start):
+    spec = walk_spec(ordered_word_scheme(2), 2, [0.5, 0.5])
+    with pytest.raises(ValueError, match="start vertex out of range"):
+        vertex_classes(spec, start_vertex=start)
+
+
+@pytest.mark.parametrize("spec", [
+    walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3)),
+    walk_spec(ordered_word_scheme(2), 2, [0.5, 0.5]),
+    walk_spec(trivial_scheme_2(), 3, [1.0]),
+], ids=["ngon3-N2", "ow2-N2", "trivial2-N3"])
+def test_vertex_classes_match_class_columns(spec, monkeypatch):
+    ext = extension_scheme(spec.base, spec.copies)
+    classes = {beta: materialize_class(ext, beta) for beta in ext.index_set}
+
+    def forbidden(*args):
+        raise AssertionError("vertex_classes formed a dense class matrix")
+
+    monkeypatch.setattr(oracle, "materialize_class", forbidden)
+    monkeypatch.setattr(extension, "materialize_class", forbidden)
+    for v in range(spec.base.size ** spec.copies):
+        members = vertex_classes(spec, start_vertex=v)
+        assert list(members) == list(ext.index_set)
+        for beta, A in classes.items():
+            np.testing.assert_array_equal(members[beta], np.flatnonzero(A[:, v]))
+
+
+def test_compare_amplitudes_diagonalizes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(H):
+        calls.append(H.shape)
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = walk_spec(directed_ngon(3), 3, canonical_ngon_weights(3))
+    report = compare_amplitudes(spec, [0.0, 0.4, 1.1, 2.0, 3.7])
+    assert calls == [(27, 27)]
+    assert report.max_error < 1e-9
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_compare_amplitudes_rejects_non_finite_times(t):
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="finite"):
+        compare_amplitudes(spec, [0.5, t])
+
+
+def test_comparison_report_keeps_nan_and_plain_floats():
+    report = compare_amplitudes(walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3)), [0.5, 1.5])
+    fields = (report.max_amplitude_error, report.max_within_class_error,
+              report.max_method_disagreement, report.max_normalization_error, report.max_error)
+    assert all(type(x) is float for x in fields)
+    nan_report = ComparisonReport((0.5,), 0.0, math.nan, 0.0, 0.0)
+    assert math.isnan(nan_report.max_error)
 
 
 def test_guard_env_override(monkeypatch):

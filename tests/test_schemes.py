@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     SchemeError,
@@ -181,6 +183,46 @@ def test_intersection_raises_on_non_scheme():
         intersection_numbers(broken)
 
 
+def _perturbed(scheme, *entries):
+    adjacency = [a.copy() for a in scheme.adjacency]
+    for k, r, c, delta in entries:
+        adjacency[k][r, c] += delta
+    return adjacency
+
+
+_EYE3 = np.eye(3, dtype=np.int64)
+_SHIFT3 = np.roll(_EYE3, 1, axis=1)
+_E01 = np.zeros((3, 3), dtype=np.int64)
+_E01[0, 1] = 1
+_E12 = np.zeros((3, 3), dtype=np.int64)
+_E12[1, 2] = 1
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    ([_EYE3, np.ones((3, 3), dtype=np.int64) - _EYE3, 0 * _EYE3], "relation 2 is empty"),
+    ([_EYE3, _SHIFT3], "A_1 A_1 leaves the adjacency span"),
+    ([_EYE3, _E01, _E12], "A_1 and A_2 do not commute"),
+    (_perturbed(directed_ngon(4), (1, 0, 1, -1), (1, 0, 2, 1)),
+     "A_0 A_1 is not constant on relation 2: not an association scheme"),
+    (_perturbed(directed_ngon(3), (1, 0, 1, -1)),
+     "A_1 A_1 is not constant on relation 2: not an association scheme"),
+], ids=["empty", "span", "commute", "constant-ngon4", "constant-ngon3"])
+def test_intersection_tensor_failure_messages(adjacency, message):
+    with pytest.raises(SchemeError) as err:
+        schemes._intersection_tensor(adjacency)
+    assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.one_of(st.builds(directed_ngon, st.integers(1, 8)),
+                   st.builds(ordered_word_scheme, st.integers(1, 4))),
+       seed=st.integers(0, 2**32 - 1))
+def test_intersection_numbers_invariant_under_relabelling(s, seed):
+    perm = np.random.default_rng(seed).permutation(s.size)
+    relabelled = dataclasses.replace(s, adjacency=tuple(a[perm][:, perm] for a in s.adjacency))
+    np.testing.assert_array_equal(intersection_numbers(relabelled), s.intersection)
+
+
 def test_column_orthogonality():
     for s in (trivial_scheme_2(), directed_ngon(5), ordered_word_scheme(3)):
         m = s.multiplicities
@@ -223,8 +265,8 @@ def test_ow_classes_match_word_sums(d):
 
 
 SPECTRAL_BUILDS = ([("trivial2", trivial_scheme_2)]
-                   + [(f"ngon{n}", lambda n=n: directed_ngon(n)) for n in range(1, 17)]
-                   + [(f"ow{d}", lambda d=d: ordered_word_scheme(d)) for d in range(1, 8)])
+                   + [(f"ngon{n}", lambda n=n: directed_ngon(n)) for n in range(1, 33)]
+                   + [(f"ow{d}", lambda d=d: ordered_word_scheme(d)) for d in range(1, 9)])
 
 
 @pytest.mark.parametrize("build", [b for _, b in SPECTRAL_BUILDS], ids=[n for n, _ in SPECTRAL_BUILDS])
