@@ -26,7 +26,11 @@ DEFAULT_GUARD = 4096
 def size_guard(default: int = DEFAULT_GUARD) -> int:
     """Row guard for materialized matrices; SIMPLEXWALK_GUARD overrides."""
     env = os.environ.get("SIMPLEXWALK_GUARD")
-    return int(env) if env else default
+    if not env:
+        return default
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"SIMPLEXWALK_GUARD must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def enumerate_indices(N: int, d: int) -> list:

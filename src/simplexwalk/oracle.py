@@ -229,8 +229,8 @@ def golden_bmatrix_residual() -> float:
         # needed for assembly, so bypass the warning in the factory
         probe = WalkSpec(base=scheme, copies=3, weights=np.asarray(weights, dtype=complex))
         pm = projected_matrix(probe)
-        worst = max(worst, float(np.abs(pm.entries - expected).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(pm.entries - expected).max())
+    return float(worst)
 
 
 def ngon_spectrum_residual(n: int, N: int) -> float:
@@ -274,6 +274,7 @@ def _suite_axioms() -> list:
 
 
 def _suite_krawtchouk() -> list:
+    # np.max and np.maximum propagate NaN, where Python's max may drop it
     checks = []
     schemes = [
         ("trivial2", trivial_scheme_2()),
@@ -287,14 +288,14 @@ def _suite_krawtchouk() -> list:
             for nt in enumerate_indices(N, scheme.d):
                 for n in enumerate_indices(N, scheme.d):
                     series = krawtchouk.krawtchouk_series(n, nt, N, scheme.cosine)
-                    worst = max(worst, abs(series - table[nt][n]))
+                    worst = np.maximum(worst, abs(series - table[nt][n]))
         checks.append(_check(f"krawtchouk:series-vs-genfun:{name}", worst, 1e-10))
         gp = krawtchouk.params_from_scheme(scheme)
-        worst = max(krawtchouk.orthogonality_residual(gp, N) for N in range(0, 5))
+        worst = np.max([krawtchouk.orthogonality_residual(gp, N) for N in range(0, 5)])
         checks.append(_check(f"krawtchouk:orthogonality:{name}", worst, 1e-10))
-    worst = max(krawtchouk.bivariate_orthogonality_residual(N) for N in range(1, 5))
+    worst = np.max([krawtchouk.bivariate_orthogonality_residual(N) for N in range(1, 5)])
     checks.append(_check("krawtchouk:bivariate-orthogonality", worst, 1e-10))
-    worst = max(krawtchouk.bivariate_recurrence_residual(N) for N in range(1, 5))
+    worst = np.max([krawtchouk.bivariate_recurrence_residual(N) for N in range(1, 5)])
     checks.append(_check("krawtchouk:bivariate-recurrence", worst, 1e-9))
     return checks
 
@@ -332,9 +333,9 @@ def _suite_bmatrix() -> list:
         state = evolve_projected(pm, t, (3, 0, 0))
         prof = amplitudes(spec, t)
         expected = np.array([prof.site_amplitudes[b] for b in pm.order])
-        worst = max(worst, float(np.abs(state - expected).max()))
+        worst = np.maximum(worst, np.abs(state - expected).max())
     checks.append(_check("bmatrix:evolution-consistency", worst, 1e-9))
-    worst = max(ngon_spectrum_residual(n, N) for n in range(2, 6) for N in range(1, 4))
+    worst = np.max([ngon_spectrum_residual(n, N) for n in range(2, 6) for N in range(1, 4)])
     checks.append(_check("bmatrix:integral-spectrum-shift", worst, 1e-9))
     return checks
 

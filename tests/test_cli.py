@@ -149,6 +149,13 @@ def test_verify_suite_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("suite axioms")
 
 
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_guard_env_exit_code(monkeypatch, capsys, value):
+    monkeypatch.setenv("SIMPLEXWALK_GUARD", value)
+    assert run_cli(["verify", "--suite", "amplitudes"]) == 2
+    assert capsys.readouterr().err == f"error: SIMPLEXWALK_GUARD must be a positive integer, got {value!r}\n"
+
+
 def test_invalid_config_exit_code(capsys):
     assert run_cli(["walk", "amplitudes", "--scheme", "ngon", "--N", "2"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -126,6 +126,16 @@ def test_materialize_guard(monkeypatch):
     materialize_class(ext, (3, 0))
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
+def test_size_guard_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("SIMPLEXWALK_GUARD", value)
+    with pytest.raises(ValueError) as err:
+        extension.size_guard()
+    assert str(err.value) == f"SIMPLEXWALK_GUARD must be a positive integer, got {value!r}"
+    monkeypatch.setenv("SIMPLEXWALK_GUARD", "7")
+    assert extension.size_guard() == 7
+
+
 def test_extension_cosine_trivial_rows():
     ext = extension_scheme(directed_ngon(3), 2)
     top = (2, 0, 0)

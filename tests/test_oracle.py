@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from simplexwalk import (
     trivial_scheme_2,
     walk_spec,
 )
-from simplexwalk import extension, oracle
+from simplexwalk import extension, krawtchouk, oracle
 from simplexwalk.oracle import (
     ComparisonReport,
     compare_amplitudes,
@@ -252,6 +253,46 @@ def test_run_suite_axioms():
     assert all(isinstance(c["residual"], float) for c in report["checks"])
     assert all(list(c) == ["name", "passed", "residual", "tolerance"] for c in report["checks"])
     assert [c["name"] for c in report["checks"]][:2] == ["axioms:trivial2", "axioms:ngon-1"]
+
+
+def _suite_check(suite, name):
+    return next(c for c in run_suite(suite)["checks"] if c["name"] == name)
+
+
+def test_krawtchouk_suite_keeps_nan(monkeypatch):
+    series = krawtchouk.krawtchouk_series
+    calls = []
+
+    def fifth_is_nan(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 5 else series(*args)
+
+    monkeypatch.setattr(krawtchouk, "krawtchouk_series", fifth_is_nan)
+    check = _suite_check("krawtchouk", "krawtchouk:series-vs-genfun:trivial2")
+    assert not check["passed"]
+    assert math.isnan(check["residual"])
+
+
+def test_bmatrix_suite_keeps_nan(monkeypatch):
+    spectrum = oracle.ngon_spectrum_residual
+    monkeypatch.setattr(oracle, "ngon_spectrum_residual",
+                        lambda n, N: math.nan if (n, N) == (3, 2) else spectrum(n, N))
+    check = _suite_check("bmatrix", "bmatrix:integral-spectrum-shift")
+    assert not check["passed"]
+    assert math.isnan(check["residual"])
+
+
+def test_golden_bmatrix_keeps_nan(monkeypatch):
+    build = oracle.projected_matrix
+    calls = []
+
+    def second_is_nan(spec):
+        calls.append(spec)
+        pm = build(spec)
+        return types.SimpleNamespace(entries=np.full_like(pm.entries, np.nan)) if len(calls) == 2 else pm
+
+    monkeypatch.setattr(oracle, "projected_matrix", second_is_nan)
+    assert math.isnan(golden_bmatrix_residual())
 
 
 def test_run_suite_unknown():

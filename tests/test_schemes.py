@@ -67,7 +67,7 @@ def test_ngon_rejects_zero():
         directed_ngon(0)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 33))
 def test_ngon_validates(n):
     report = validate_scheme(directed_ngon(n))
     assert report.ok
@@ -111,7 +111,7 @@ def test_ow2_axioms_brute_force():
     assert validate_scheme(ow).ok
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_ow_validates(d):
     report = validate_scheme(ordered_word_scheme(d))
     assert report.ok
@@ -317,3 +317,95 @@ def test_transpose_map_needs_one_hit_per_row(hits):
     inter[:, :, 0] = hits
     with pytest.raises(SchemeError, match="exactly one"):
         schemes._spectral_transpose(inter)
+
+
+CHECK_NAMES = [
+    "identity-class", "partition-of-ones", "transpose-closure", "commuting-integer-products",
+    "eigenmatrix-inverse", "adjacency-reconstruction", "idempotency", "eigen-relation",
+    "valency-row", "multiplicity-row", "cosine-duality", "column-orthogonality",
+]
+
+
+def _dense_spectral_residuals(s):
+    """Reference for the algebra-level checks: every idempotent E_j formed as
+    an |X| x |X| matrix and every relation checked entry by entry."""
+    nc, P, Q, m = s.classes, s.first_eigenmatrix, s.second_eigenmatrix, s.multiplicities
+    E = [s.idempotent(j) for j in range(nc)]
+    pairs = [(i, j) for i in range(nc) for j in range(nc)]
+    return {
+        "adjacency-reconstruction": np.max([
+            np.abs(s.adjacency[i] - sum(P[j, i] * E[j] for j in range(nc))).max() for i in range(nc)]),
+        "idempotency": np.max([np.abs(E[i] @ E[j] - (E[i] if i == j else 0)).max() for i, j in pairs]),
+        "eigen-relation": np.max([np.abs(s.adjacency[i] @ E[j] - P[j, i] * E[j]).max() for i, j in pairs]),
+        "cosine-duality": np.max([abs(s.cosine[i, j] - np.conj(Q[j, i]) / m[i]) for i, j in pairs]),
+        "column-orthogonality": np.max([
+            abs(sum(m[l] * np.conj(s.cosine[l, k]) for l in range(nc)) - (s.size if k == 0 else 0))
+            for k in range(nc)]),
+    }
+
+
+def _assert_matches_dense(s):
+    report = validate_scheme(s)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    dense = _dense_spectral_residuals(s)
+    for c in report.checks:
+        if c.name in dense:
+            assert c.passed == (dense[c.name] <= schemes.SPECTRAL_TOL), c.name
+            assert abs(c.residual - dense[c.name]) <= 1e-13, c.name
+    return report
+
+
+@pytest.mark.parametrize("build", [b for _, b in SPECTRAL_BUILDS], ids=[n for n, _ in SPECTRAL_BUILDS])
+def test_validation_matches_dense_idempotents(build):
+    assert _assert_matches_dense(build()).ok
+
+
+@pytest.mark.parametrize("build", [lambda n=n: directed_ngon(n) for n in range(1, 9)]
+                         + [lambda d=d: ordered_word_scheme(d) for d in range(1, 5)],
+                         ids=[f"ngon{n}" for n in range(1, 9)] + [f"ow{d}" for d in range(1, 5)])
+def test_validation_matches_dense_idempotents_on_mutants(build):
+    s = build()
+    rng = np.random.default_rng(s.size * 100 + s.classes)
+    for field in ("first_eigenmatrix", "second_eigenmatrix"):
+        for delta in (1e-6, 1e-9):
+            M = getattr(s, field).copy()
+            M[tuple(rng.integers(s.classes, size=2))] += delta
+            report = _assert_matches_dense(dataclasses.replace(s, **{field: M}))
+            assert delta < 1e-6 or not report.ok
+    shuffled = s.first_eigenmatrix[rng.permutation(s.classes)]
+    _assert_matches_dense(dataclasses.replace(s, first_eigenmatrix=shuffled))
+
+
+def test_validation_forms_no_idempotent(monkeypatch):
+    def forbidden(self, j):
+        raise AssertionError("validate_scheme formed a dense idempotent")
+
+    monkeypatch.setattr(schemes.AssociationScheme, "idempotent", forbidden)
+    for s in (trivial_scheme_2(), directed_ngon(5), ordered_word_scheme(3)):
+        assert validate_scheme(s).ok
+
+
+def test_non_scheme_fails_algebra_checks_with_inf():
+    s = directed_ngon(3)
+    broken = [a.copy() for a in s.adjacency]
+    broken[1][0, 1] = 0
+    with pytest.raises(SchemeError):
+        schemes._intersection_tensor(broken)
+    report = validate_scheme(dataclasses.replace(s, adjacency=tuple(broken)))
+    checks = {c.name: c for c in report.checks}
+    for name in ("commuting-integer-products", "idempotency", "eigen-relation"):
+        assert checks[name].residual == float("inf")
+        assert not checks[name].passed
+
+
+@pytest.mark.parametrize("build, field, entry", [
+    (lambda: directed_ngon(3), "cosine", (1, 1)),
+    (lambda: ordered_word_scheme(2), "second_eigenmatrix", (2, 1)),
+], ids=["ngon3-cosine", "ow2-Q"])
+def test_nan_spectral_entry_fails_validation(build, field, entry):
+    s = build()
+    M = getattr(s, field).copy()
+    M[entry] = np.nan
+    report = validate_scheme(dataclasses.replace(s, **{field: M}))
+    assert not report.ok
+    assert np.isnan(report.max_residual)
