@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from . import oracle
 from .detect import hypercube_pst_scenario, ngon_mpst_scenario, ow_fr_scenario, scan
 from .krawtchouk import krawtchouk_genfun, krawtchouk_series
 from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
-from .walk import amplitudes, canonical_ngon_weights, projected_matrix, solve_weights, walk_spec
+from .walk import _amplitude_rows, canonical_ngon_weights, projected_matrix, solve_weights, walk_spec
 
 
 @dataclasses.dataclass
@@ -47,10 +48,6 @@ class ExperimentConfig:
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _complex_json(z: complex) -> dict:
@@ -102,12 +99,13 @@ def _build_weights(config: ExperimentConfig, scheme) -> np.ndarray:
         raise ConfigError(f"bad weight list {source!r}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to ``path``, or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _json_text(payload) -> str:
@@ -128,7 +126,7 @@ def _run_scheme_info(config: ExperimentConfig) -> int:
         "transpose_map": list(scheme.transpose_map),
         "intersection": scheme.intersection.tolist(),
     }
-    _write_text(config.out, _json_text(payload))
+    _write_text(config.out, [_json_text(payload)])
     return 0
 
 
@@ -146,7 +144,7 @@ def _run_krawtchouk_eval(config: ExperimentConfig) -> int:
         "method": "series",
         "residual": abs(series - genfun),
     }
-    _write_text(config.out, _json_text(payload))
+    _write_text(config.out, [_json_text(payload)])
     return 0
 
 
@@ -160,21 +158,28 @@ def _sweep_times(config: ExperimentConfig):
     return np.linspace(config.t_min, config.t_max, config.steps)
 
 
+def _csv_blocks(table, times, f):
+    """The CSV header, then one block of rows per time: t, dash-joined beta,
+    re f_beta, im f_beta and k_beta |f_beta|^2, one % per row."""
+    yield "t,beta,re,im,prob\n"
+    labels = ["-".join(map(str, beta)) for beta in table.order]
+    for t, row in zip(times.tolist(), f):
+        template = ("%.17g" % t) + ",%s,%.17g,%.17g,%.17g\n"
+        prob = table.valency * np.abs(row) ** 2
+        yield "".join(map(template.__mod__, zip(labels, row.real.tolist(), row.imag.tolist(),
+                                                prob.tolist())))
+
+
 def _run_walk_amplitudes(config: ExperimentConfig) -> int:
     scheme = _build_scheme(config)
     if config.copies is None:
         raise ConfigError("--N is required")
     spec = walk_spec(scheme, config.copies, _build_weights(config, scheme))
-    lines = ["t,beta,re,im,prob"]
-    for t in _sweep_times(config):
-        prof = amplitudes(spec, t)
-        for beta, f in prof.coefficients.items():
-            cells = (_fmt(t), "-".join(str(b) for b in beta), _fmt(f.real), _fmt(f.imag),
-                     _fmt(prof.class_probabilities[beta]))
-            lines.append(",".join(cells))
-    _write_text(config.out, "\n".join(lines) + "\n")
+    times = _sweep_times(config)
+    table, f = _amplitude_rows(spec, times)
+    _write_text(config.out, _csv_blocks(table, times, f))
     if config.out:
-        print(f"wrote {len(lines) - 1} rows to {config.out}")
+        print(f"wrote {f.size} rows to {config.out}")
     return 0
 
 
@@ -189,7 +194,7 @@ def _run_walk_bmatrix(config: ExperimentConfig) -> int:
         "entries": _matrix_json(pm.entries),
         "hermiticity_residual": pm.hermiticity_residual,
     }
-    _write_text(config.out, _json_text(payload))
+    _write_text(config.out, [_json_text(payload)])
     return 0
 
 
@@ -224,7 +229,7 @@ def _run_walk_detect(config: ExperimentConfig) -> int:
         }
         for ev in events
     ]
-    _write_text(config.out, _json_text(payload))
+    _write_text(config.out, [_json_text(payload)])
     if config.out:
         print(f"{scenario.label}: {len(events)} events -> {config.out}")
     return 0
@@ -232,7 +237,7 @@ def _run_walk_detect(config: ExperimentConfig) -> int:
 
 def _run_verify(config: ExperimentConfig) -> int:
     report = oracle.run_suite(config.suite)
-    _write_text(config.out, _json_text(report))
+    _write_text(config.out, [_json_text(report)])
     # np.max propagates NaN, as in ValidationReport.max_residual
     worst = float(np.max([c["residual"] for c in report["checks"]], initial=0.0))
     n_fail = sum(1 for c in report["checks"] if not c["passed"])
@@ -280,6 +285,7 @@ def _add_time_flags(p):
     p.add_argument("--steps", type=int, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexwalk",

@@ -41,17 +41,10 @@ def enumerate_indices(N: int, d: int) -> list:
     """
     if N < 0 or d < 0:
         raise ValueError("N and d must be non-negative")
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining, -1, -1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), N, d + 1)
-    return out
+    prefixes = [()]
+    for _ in range(d):
+        prefixes = [prefix + (v,) for prefix in prefixes for v in range(N - sum(prefix), -1, -1)]
+    return [prefix + (N - sum(prefix),) for prefix in prefixes]
 
 
 def multinomial(N: int, beta) -> int:
@@ -145,16 +138,33 @@ def class_table(base: AssociationScheme, N: int) -> ClassTable:
     return _class_table(N, base.d, tuple(base.valencies.tolist()))
 
 
+def _binomial_row(r: int) -> list:
+    """[C(r, 0), ..., C(r, r)], exact, by C(r, j+1) = C(r, j) (r - j) / (j + 1)."""
+    row = [1]
+    for j in range(r):
+        row.append(row[-1] * (r - j) // (j + 1))
+    return row
+
+
 @functools.lru_cache(maxsize=8)
 def _class_table(N: int, d: int, valencies: tuple) -> ClassTable:
+    """multinomial(N; beta) = prod_i C(r_i, beta_i), r_i the copies left
+    before slot i, and k_beta = multinomial(N; beta) * prod_i k_i^beta_i, as
+    in class_valency; both stay exact ints up to their float conversion.
+    The last slot's binomial is C(r_d, r_d) = 1, so d = 1 reads one row."""
     order = tuple(enumerate_indices(N, d))
     position = types.MappingProxyType({beta: i for i, beta in enumerate(order)})
     index = np.array(order, dtype=np.intp)
-    exact = [multinomial(N, beta) for beta in order]
-    # k_beta = multinomial(N; beta) * prod_i k_i^beta_i, as in class_valency
-    valency = np.array([float(m * math.prod(int(k) ** b for k, b in zip(valencies, beta)))
-                        for m, beta in zip(exact, order)])
-    multinomials = np.array([float(m) for m in exact])
+    rows = {r: _binomial_row(r) for r in (range(N + 1) if d > 1 else (N,))}
+    multinomials, valency = [], []
+    for beta in order:
+        m, left = 1, N
+        for b in beta[:-1]:
+            m *= rows[left][b]
+            left -= b
+        multinomials.append(float(m))
+        valency.append(float(m * math.prod(k ** b for k, b in zip(valencies, beta))))
+    multinomials, valency = np.array(multinomials), np.array(valency)
     for a in (index, valency, multinomials):
         a.setflags(write=False)
     return ClassTable(order=order, position=position, index=index, valency=valency,

@@ -290,7 +290,9 @@ def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
         checks.append(CheckResult(name, r <= tol, r))
 
     exact("identity-class", scheme.adjacency[0] - np.eye(size, dtype=np.int64))
-    exact("partition-of-ones", sum(scheme.adjacency) - np.ones((size, size), dtype=np.int64))
+    # the relations sum to J, and every entry lies in {0, 1}
+    exact("partition-of-ones", [sum(scheme.adjacency) - np.ones((size, size), dtype=np.int64)]
+          + [np.minimum(np.abs(a), np.abs(a - 1)) for a in scheme.adjacency])
 
     tr_ok = all(
         np.array_equal(scheme.adjacency[i].T, scheme.adjacency[scheme.transpose_map[i]])

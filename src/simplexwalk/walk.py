@@ -139,19 +139,31 @@ class AmplitudeProfile:
         return float(sum(self.class_probabilities.values()))
 
 
-def amplitudes(spec: WalkSpec, t: float) -> AmplitudeProfile:
-    """Evaluate f_beta(t) = prefactor * prod_k p_k(t)^beta_k (k = 0..d in
-    turn, p_k^0 skipped) for every class in one pass over the class table."""
+def _amplitude_rows(spec: WalkSpec, times) -> tuple:
+    """The class table and the T x D array of f_beta(times[i]) = prefactor *
+    prod_k p_k^beta_k (k = 0..d in turn, p_k^0 skipped), row i per time.
+
+    Site factors and prefactors are formed one time at a time; the powers
+    p_k^0..p_k^N of every site and time are formed at once, and each site's
+    are gathered by the table's exponent column.
+    """
     table = class_table(spec.base, spec.copies)
-    p = site_factors(spec, t)
     sizeN = float(spec.base.size) ** spec.copies
     theta0 = complex(_one_copy_spectrum(spec)[0])
-    prefactor = np.exp(-1j * t * spec.copies * theta0) / sizeN
+    p = np.empty((spec.base.classes, len(times)), dtype=complex)
+    f = np.empty((len(times), len(table.order)), dtype=complex)
+    for i, t in enumerate(times):
+        p[:, i] = site_factors(spec, t)
+        f[i] = np.exp(-1j * t * spec.copies * theta0) / sizeN
+    powers = p[:, :, None] ** np.arange(spec.copies + 1)  # [k, i, e] = p_k(times[i])^e
+    for pk, exponents, used in zip(powers, table.index.T, table.index.T > 0):
+        np.multiply(f, pk[:, exponents], out=f, where=used)
+    return table, f
 
-    f = np.full(len(table.order), prefactor)
-    for k, exponents in enumerate(table.index.T):
-        powers = np.array([p[k] ** e for e in range(spec.copies + 1)])
-        np.multiply(f, powers[exponents], out=f, where=exponents > 0)
+
+def amplitudes(spec: WalkSpec, t: float) -> AmplitudeProfile:
+    """The profile at one time: the one row of ``_amplitude_rows(spec, [t])``."""
+    table, (f,) = _amplitude_rows(spec, (t,))
     return AmplitudeProfile(
         time=float(t),
         coefficients=dict(zip(table.order, f.tolist())),

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from simplexwalk import oracle
+from simplexwalk import cli, oracle
 from simplexwalk.cli import _build_parser, main
 
 
@@ -292,3 +293,88 @@ def test_verify_summary_shows_nan_residual(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "run_suite", lambda name: {"suite": name, "checks": checks, "passed": False})
     assert run_cli(["verify", "--suite", "axioms"]) == 1
     assert capsys.readouterr().err == "suite axioms: 3 checks, 1 failures, max residual nan\n"
+
+
+# sha256 of stdout, taken before the sweep was evaluated as one T x D array
+GOLDEN_SWEEPS = {
+    "readme": (["--scheme", "ngon", "--n", "3", "--N", "3", "--weights", "canonical",
+                "--t-min", "0", "--t-max", "6.2832", "--steps", "600"],
+               "205778a92b0a678d09c1f4c71d96d62a1581fa9cab9014edddbafd4fcdfa7b2a"),
+    "trivial2-940": (["--scheme", "trivial2", "--N", "940", "--t-min", "0.1", "--t-max", "3.0",
+                      "--steps", "7"],
+                     "50d685eb7b0d56e8b98bf81402efff71f6d6bc741fa58d0f3bba20c165c8ab49"),
+    "ow3-solved": (["--scheme", "ow", "--d", "3", "--N", "5", "--solve-targets",
+                    "6.283185307179586,6.283185307179586,1.5707963267948966",
+                    "--solve-time", "1.5707963267948966", "--t-min", "0", "--t-max", "3.2",
+                    "--steps", "40"],
+                   "e88f666e6f5bdf07d95d46a45968024810e356aa15940af858e545b913d90662"),
+    "ngon4-non-hermitian": (["--scheme", "ngon", "--n", "4", "--N", "4",
+                             "--weights", "0.5+0.1j,0.3+0.2j,0.2-0.4j",
+                             "--t-min", "0.25", "--t-max", "5", "--steps", "30"],
+                            "ba322724e73f872893ec6b834080e9d06e5899ebb96349b312857f66b117bf6c"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:weights are not Hermitian")
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_walk_amplitudes_golden_csv(tmp_path, capsys, name):
+    args, digest = GOLDEN_SWEEPS[name]
+    assert run_cli(["walk", "amplitudes", *args]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    out = tmp_path / "a.csv"
+    assert run_cli(["walk", "amplitudes", *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    rows = text.count("\n") - 1
+    assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+
+
+def test_walk_amplitudes_opens_no_file_before_rows_are_computed(tmp_path, monkeypatch):
+    def fail(spec, times):
+        raise OverflowError("amplitudes out of range")
+
+    monkeypatch.setattr(cli, "_amplitude_rows", fail)
+    out = tmp_path / "a.csv"
+    with pytest.raises(OverflowError):
+        run_cli(["walk", "amplitudes", "--scheme", "trivial2", "--N", "3", "--out", str(out)])
+    assert not out.exists()
+
+
+PARSER_SEQUENCE = [
+    ["scheme", "info", "--kind", "trivial2"],
+    ["walk", "amplitudes", "-h"],
+    ["walk", "amplitudes", "--scheme", "trivial2", "--N", "2", "--steps", "3"],
+    ["walk", "amplitudes", "--bogus"],
+    ["walk", "amplitudes", "--scheme", "trivial2", "--steps", "3"],
+    ["-h"],
+    ["krawtchouk", "eval", "--scheme", "ngon", "--n", "3", "--N", "2",
+     "--index", "1-1-0", "--index-tilde", "0-1-1"],
+    ["verify", "--suite", "nope"],
+    ["walk", "bmatrix", "--scheme", "ngon", "--n", "3", "--N", "2"],
+    ["walk", "detect", "--scenario", "hypercube", "--N", "2", "--steps", "40", "--tol", "2"],
+    [],
+    ["scheme", "info", "--kind", "trivial2"],
+]
+
+
+def _run_sequence(capsys):
+    seen = []
+    for argv in PARSER_SEQUENCE:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        captured = capsys.readouterr()
+        seen.append((rc, captured.out, captured.err))
+    return seen
+
+
+def test_parser_built_once_matches_fresh_parsers(monkeypatch, capsys):
+    _build_parser.cache_clear()
+    cached = _run_sequence(capsys)
+    assert _build_parser.cache_info().misses == 1
+    assert _run_sequence(capsys) == cached
+    monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+    assert _run_sequence(capsys) == cached
+    assert [rc for rc, _, _ in cached] == [0, ("exit", 0), 0, ("exit", 2), 2, ("exit", 0), 0,
+                                           ("exit", 2), 0, 2, 2, 0]

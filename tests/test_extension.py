@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 import math
 
@@ -41,6 +43,10 @@ def test_enumerate_order():
     assert idx == sorted(idx, reverse=True)
     assert all(sum(b) == 3 for b in idx)
     assert len(set(idx)) == len(idx)
+    for N in range(7):
+        for d in range(4):
+            every = [b for b in itertools.product(range(N + 1), repeat=d + 1) if sum(b) == N]
+            assert enumerate_indices(N, d) == sorted(every, reverse=True)
 
 
 def test_multinomial_values():
@@ -200,7 +206,11 @@ def test_symmetric_power_row_sums_to_row_product():
 
 
 @pytest.mark.parametrize("base, N", [(ordered_word_scheme(3), 4), (directed_ngon(4), 0),
-                                     (trivial_scheme_2(), 7)])
+                                     (trivial_scheme_2(), 7)]
+                         # up to the sizes the sweeps reach
+                         + [(trivial_scheme_2(), N) for N in (0, 1, 2, 100, 500, 940, 975)]
+                         + [(directed_ngon(3), N) for N in range(41)]
+                         + [(ordered_word_scheme(4), N) for N in range(9)])
 def test_class_table_matches_exact_bookkeeping(base, N):
     table = class_table(base, N)
     ext = extension_scheme(base, N)
@@ -218,17 +228,28 @@ def test_class_table_shared_by_equal_valencies():
 
 
 def test_amplitudes_compute_valencies_once_per_table(monkeypatch):
-    # one exact multinomial per class per build; the valency is derived from it
+    # three amplitudes calls on one spec build its class table once; the
+    # build reads binomial rows and calls neither multinomial nor math.comb
+    def fail(*args):
+        raise AssertionError("the class table build called an exact per-class helper")
+
     spec = walk.walk_spec(directed_ngon(3), 17, walk.canonical_ngon_weights(3))
-    calls = []
-    exact = extension.multinomial
-
-    def counting(N, beta):
-        calls.append(beta)
-        return exact(N, beta)
-
-    monkeypatch.setattr(extension, "multinomial", counting)
+    monkeypatch.setattr(extension, "multinomial", fail)
+    monkeypatch.setattr(math, "comb", fail)
     extension._class_table.cache_clear()
     for t in (0.1, 0.2, 0.3):
         walk.amplitudes(spec, t)
-    assert len(calls) == math.comb(17 + 2, 2)
+    info = extension._class_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_class_table_build_leaves_no_garbage_cycles():
+    gc.collect()
+    extension._class_table.cache_clear()
+    gc.disable()
+    try:
+        table = class_table(trivial_scheme_2(), 940)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(table.order) == 941

@@ -174,6 +174,21 @@ def test_flipped_entry_fails_validation():
     assert failed & {"transpose-closure", "commuting-integer-products", "partition-of-ones"}
 
 
+def test_partition_of_ones_needs_zero_one_entries():
+    # on two points A_1 = 2S and A_2 = -S sum with A_0 = I to J, but their
+    # products give p_11^0 = 4 and p_12^0 = -2; only 0/1 entries partition X x X
+    eye = np.eye(2, dtype=np.int64)
+    swap = eye[::-1].copy()
+    broken = dataclasses.replace(directed_ngon(3), size=2, adjacency=(eye, 2 * swap, -swap))
+    report = validate_scheme(broken)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    checks = {c.name: c for c in report.checks}
+    assert checks["identity-class"].passed
+    assert not checks["partition-of-ones"].passed
+    assert checks["partition-of-ones"].residual == 1.0
+    assert intersection_numbers(broken)[1, 1:, 0].tolist() == [4, -2]
+
+
 def test_intersection_raises_on_non_scheme():
     s = directed_ngon(3)
     broken = [a.copy() for a in s.adjacency]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from simplexwalk import (
     walk_spec,
     z_factors,
 )
+from simplexwalk import walk
 from simplexwalk.oracle import GOLDEN_BM3_W1, GOLDEN_BM3_W2
 
 
@@ -228,6 +230,39 @@ def test_class_distribution_is_multinomial(scheme, N, t, re, im):
         expected = multinomial(N, beta) * math.prod(qk ** b for qk, b in zip(q, beta))
         assert abs(prob - expected) <= 1e-12 * expected + 1e-300
     assert abs(prof.total_probability() - 1.0) <= 1e-12
+
+
+ROW_SCHEMES = [directed_ngon(n) for n in range(1, 6)] + [ordered_word_scheme(3), trivial_scheme_2()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme=st.sampled_from(ROW_SCHEMES),
+    N=st.integers(0, 12),
+    times=st.one_of(st.just([]), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=1),
+                    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30)),
+    re=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    im=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    hermitian=st.booleans(),
+)
+def test_amplitude_rows_match_amplitudes_bitwise(scheme, N, times, re, im, hermitian):
+    # every row of the T x D kernel, in all three views, is the profile at
+    # that time, bit for bit; non-Hermitian couplings included
+    w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
+    if hermitian:
+        w = _hermitian_weights(scheme, re, im)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = walk_spec(scheme, N, w)
+    table, f = walk._amplitude_rows(spec, np.array(times))
+    assert f.shape == (len(times), math.comb(N + scheme.d, scheme.d))
+    views = (f, f * np.sqrt(table.valency), table.valency * np.abs(f) ** 2)
+    for i, t in enumerate(times):
+        prof = amplitudes(spec, t)
+        assert tuple(prof.coefficients) == table.order
+        for view, expected in zip(views, (prof.coefficients, prof.site_amplitudes,
+                                          prof.class_probabilities)):
+            assert view[i].tobytes() == np.array(list(expected.values()), dtype=view.dtype).tobytes()
 
 
 def test_vanishing_rule():
