@@ -84,8 +84,9 @@ def symmetric_power_row(M, beta) -> dict:
     exponent composition of each monomial.
 
     This is the row beta of the N-th symmetric power of the square matrix M
-    in the monomial basis: the Krawtchouk generating function and the
-    projected evolution both read their values off it.
+    in the monomial basis, expanded term by term.  Only the Krawtchouk
+    generating function reads it; its sums cancel more as N grows, so the
+    projected evolution runs on ``_symmetric_power_state`` instead.
     """
     rows = np.asarray(M, dtype=complex).tolist()
     nc = len(rows)
@@ -131,6 +132,22 @@ class ClassTable:
     valency: np.ndarray
     multinomial: np.ndarray
 
+    @functools.cached_property
+    def _pair_blocks(self) -> dict:
+        """Per slot pair s < t, entry n holds one row per set of classes with
+        n units in slots s and t that agree on every other slot, columns
+        ordered by beta_s = 0..n.  Built on first access only, so tables
+        that never take a two-slot step do not grow."""
+        index = self.index
+        N = int(index[0].sum())
+        blocks = {}
+        for s, t in itertools.combinations(range(index.shape[1]), 2):
+            n = index[:, s] + index[:, t]
+            rows = np.lexsort((index[:, s], *np.delete(index, (s, t), axis=1).T, n))
+            segments = np.split(rows, np.cumsum(np.bincount(n, minlength=N + 1))[:-1])
+            blocks[s, t] = [seg.reshape(-1, k + 1) for k, seg in enumerate(segments)]
+        return blocks
+
 
 def class_table(base: AssociationScheme, N: int) -> ClassTable:
     """The class table of the N-th power of ``base``, cached on N, d and the
@@ -169,6 +186,62 @@ def _class_table(N: int, d: int, valencies: tuple) -> ClassTable:
         a.setflags(write=False)
     return ClassTable(order=order, position=position, index=index, valency=valency,
                       multinomial=multinomials)
+
+
+def _symmetric_power_state(V, start, table: ClassTable) -> np.ndarray:
+    """Sym^N of the unitary V applied to the class state ``start``, on the
+    normalised class states: entry gamma is the coefficient of x^gamma in
+    prod_i (sum_j V[i,j] x_j)^start_i times sqrt(gamma! / start!).  From an
+    extreme start N e_s that is sqrt(multinomial(N; gamma)) prod_j
+    V[s,j]^gamma_j; every other start takes ``_givens_state``."""
+    V = np.asarray(V, dtype=complex)
+    if np.count_nonzero(start) <= 1:
+        state = np.sqrt(table.multinomial).astype(complex)
+        return _scale_by_powers(state, V[int(np.argmax(start))], table)
+    return _givens_state(V, start, table)
+
+
+def _scale_by_powers(state, x, table: ClassTable) -> np.ndarray:
+    """state[gamma] *= prod_j x_j^gamma_j in place: the powers of each x_j
+    are formed once and gathered by the table's exponent column."""
+    powers = x[:, None] ** np.arange(int(table.index[0].sum()) + 1)
+    for pj, exponents in zip(powers, table.index.T):
+        state *= pj[exponents]
+    return state
+
+
+def _givens_state(V, start, table: ClassTable) -> np.ndarray:
+    """``_symmetric_power_state`` from any start.  Givens rotations G_k on
+    the slot pairs s < t, column by column, bring V to the diagonal
+    D = G_m ... G_1 V, so the state is lifted through each G_k^+ in turn,
+    then through D as prod_j D_jj^gamma_j.  Each G_k is in SU(2) with a
+    real diagonal c >= 0, so G_k = exp(iK), K = [[0, conj(kappa)], [kappa, 0]],
+    |kappa| = atan2(|G_ts|, c) <= pi/2.  On the classes with n units in
+    slots s and t, G_k^+ acts by exp(-i |kappa| P J_n P^+), P = diag(exp(i a
+    arg kappa)), a = beta_s, and J_n the real lift of [[0, 1], [1, 0]]: its
+    eigh is taken once per n, so every step is unitary to rounding."""
+    V = np.array(V, dtype=complex)
+    N = sum(start)
+    state = np.zeros(len(table.order), dtype=complex)
+    state[table.position[tuple(start)]] = 1.0
+    spins = []
+    for n in range(N + 1):  # J_n[a+1, a] = J_n[a, a+1] = sqrt((a+1)(n-a))
+        off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1))
+        spins.append(np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1)))
+    for (s, t), blocks in table._pair_blocks.items():  # column-major pair order
+        a, b = V[s, s], V[t, s]
+        if b == 0:
+            continue
+        r = math.hypot(abs(a), abs(b))
+        c, sn = abs(a) / r, -b * (np.conj(a) / abs(a) if a else 1.0) / r
+        V[[s, t]] = np.array([[c, -np.conj(sn)], [sn, c]]) @ V[[s, t]]
+        angle, arg = math.atan2(abs(sn), c), np.angle(-1j * sn)
+        for n in range(1, N + 1):
+            lam, Q = spins[n]
+            p = np.exp(1j * arg * np.arange(n + 1))
+            step = (p.conj()[:, None] * Q * np.exp(-1j * angle * lam)) @ (Q.T * p)
+            state[blocks[n]] = state[blocks[n]] @ step
+    return _scale_by_powers(state, np.diagonal(V), table)
 
 
 def _check_index(ext: ExtensionScheme, beta) -> tuple:

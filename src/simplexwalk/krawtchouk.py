@@ -164,11 +164,14 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
     polynomials of U (first column all ones) and read off every
     K(n, n_tilde) at once.
 
-    Returns a map from each composition n to the value K(n, n_tilde).
+    Returns a map from each composition n to the value K(n, n_tilde); the
+    exact multinomials are read off one factorial row.
     """
     n_tilde = _check_weights(n_tilde, N, U)
     row = symmetric_power_row(U, n_tilde)
-    return {n: row[n] / multinomial(N, n) for n in enumerate_indices(N, len(n_tilde) - 1)}
+    factorial = [math.factorial(k) for k in range(N + 1)]
+    return {n: row[n] / (factorial[N] // math.prod(factorial[v] for v in n))
+            for n in enumerate_indices(N, len(n_tilde) - 1)}
 
 
 def krawtchouk_table(N: int, U) -> dict:

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .extension import ClassTable, class_table, symmetric_power_row
+from .extension import ClassTable, _symmetric_power_state, class_table
 from .schemes import AssociationScheme, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -280,10 +280,9 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
     input must be Hermitian.
 
     H is the one-body lift of h = ``pm.one_body``, so exp(-i t H) is the
-    N-th symmetric power of exp(-i t h): only h is diagonalized, and the
-    coefficient of x^gamma in the row ``start`` of that power, times
-    sqrt(gamma! / start!) = sqrt(multinomial(N; start) / multinomial(N; gamma)),
-    is the amplitude on the class state gamma.
+    N-th symmetric power of the unitary exp(-i t h): only h is
+    diagonalized, and the state is that power applied to ``start`` on the
+    normalised class states (``extension._symmetric_power_state``).
     """
     if pm.hermiticity_residual > 1e-9:
         raise ValueError("projected matrix is not Hermitian")
@@ -291,6 +290,4 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
     if start not in pm.table.position:
         raise ValueError(f"{start} is not an index of this projected matrix")
     vals, vecs = np.linalg.eigh(pm.one_body)
-    row = symmetric_power_row((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T, start)
-    scale = np.sqrt(pm.table.multinomial[pm.table.position[start]] / pm.table.multinomial)
-    return np.array([row[g] for g in pm.order]) * scale
+    return _symmetric_power_state((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T, start, pm.table)

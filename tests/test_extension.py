@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     class_valency,
@@ -21,7 +23,12 @@ from simplexwalk import (
     trivial_scheme_2,
 )
 from simplexwalk import extension, walk
-from simplexwalk.extension import class_table, symmetric_power_row
+from simplexwalk.extension import (
+    _givens_state,
+    _symmetric_power_state,
+    class_table,
+    symmetric_power_row,
+)
 
 
 def test_enumerate_counts():
@@ -253,3 +260,58 @@ def test_class_table_build_leaves_no_garbage_cycles():
     finally:
         gc.enable()
     assert len(table.order) == 941
+
+
+def _random_unitary(seed, d):
+    # exp(-i h) for a random Hermitian h, by eigh of h
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+    vals, vecs = np.linalg.eigh(a + a.conj().T)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def _rescaled_row(V, start, table):
+    # the expansion reference: row ``start`` of Sym^N(V) on the normalised states
+    row = symmetric_power_row(V, start)
+    scale = np.sqrt(table.multinomial[table.position[start]] / table.multinomial)
+    return np.array([row[g] for g in table.order]) * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(0, 4), N=st.integers(0, 6))
+def test_symmetric_power_state_matches_expansion(seed, d, N):
+    V = _random_unitary(seed, d)
+    table = extension._class_table(N, d, (1,) * (d + 1))
+    for start in table.order:
+        ref = _rescaled_row(V, start, table)
+        np.testing.assert_allclose(_symmetric_power_state(V, start, table), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_givens_state(V, start, table), ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), N=st.integers(0, 20))
+def test_product_form_matches_givens_lift(seed, d, N):
+    # from each extreme start the product form and the Givens lift are two
+    # independent routes to the same state
+    V = _random_unitary(seed, d)
+    table = extension._class_table(N, d, (1,) * (d + 1))
+    for s in range(d + 1):
+        start = tuple(N if j == s else 0 for j in range(d + 1))
+        product = _symmetric_power_state(V, start, table)
+        np.testing.assert_allclose(product, _givens_state(V, start, table), rtol=0, atol=1e-13)
+
+
+def test_pair_blocks_are_built_lazily_and_partition_the_table():
+    extension._class_table.cache_clear()
+    table = class_table(ordered_word_scheme(3), 5)
+    assert "_pair_blocks" not in vars(table)
+    blocks = table._pair_blocks
+    assert list(blocks) == list(itertools.combinations(range(4), 2))
+    for (s, t), by_n in blocks.items():
+        assert sorted(np.concatenate([b.ravel() for b in by_n]).tolist()) == list(range(len(table.order)))
+        for n, rows in enumerate(by_n):
+            for block in table.index[rows]:
+                assert block[:, s].tolist() == list(range(n + 1))
+                assert (block[:, s] + block[:, t] == n).all()
+                others = np.delete(block, (s, t), axis=1)
+                assert (others == others[0]).all()

@@ -301,3 +301,18 @@ def test_genfun_values_scale_with_multinomial():
     # evaluating the generating product at z = (1, 1)
     expected = np.prod([(1 + U[i, 1] + U[i, 2]) ** nt[i] for i in range(3)])
     assert abs(poly_value - expected) < 1e-10
+
+
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("N", range(9))
+def test_genfun_divides_by_exact_multinomials(N, d):
+    # one factorial row gives the same exact multinomials as the validating
+    # multinomial(N, n), so every value is bitwise that of the plain division
+    rng = np.random.default_rng(10 * N + d)
+    U = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+    compositions = enumerate_indices(N, d)
+    n_tilde = compositions[rng.integers(len(compositions))]
+    row = krawtchouk.symmetric_power_row(U, n_tilde)
+    table = krawtchouk_genfun(n_tilde, N, U)
+    assert list(table) == compositions
+    assert table == {n: row[n] / multinomial(N, n) for n in compositions}

@@ -26,7 +26,7 @@ from simplexwalk import (
     walk_spec,
     z_factors,
 )
-from simplexwalk import walk
+from simplexwalk import extension, walk
 from simplexwalk.oracle import GOLDEN_BM3_W1, GOLDEN_BM3_W2
 
 
@@ -434,7 +434,53 @@ def test_evolve_symmetric_power_matches_dense_eigh(spec, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     for (start, t), ref in expected.items():
         np.testing.assert_allclose(evolve_projected(pm, t, start), ref, rtol=0, atol=1e-12)
-    assert set(shapes) == {(spec.base.classes, spec.base.classes)}
+    # eigh runs on h and on the Givens lift's (n+1) x (n+1) blocks, n <= N,
+    # never on a D x D matrix
+    assert (spec.base.classes, spec.base.classes) in shapes
+    assert max(rows for rows, _ in shapes) <= max(spec.base.classes, spec.copies + 1)
+
+
+def test_evolve_never_expands_the_symmetric_power(monkeypatch):
+    def fail(*args):
+        raise AssertionError("evolve_projected called symmetric_power_row")
+
+    monkeypatch.setattr(extension, "symmetric_power_row", fail)
+    monkeypatch.setattr(walk, "symmetric_power_row", fail, raising=False)
+    for spec in (canonical_spec(3, 4), walk_spec(ordered_word_scheme(3), 3, [0.7, -0.3, 0.25])):
+        pm = projected_matrix(spec)
+        for start in (pm.order[0], pm.order[-1], pm.order[len(pm.order) // 2]):
+            assert abs(np.linalg.norm(evolve_projected(pm, 1.3, start)) - 1.0) < 1e-13
+
+
+def test_evolve_balanced_start_matches_dense_eigh_at_large_N():
+    # the term-by-term expansion drifted to 5.6e-13 here; the Givens lift
+    # stays unitary to rounding
+    pm = projected_matrix(canonical_spec(3, 45))
+    start = (15, 15, 15)
+    vals, vecs = np.linalg.eigh(pm.entries.T)
+    coeffs = np.conj(vecs[pm.table.position[start], :])
+    for t in (0.7, 2.3):
+        ref = vecs @ (np.exp(-1j * t * vals) * coeffs)
+        np.testing.assert_allclose(evolve_projected(pm, t, start), ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", [walk_spec(ordered_word_scheme(3), 8, [0.7, -0.3, 0.25]),
+                                  canonical_spec(4, 10)])
+def test_evolve_random_starts_match_dense_eigh(spec):
+    pm = projected_matrix(spec)
+    rng = np.random.default_rng(spec.copies)
+    inner = [beta for beta in pm.order if np.count_nonzero(beta) > 1]
+    for i in rng.choice(len(inner), size=4, replace=False):
+        for t in (0.4, 2.9):
+            np.testing.assert_allclose(evolve_projected(pm, t, inner[i]), _evolve_dense(pm, t, inner[i]),
+                                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [30, 60, 90])
+def test_evolve_norm_from_balanced_start(N):
+    pm = projected_matrix(canonical_spec(3, N))
+    for t in (0.7, 2.3):
+        assert abs(np.linalg.norm(evolve_projected(pm, t, (N // 3,) * 3)) - 1.0) <= 1e-12
 
 
 def test_evolve_never_builds_dense_matrix():
