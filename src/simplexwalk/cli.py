@@ -67,17 +67,22 @@ def _parse_index(text: str) -> tuple:
 
 def _build_scheme(config: ExperimentConfig):
     kind = config.kind
-    if kind == "trivial2":
-        return trivial_scheme_2()
+    if kind == "ngon" and config.n is None:
+        raise ConfigError("--n is required for kind 'ngon'")
+    if kind == "ow" and config.d is None:
+        raise ConfigError("--d is required for kind 'ow'")
+    if kind not in ("trivial2", "ngon", "ow"):
+        raise ConfigError(f"unknown scheme kind {config.kind!r}")
+    return _scheme(kind, {"ngon": config.n, "ow": config.d}.get(kind))
+
+
+@functools.cache
+def _scheme(kind: str, size: int | None):
+    """One base scheme per (kind, size) and process: schemes are frozen and
+    their arrays read-only, so every run may share it."""
     if kind == "ngon":
-        if config.n is None:
-            raise ConfigError("--n is required for kind 'ngon'")
-        return directed_ngon(config.n)
-    if kind == "ow":
-        if config.d is None:
-            raise ConfigError("--d is required for kind 'ow'")
-        return ordered_word_scheme(config.d)
-    raise ConfigError(f"unknown scheme kind {config.kind!r}")
+        return directed_ngon(size)
+    return ordered_word_scheme(size) if kind == "ow" else trivial_scheme_2()
 
 
 def _build_weights(config: ExperimentConfig, scheme) -> np.ndarray:

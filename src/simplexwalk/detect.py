@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .extension import class_table, enumerate_indices
+from .extension import enumerate_indices
 from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
@@ -66,7 +66,7 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     if not profile.hermitian:
         raise ValueError("cannot classify a non-unitary profile")
     total = profile.total_probability()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise ValueError(f"profile is not normalized (total {total!r})")
     fr_tol = max(tol, FR_TOL)
 
@@ -112,10 +112,15 @@ def _golden_max(fun, a: float, b: float) -> float:
     return (a + b) / 2.0
 
 
-def _time_grid(t_grid) -> np.ndarray:
-    grid = np.fromiter(t_grid, dtype=float)
+def _finite_times(times) -> np.ndarray:
+    grid = np.fromiter(times, dtype=float)
     if not np.isfinite(grid).all():
         raise ValueError("time grid must be finite")
+    return grid
+
+
+def _time_grid(t_grid) -> np.ndarray:
+    grid = _finite_times(t_grid)
     if (np.diff(grid) < 0).any():
         raise ValueError("time grid must be sorted")
     return grid
@@ -242,7 +247,7 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     grid = _time_grid(t_grid)
     if not len(grid):
         return []
-    table = class_table(spec.base, spec.copies)
+    table = spec.table
     worst = np.zeros(len(table.order))
     for t in grid:
         # class beta holds multinomial(N; beta) prod_k q_k^beta_k
@@ -258,9 +263,10 @@ def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
     Zero when every vanishing site factor is followed only by vanishing
     ones, which is the expected pattern for the ordered-word scheme.
     """
+    _check_tol(tol)
     scale = float(spec.base.multiplicities.sum())
     worst = 0.0
-    for t in times:
+    for t in _finite_times(times):
         p = np.abs(site_factors(spec, t)) / scale
         for k in range(1, len(p) - 1):
             if p[k] < tol:
@@ -315,7 +321,7 @@ def ow_fr_scenario(d: int, N: int, k: int) -> Scenario:
     sol = solve_weights(scheme, t_star, args)
     spec = walk_spec(scheme, N, sol.weights)
     support = tuple(
-        beta for beta in class_table(scheme, N).order if all(beta[j] == 0 for j in range(k, d + 1))
+        beta for beta in spec.table.order if all(beta[j] == 0 for j in range(k, d + 1))
     )
     if len(support) == 1:
         kind = "PST"

@@ -149,12 +149,6 @@ class ClassTable:
         return blocks
 
 
-def class_table(base: AssociationScheme, N: int) -> ClassTable:
-    """The class table of the N-th power of ``base``, cached on N, d and the
-    base valencies, so that schemes with equal valencies share one table."""
-    return _class_table(N, base.d, tuple(base.valencies.tolist()))
-
-
 def _binomial_row(r: int) -> list:
     """[C(r, 0), ..., C(r, r)], exact, by C(r, j+1) = C(r, j) (r - j) / (j + 1)."""
     row = [1]
@@ -163,12 +157,13 @@ def _binomial_row(r: int) -> list:
     return row
 
 
-@functools.lru_cache(maxsize=8)
-def _class_table(N: int, d: int, valencies: tuple) -> ClassTable:
-    """multinomial(N; beta) = prod_i C(r_i, beta_i), r_i the copies left
-    before slot i, and k_beta = multinomial(N; beta) * prod_i k_i^beta_i, as
-    in class_valency; both stay exact ints up to their float conversion.
-    The last slot's binomial is C(r_d, r_d) = 1, so d = 1 reads one row."""
+def class_table(base: AssociationScheme, N: int) -> ClassTable:
+    """The class table of the N-th power of ``base``, uncached: a walk holds
+    its own as ``WalkSpec.table``.  multinomial(N; beta) = prod_i C(r_i,
+    beta_i), r_i the copies left before slot i, and k_beta = multinomial(N;
+    beta) * prod_i k_i^beta_i stay exact ints up to their float conversion;
+    d = 1 reads one binomial row, since the last slot's is C(r_d, r_d) = 1."""
+    d, valencies = base.d, base.valencies.tolist()
     order = tuple(enumerate_indices(N, d))
     position = types.MappingProxyType({beta: i for i, beta in enumerate(order)})
     index = np.array(order, dtype=np.intp)

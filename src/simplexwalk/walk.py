@@ -31,6 +31,11 @@ class WalkSpec:
     copies: int
     weights: np.ndarray
 
+    @functools.cached_property
+    def table(self) -> ClassTable:
+        """The class table of the N-th power scheme, built on first use."""
+        return class_table(self.base, self.copies)
+
     @property
     def hermiticity_residual(self) -> float:
         w = self.weights
@@ -147,7 +152,9 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
     p_k^0..p_k^N of every site and time are formed at once, and each site's
     are gathered by the table's exponent column.
     """
-    table = class_table(spec.base, spec.copies)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    table = spec.table
     sizeN = float(spec.base.size) ** spec.copies
     theta0 = complex(_one_copy_spectrum(spec)[0])
     p = np.empty((spec.base.classes, len(times)), dtype=complex)
@@ -271,7 +278,7 @@ def projected_matrix(spec: WalkSpec) -> ProjectedMatrix:
     h = np.zeros((spec.base.classes,) * 2, dtype=complex)
     for w, p in zip(spec.weights, spec.base.intersection[1:]):
         h += w * p * ratio
-    return ProjectedMatrix(table=class_table(spec.base, spec.copies), one_body=h)
+    return ProjectedMatrix(table=spec.table, one_body=h)
 
 
 def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
@@ -286,6 +293,8 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
     """
     if pm.hermiticity_residual > 1e-9:
         raise ValueError("projected matrix is not Hermitian")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     start = tuple(int(b) for b in start)
     if start not in pm.table.position:
         raise ValueError(f"{start} is not an index of this projected matrix")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from simplexwalk import cli, oracle
+from simplexwalk import cli, oracle, schemes
 from simplexwalk.cli import _build_parser, main
 
 
@@ -21,6 +21,20 @@ def test_scheme_info(tmp_path, capsys):
     assert payload["k"] == [1, 1, 1]
     assert payload["P"][1][1]["re"] == pytest.approx(math.cos(2 * math.pi / 3))
     assert payload["intersection"][1][1][2] == 1
+
+
+def test_scheme_built_once_per_kind_and_size(monkeypatch, tmp_path):
+    # runs on one base scheme share its build; another size is another build
+    calls = []
+    monkeypatch.setattr(cli, "directed_ngon", lambda n: calls.append(n) or schemes.directed_ngon(n))
+    cli._scheme.cache_clear()
+    outs = [tmp_path / f"{n}-{i}.json" for n in (4, 5) for i in range(2)]
+    for out in outs:
+        n = out.name[0]
+        assert run_cli(["scheme", "info", "--kind", "ngon", "--n", n, "--out", str(out)]) == 0
+    assert calls == [4, 5]
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes() == outs[3].read_bytes()
+    cli._scheme.cache_clear()
 
 
 def test_scheme_info_stdout(capsys):

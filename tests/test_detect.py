@@ -75,6 +75,16 @@ def test_classify_rejects_non_normalized():
         classify(amplitudes(lop, 0.4))
 
 
+@pytest.mark.parametrize("N", [0, 2])
+def test_classify_rejects_nan_total(N):
+    # a NaN total is not within the normalization tolerance of 1
+    spec = walk_spec(directed_ngon(3), N, canonical_ngon_weights(3))
+    prof = amplitudes(spec, 0.4)
+    bad = dataclasses.replace(prof, class_probabilities=dict.fromkeys(prof.class_probabilities, math.nan))
+    with pytest.raises(ValueError, match="normalized"):
+        classify(bad)
+
+
 def test_scan_finds_mpst_events():
     sc = ngon_mpst_scenario(3, 2)
     events = scan(sc.spec, np.linspace(0.0, 2 * math.pi, 200))
@@ -115,6 +125,19 @@ def test_scan_and_zt_candidates_reject_non_finite_times(bad):
         scan(spec, [0.0, bad, 1.0])
     with pytest.raises(ValueError, match="finite"):
         zt_candidates(spec, [bad])
+
+
+@pytest.mark.parametrize("times, tol", [([math.nan], 1e-9), ([0.0, math.inf], 1e-9),
+                                        ([-math.inf], 1e-9), ([0.5], math.nan), ([0.5], 0.0)])
+def test_cascade_residual_rejects_non_finite_times_and_bad_tol(times, tol):
+    spec = ow_fr_scenario(3, 2, 1).spec
+    with pytest.raises(ValueError):
+        cascade_residual(spec, times, tol)
+
+
+def test_cascade_residual_takes_unsorted_times():
+    spec = ow_fr_scenario(3, 2, 1).spec
+    assert cascade_residual(spec, [math.pi / 2, 0.0]) == cascade_residual(spec, [0.0, math.pi / 2]) == 0.0
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 1.0, 1.5])

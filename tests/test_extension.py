@@ -228,10 +228,22 @@ def test_class_table_matches_exact_bookkeeping(base, N):
     assert table.multinomial.tolist() == [float(multinomial(N, b)) for b in table.order]
 
 
-def test_class_table_shared_by_equal_valencies():
-    # the table depends on N, d and the base valencies only
-    assert class_table(directed_ngon(3), 5) is class_table(directed_ngon(3), 5)
-    assert class_table(directed_ngon(3), 5) is not class_table(directed_ngon(3), 4)
+def test_walk_builds_its_class_table_once(monkeypatch):
+    # 12 specs visited round-robin, each with amplitudes and an evolution:
+    # a process-wide cache smaller than the working set would rebuild them
+    builds = []
+
+    def counting(base, N):
+        builds.append((id(base), N))
+        return class_table(base, N)
+
+    monkeypatch.setattr(walk, "class_table", counting)
+    specs = [walk.walk_spec(directed_ngon(3), N, walk.canonical_ngon_weights(3)) for N in range(1, 13)]
+    for _ in range(3):
+        for spec in specs:
+            walk.amplitudes(spec, 0.4)
+            walk.evolve_projected(walk.projected_matrix(spec), 0.4, (spec.copies, 0, 0))
+    assert len(builds) == len(specs)
 
 
 def test_amplitudes_compute_valencies_once_per_table(monkeypatch):
@@ -243,16 +255,13 @@ def test_amplitudes_compute_valencies_once_per_table(monkeypatch):
     spec = walk.walk_spec(directed_ngon(3), 17, walk.canonical_ngon_weights(3))
     monkeypatch.setattr(extension, "multinomial", fail)
     monkeypatch.setattr(math, "comb", fail)
-    extension._class_table.cache_clear()
     for t in (0.1, 0.2, 0.3):
         walk.amplitudes(spec, t)
-    info = extension._class_table.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert spec.table is walk.projected_matrix(spec).table
 
 
 def test_class_table_build_leaves_no_garbage_cycles():
     gc.collect()
-    extension._class_table.cache_clear()
     gc.disable()
     try:
         table = class_table(trivial_scheme_2(), 940)
@@ -281,7 +290,7 @@ def _rescaled_row(V, start, table):
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(0, 4), N=st.integers(0, 6))
 def test_symmetric_power_state_matches_expansion(seed, d, N):
     V = _random_unitary(seed, d)
-    table = extension._class_table(N, d, (1,) * (d + 1))
+    table = class_table(directed_ngon(d + 1), N)
     for start in table.order:
         ref = _rescaled_row(V, start, table)
         np.testing.assert_allclose(_symmetric_power_state(V, start, table), ref, rtol=0, atol=1e-12)
@@ -294,7 +303,7 @@ def test_product_form_matches_givens_lift(seed, d, N):
     # from each extreme start the product form and the Givens lift are two
     # independent routes to the same state
     V = _random_unitary(seed, d)
-    table = extension._class_table(N, d, (1,) * (d + 1))
+    table = class_table(directed_ngon(d + 1), N)
     for s in range(d + 1):
         start = tuple(N if j == s else 0 for j in range(d + 1))
         product = _symmetric_power_state(V, start, table)
@@ -302,7 +311,6 @@ def test_product_form_matches_givens_lift(seed, d, N):
 
 
 def test_pair_blocks_are_built_lazily_and_partition_the_table():
-    extension._class_table.cache_clear()
     table = class_table(ordered_word_scheme(3), 5)
     assert "_pair_blocks" not in vars(table)
     blocks = table._pair_blocks

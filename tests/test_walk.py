@@ -53,6 +53,15 @@ def test_non_finite_weights_rejected(bad):
         walk_spec(directed_ngon(3), 2, [1.0, bad])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_rejected(bad):
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="finite"):
+        amplitudes(spec, bad)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_projected(projected_matrix(spec), bad, (2, 0, 0))
+
+
 def test_non_hermitian_warns():
     with pytest.warns(UserWarning):
         spec = walk_spec(directed_ngon(3), 1, [1.0, 0.5])
