@@ -14,9 +14,9 @@ from .extension import enumerate_indices
 from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
+    _site_factor_rows,
     canonical_ngon_weights,
     eigenvalue_lambda,
-    site_factors,
     solve_weights,
     walk_spec,
 )
@@ -94,22 +94,24 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     return TransferEvent(kind="FR", time=profile.time, support=indices, fidelity=cum)
 
 
-def _golden_max(fun, a: float, b: float) -> float:
-    """Golden-section maximization on [a, b], 60 steps."""
+def _golden_max(fun, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Golden-section maximization on every bracket [a_i, b_i] in lockstep,
+    60 steps: ``fun`` maps one time per bracket to one value per bracket
+    and is called once per step.  A zero-width bracket keeps t = a_i."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = a, b
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fun(x1), fun(x2)
     for _ in range(60):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return (a + b) / 2.0
+        # where f1 < f2: a, x1, f1 = x1, x2, f2 and x2 is new; elsewhere
+        # b, x2, f2 = x2, x1, f1 and x1 is new
+        up = f1 < f2
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
+        x1, x2 = np.where(up, x2, b - invphi * (b - a)), np.where(up, a + invphi * (b - a), x1)
+        f_new = fun(np.where(up, x2, x1))
+        f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
+    return np.where(hi > lo, (a + b) / 2.0, lo)
 
 
 def _finite_times(times) -> np.ndarray:
@@ -126,11 +128,11 @@ def _time_grid(t_grid) -> np.ndarray:
     return grid
 
 
-def _site_masses(spec: WalkSpec, t: float) -> np.ndarray:
-    """q_k(t) = k_k |p_k(t)|^2 / |X|^2: the class distribution is
-    multinomial(N; q), so the face of the base simplex on the sites S holds
-    probability (sum_{k in S} q_k)^N."""
-    return spec.base.valencies * np.abs(site_factors(spec, t)) ** 2 / float(spec.base.size) ** 2
+def _site_masses(spec: WalkSpec, p: np.ndarray) -> np.ndarray:
+    """q_k(t) = k_k |p_k(t)|^2 / |X|^2 from site factor rows p: the class
+    distribution is multinomial(N; q), so the face of the base simplex on
+    the sites S holds probability (sum_{k in S} q_k)^N."""
+    return spec.base.valencies * np.abs(p) ** 2 / float(spec.base.size) ** 2
 
 
 def _face_classes(sites, N: int, d: int) -> tuple:
@@ -144,13 +146,14 @@ def _face_classes(sites, N: int, d: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _face_event(spec: WalkSpec, t: float, tol: float):
-    """Simplex analogue of ``classify``: the event at ``t`` is named by the
-    smallest face holding 1 - max(tol, FR_TOL) of the probability, and its
-    support is the classes of that face; None when there is no event."""
+def _face_event(spec: WalkSpec, t: float, p: np.ndarray, tol: float):
+    """Simplex analogue of ``classify``: the event at ``t``, whose site
+    factors are ``p``, is named by the smallest face holding
+    1 - max(tol, FR_TOL) of the probability, and its support is the classes
+    of that face; None when there is no event."""
     N, d = spec.copies, spec.base.d
     fr_tol = max(tol, FR_TOL)
-    q = _site_masses(spec, t)
+    q = _site_masses(spec, p)
     ranked = np.argsort(-q, kind="stable")
     held = np.cumsum(q[ranked]) ** N
     size = next((r for r in range(1, d + 1) if held[r - 1] >= 1.0 - fr_tol), d + 1)
@@ -163,7 +166,7 @@ def _face_event(spec: WalkSpec, t: float, tol: float):
         j = sites[0]
         # N theta_0 is the eigenvalue on the trivial idempotent (N, 0, ..., 0)
         prefactor = np.exp(-1j * t * eigenvalue_lambda(spec, _extreme_index(d, N, 0)))
-        phase = float(np.angle(prefactor * site_factors(spec, t)[j] ** N))
+        phase = float(np.angle(prefactor * p[j] ** N))
         return TransferEvent(kind="PST", time=t, support=_face_classes(sites, N, d),
                              fidelity=fidelity, phase=phase)
     if count == 2 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
@@ -185,7 +188,8 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     neighbouring grid points, the mass of S is maximized there by golden
     section, and the face holding the probability at that time names the
     event (PST, GME or FR; the face of every site is unconfined and names no
-    event).  Adjacent duplicates are merged on the best fidelity.
+    event).  Adjacent duplicates are merged on the best fidelity.  The runs
+    are refined in lockstep: one ``_site_factor_rows`` call per step.
     """
     _check_tol(tol)
     grid = _time_grid(t_grid)
@@ -194,11 +198,13 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     if spec.copies == 0:
         # the one class holds probability 1 at every time: one event at most
         grid = grid[:1]
-    q = np.array([_site_masses(spec, t) for t in grid]).reshape(len(grid), spec.base.classes)
+    q = _site_masses(spec, _site_factor_rows(spec, grid))
     ranked = np.argsort(-q, axis=1, kind="stable")
     heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
 
-    events = []
+    # per run (first, last); per face size r, the runs' sites as flat indices
+    # into the (runs, d+1) masses, one row per run, to sum as q[sites].sum()
+    bounds, gathers = [], []
     for r in range(1, spec.base.d + 1):
         mass = heaviest[:, r - 1]
         peak = np.ones(len(grid), dtype=bool)
@@ -211,12 +217,22 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
                 runs[-1][1] = i
             else:
                 runs.append([i, i, sites])
-        for first, last, sites in runs:
-            a, b = grid[max(first - 1, 0)], grid[min(last + 1, len(grid) - 1)]
-            t = _golden_max(lambda s: _site_masses(spec, s)[sites].sum(), a, b) if b > a else a
-            ev = _face_event(spec, float(t), tol)
-            if ev is not None:
-                events.append(ev)
+        if runs:
+            at = np.arange(len(bounds), len(bounds) + len(runs))[:, None] * spec.base.classes
+            gathers.append(at + np.array([sites for _, _, sites in runs]))
+            bounds += [(first, last) for first, last, _ in runs]
+    if not bounds:
+        return []
+    first, last = np.array(bounds).T
+    a, b = grid[np.maximum(first - 1, 0)], grid[np.minimum(last + 1, len(grid) - 1)]
+
+    def face_mass(ts):
+        q = _site_masses(spec, _site_factor_rows(spec, ts)).ravel()
+        return np.concatenate([q[at].sum(axis=1) for at in gathers])
+
+    times = _golden_max(face_mass, a, b)
+    events = [ev for t, p in zip(times.tolist(), _site_factor_rows(spec, times))
+              if (ev := _face_event(spec, t, p, tol)) is not None]
     events.sort(key=lambda ev: ev.time)
     return _dedupe(events, _grid_spacing(grid))
 
@@ -249,10 +265,9 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
         return []
     table = spec.table
     worst = np.zeros(len(table.order))
-    for t in grid:
+    for q in _site_masses(spec, _site_factor_rows(spec, grid)):
         # class beta holds multinomial(N; beta) prod_k q_k^beta_k
-        probs = table.multinomial * np.prod(_site_masses(spec, t) ** table.index, axis=1)
-        worst = np.maximum(worst, probs)
+        worst = np.maximum(worst, table.multinomial * np.prod(q ** table.index, axis=1))
     return [TransferEvent(kind="ZT-candidate", time=None, support=(beta,), fidelity=0.0)
             for beta in sorted(b for b, w in zip(table.order, worst) if w < tol)]
 
@@ -266,8 +281,7 @@ def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
     _check_tol(tol)
     scale = float(spec.base.multiplicities.sum())
     worst = 0.0
-    for t in _finite_times(times):
-        p = np.abs(site_factors(spec, t)) / scale
+    for p in np.abs(_site_factor_rows(spec, _finite_times(times))) / scale:
         for k in range(1, len(p) - 1):
             if p[k] < tol:
                 tail_max = float(p[k + 1:].max())

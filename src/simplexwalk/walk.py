@@ -111,18 +111,23 @@ def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
     return np.exp(1j * t * _coupling_rates(spec))
 
 
+def _site_factor_rows(spec: WalkSpec, times) -> np.ndarray:
+    """The T x (d+1) array of p_k(times[i]), row i per time: one stacked
+    matrix-vector product per time, as one 2-D product over all times
+    moves the last bits of p_k."""
+    m = spec.base.multiplicities.astype(float)
+    mz = m[1:] * z_factors(spec, np.asarray(times, dtype=float)[:, None])
+    return 1.0 + np.matmul(np.conj(spec.base.cosine[1:, :]).T, mz[:, :, None])[..., 0]
+
+
 def site_factors(spec: WalkSpec, t: float) -> np.ndarray:
-    """p_k(t) = 1 + sum_l conj(c_{l,k}) m_l z_l(t) for k = 0..d.
+    """p_k(t) = 1 + sum_l conj(c_{l,k}) m_l z_l(t) for k = 0..d: the one
+    row of ``_site_factor_rows(spec, [t])``.
 
     Whenever p_k vanishes, every class with beta_k > 0 carries zero
     amplitude at time t.
     """
-    z = z_factors(spec, t)
-    C = spec.base.cosine
-    m = spec.base.multiplicities.astype(float)
-    if spec.base.d == 0:
-        return np.ones(1, dtype=complex)
-    return 1.0 + np.conj(C[1:, :]).T @ (m[1:] * z)
+    return _site_factor_rows(spec, [t])[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -148,20 +153,18 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
     """The class table and the T x D array of f_beta(times[i]) = prefactor *
     prod_k p_k^beta_k (k = 0..d in turn, p_k^0 skipped), row i per time.
 
-    Site factors and prefactors are formed one time at a time; the powers
+    The site factors come from one ``_site_factor_rows`` call; the powers
     p_k^0..p_k^N of every site and time are formed at once, and each site's
     are gathered by the table's exponent column.
     """
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
+    times = np.asarray(times, dtype=float)
     table = spec.table
-    sizeN = float(spec.base.size) ** spec.copies
     theta0 = complex(_one_copy_spectrum(spec)[0])
-    p = np.empty((spec.base.classes, len(times)), dtype=complex)
-    f = np.empty((len(times), len(table.order)), dtype=complex)
-    for i, t in enumerate(times):
-        p[:, i] = site_factors(spec, t)
-        f[i] = np.exp(-1j * t * spec.copies * theta0) / sizeN
+    p = _site_factor_rows(spec, times).T  # [k, i] = p_k(times[i])
+    prefactor = np.exp(-1j * times * spec.copies * theta0) / float(spec.base.size) ** spec.copies
+    f = np.repeat(prefactor[:, None], len(table.order), axis=1)
     powers = p[:, :, None] ** np.arange(spec.copies + 1)  # [k, i, e] = p_k(times[i])^e
     for pk, exponents, used in zip(powers, table.index.T, table.index.T > 0):
         np.multiply(f, pk[:, exponents], out=f, where=used)

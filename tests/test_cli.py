@@ -343,6 +343,46 @@ def test_walk_amplitudes_golden_csv(tmp_path, capsys, name):
     assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
 
 
+# sha256 of stdout, taken before scan refined its peak runs in lockstep
+GOLDEN_DETECTS = {
+    "readme-ngon": (["--scenario", "ngon", "--n", "3", "--N", "2", "--t-min", "0",
+                     "--t-max", "6.2832", "--steps", "400"],
+                    "2b8d0cb347311803b137a68336debc55d89fb15dea6fb2008f8edfde158709cd"),
+    "readme-ow": (["--scenario", "ow", "--d", "3", "--N", "5", "--k", "2", "--t-min", "0",
+                   "--t-max", "3.1416", "--steps", "200", "--tol", "1e-6"],
+                  "d1176411c25ba68af33c745bcb34a40ea44562c2280d4cb5483dbf69aba72b48"),
+    "hypercube-12": (["--scenario", "hypercube", "--N", "12", "--t-min", "0",
+                      "--t-max", "3.141592653589793", "--steps", "120"],
+                     "a9dfd0bb31d8564b33ef95787a4df7f4f0a4c09b824080c5b5bc7723087dcaf4"),
+    # FR revivals at pi/2 and pi
+    "ow3-k3": (["--scenario", "ow", "--d", "3", "--N", "2", "--k", "3", "--t-min", "0",
+                "--t-max", "3.141592653589793", "--steps", "200"],
+               "bf022b902755c8069a5a34fc1d47dfcf50c6df8fa0d09eec4cb70e527b4e6b48"),
+    "ngon5-57": (["--scenario", "ngon", "--n", "5", "--N", "3", "--t-min", "0",
+                  "--t-max", "6.283185307179586", "--steps", "57"],
+                 "a380e2c1a2f8c531834b94426bf6857ddbb242d4e516f1c9d765965c5f7632c9"),
+    # one repeated time: every bracket has zero width
+    "degenerate": (["--scenario", "hypercube", "--N", "3", "--t-min", "1", "--t-max", "1",
+                    "--steps", "5"],
+                   "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "degenerate-revival": (["--scenario", "ow", "--d", "3", "--N", "2", "--k", "3",
+                            "--t-min", "1.5707963267948966", "--t-max", "1.5707963267948966",
+                            "--steps", "5"],
+                           "cbc232ffeb77d3b0d86772720484c571d9752f42369a2e30fff41632c2aa27d5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DETECTS))
+def test_walk_detect_golden_json(tmp_path, capsys, name):
+    args, digest = GOLDEN_DETECTS[name]
+    assert run_cli(["walk", "detect", *args]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    out = tmp_path / "e.json"
+    assert run_cli(["walk", "detect", *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
 def test_walk_amplitudes_opens_no_file_before_rows_are_computed(tmp_path, monkeypatch):
     def fail(spec, times):
         raise OverflowError("amplitudes out of range")

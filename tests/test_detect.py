@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     amplitudes,
@@ -230,6 +232,104 @@ def test_scan_names_revival_by_its_face_at_any_N(d, N, k):
     assert kind == "FR"
     assert any(ev.kind == kind and set(ev.support) == set(support) and abs(ev.time - t_star) < 1e-6
                and ev.fidelity > 1 - 1e-6 for ev in events)
+
+
+def _golden_max_scalar(fun, a, b):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(60):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fun(x1)
+    return (a + b) / 2.0
+
+
+def _scan_one_run_at_a_time(spec, grid, tol):
+    # scan with each peak run refined on its own, one time per evaluation
+    from simplexwalk import detect
+
+    def masses(t):
+        return detect._site_masses(spec, site_factors(spec, t))
+
+    grid = np.asarray(grid, dtype=float)
+    if spec.copies == 0:
+        grid = grid[:1]
+    q = np.array([masses(t) for t in grid]).reshape(len(grid), spec.base.classes)
+    ranked = np.argsort(-q, axis=1, kind="stable")
+    heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
+    events = []
+    for r in range(1, spec.base.d + 1):
+        mass = heaviest[:, r - 1]
+        peak = np.ones(len(grid), dtype=bool)
+        peak[1:] &= mass[1:] >= mass[:-1]
+        peak[:-1] &= mass[:-1] >= mass[1:]
+        runs = []
+        for i in np.flatnonzero(peak):
+            sites = sorted(ranked[i, :r].tolist())
+            if runs and runs[-1][1] == i - 1 and runs[-1][2] == sites:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i, sites])
+        for first, last, sites in runs:
+            a, b = grid[max(first - 1, 0)], grid[min(last + 1, len(grid) - 1)]
+            t = _golden_max_scalar(lambda s: masses(s)[sites].sum(), a, b) if b > a else a
+            ev = detect._face_event(spec, float(t), site_factors(spec, t), tol)
+            if ev is not None:
+                events.append(ev)
+    events.sort(key=lambda ev: ev.time)
+    return detect._dedupe(events, detect._grid_spacing(grid))
+
+
+def _event_bits(events):
+    def bits(x):
+        return None if x is None else float(x).hex()
+    return [(ev.kind, bits(ev.time), ev.support, bits(ev.fidelity), bits(ev.phase)) for ev in events]
+
+
+LOCKSTEP_SPECS = [sc.spec for sc in (
+    ngon_mpst_scenario(2, 3), ngon_mpst_scenario(3, 1), ngon_mpst_scenario(4, 2),
+    ngon_mpst_scenario(9, 1), hypercube_pst_scenario(1), hypercube_pst_scenario(12),
+    ow_fr_scenario(3, 2, 2), ow_fr_scenario(3, 2, 3), ow_fr_scenario(4, 1, 2))]
+LOCKSTEP_GRIDS = st.one_of(
+    st.just([]),
+    st.lists(st.floats(-1.0, 7.0), min_size=1, max_size=1),
+    st.lists(st.floats(-1.0, 7.0), min_size=2, max_size=60).map(sorted),
+    # lattice points: repeats are likely
+    st.lists(st.integers(0, 48), min_size=2, max_size=60).map(lambda ks: sorted(k / 8.0 for k in ks)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(LOCKSTEP_SPECS), grid=LOCKSTEP_GRIDS, tol=st.sampled_from([1e-8, 1e-6, 0.1]))
+def test_scan_lockstep_matches_one_run_at_a_time_bitwise(spec, grid, tol):
+    assert _event_bits(scan(spec, grid, tol=tol)) == _event_bits(_scan_one_run_at_a_time(spec, grid, tol))
+
+
+@pytest.mark.parametrize("sc", [hypercube_pst_scenario(12), ow_fr_scenario(3, 2, 2)],
+                         ids=lambda sc: sc.label)
+def test_scan_kernel_calls_do_not_grow_with_peak_runs(monkeypatch, sc):
+    # one call for the grid, two to open the brackets, one per golden step
+    # (60) and one for the events: 64, however many runs peak
+    from simplexwalk import detect, walk
+
+    calls = []
+
+    def counting(spec, times):
+        calls.append(len(times))
+        return walk._site_factor_rows(spec, times)
+
+    monkeypatch.setattr(detect, "_site_factor_rows", counting)
+    assert scan(sc.spec, np.linspace(0.0, 4 * math.pi, 400))
+    assert len(calls) <= 64
+    runs = calls[1]
+    assert runs >= 8 and set(calls[1:-1]) == {runs}  # every run in every step
 
 
 def test_scan_never_evaluates_class_profiles(monkeypatch):

@@ -274,6 +274,24 @@ def test_amplitude_rows_match_amplitudes_bitwise(scheme, N, times, re, im, hermi
             assert view[i].tobytes() == np.array(list(expected.values()), dtype=view.dtype).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(ROW_SCHEMES),
+    times=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20),
+    re=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    im=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+def test_site_factors_is_one_row_of_the_batched_kernel(scheme, times, re, im):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = walk_spec(scheme, 1, np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d]))
+    rows = walk._site_factor_rows(spec, np.array(times))
+    assert rows.shape == (len(times), scheme.classes)
+    for t, row in zip(times, rows):
+        assert site_factors(spec, t).tobytes() == row.tobytes()
+        assert site_factors(spec, np.float64(t)).tobytes() == row.tobytes()
+
+
 def test_vanishing_rule():
     spec = walk_spec(trivial_scheme_2(), 5, [1.0])
     t = math.pi / 2
