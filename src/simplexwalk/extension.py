@@ -3,8 +3,8 @@
 The power scheme is never stored as matrices in the main path: classes are
 labelled by compositions of N into d+1 parts, and everything downstream
 (valencies, cosines, spectra) is computed at the index level.  Classes can
-still be materialized as dense 0/1 matrices for small sizes, which is what
-the brute-force oracle feeds on.
+still be materialized as dense 0/1 matrices for small sizes, from the
+per-copy relation counts, which is what the brute-force oracle feeds on.
 """
 
 from __future__ import annotations
@@ -262,21 +262,55 @@ def _kron_chain(mats, dtype) -> np.ndarray:
     return out
 
 
-def _materialize(ext: ExtensionScheme, index, factors, dtype) -> np.ndarray:
+def _guarded_rows(ext: ExtensionScheme) -> int:
     rows = ext.base.size ** ext.copies
     guard = size_guard()
     if rows > guard:
         raise ValueError(f"materialization of {rows} rows exceeds the guard ({guard})")
+    return rows
+
+
+def _materialize(ext: ExtensionScheme, index, factors, dtype) -> np.ndarray:
+    rows = _guarded_rows(ext)
     total = np.zeros((rows, rows), dtype=dtype)
     for arrangement in multiset_arrangements(index):
         total += _kron_chain([factors[s] for s in arrangement], dtype)
     return total
 
 
+def _relation_table(adjacency) -> np.ndarray:
+    """R[x, y] = k where A_k[x, y] = 1, read once off the 0/1 relations."""
+    return sum(k * np.asarray(a) for k, a in enumerate(adjacency))
+
+
+def _relation_counts(relations, classes) -> np.ndarray:
+    """Entry (i, v, w) counts the copies s with relations[s][v_s, w_s] equal
+    to classes[i], v_s and w_s the base-|X| digits of v and w: a Kronecker
+    sum over the copies, one broadcast add per copy, in the smallest
+    integer type that holds the number of copies.  Each add puts its copy
+    in front, so the inner axes of the sum stay long."""
+    dtype = np.min_scalar_type(len(relations))
+    classes = np.asarray(classes, dtype=np.intp)[:, None, None]
+    out = np.zeros((len(classes), 1, 1), dtype=dtype)
+    for r in reversed(relations):
+        hit = (r == classes).astype(dtype)
+        out = (hit[:, :, None, :, None] + out[:, None, :, None, :]).reshape(
+            len(classes), r.shape[0] * out.shape[1], -1)
+    return out
+
+
 def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of the class labelled by beta."""
+    """Dense 0/1 adjacency matrix of the class labelled by beta: (v, w) is
+    in it when, for each k with beta_k > 0, exactly beta_k copies s have
+    A_k[v_s, w_s] = 1 (the other counts are then 0, as beta sums to N)."""
     beta = _check_index(ext, beta)
-    return _materialize(ext, beta, ext.base.adjacency, np.int64)
+    rows = _guarded_rows(ext)
+    ks = [k for k, b in enumerate(beta) if b]
+    counts = _relation_counts([_relation_table(ext.base.adjacency)] * ext.copies, ks)
+    member = np.ones((rows, rows), dtype=bool)
+    for count, k in zip(counts, ks):
+        member &= count == beta[k]
+    return member.astype(np.int64)
 
 
 def materialize_idempotent(ext: ExtensionScheme, alpha) -> np.ndarray:

@@ -3,7 +3,9 @@
 The Hamiltonian is materialized on all |X|^N vertices and evolved exactly,
 once through the factorized idempotent phases and once through a dense
 Hermitian eigendecomposition; the two must agree, and both must match the
-product-formula amplitudes class by class.
+product-formula amplitudes class by class.  Class membership is read from
+per-copy relation counts: (v, w) lies in class beta when beta_k copies s
+have A_k[v_s, w_s] = 1.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import numpy as np
 from . import krawtchouk
 from .extension import (
     DEFAULT_GUARD,
-    _kron_chain,
+    _relation_counts,
+    _relation_table,
     enumerate_indices,
     extension_scheme,
     materialize_class,
-    multiset_arrangements,
     size_guard,
 )
 from .schemes import (
@@ -48,6 +50,15 @@ def _guarded_size(spec: WalkSpec, default: int = DEFAULT_GUARD) -> int:
     if rows > guard:
         raise ValueError(f"dense verification of {rows} rows exceeds the guard ({guard})")
     return rows
+
+
+def _start_index(spec: WalkSpec, start_vertex) -> int:
+    rows = _guarded_size(spec)
+    if isinstance(start_vertex, bool) or not isinstance(start_vertex, (int, np.integer)):
+        raise ValueError(f"start vertex must be an integer, got {start_vertex!r}")
+    if not 0 <= start_vertex < rows:
+        raise ValueError("start vertex out of range")
+    return int(start_vertex)
 
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
@@ -83,9 +94,10 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     method "eig" diagonalizes the materialized Hamiltonian.  Both are exact
     up to roundoff and must agree.
     """
-    rows = _guarded_size(spec)
-    if not 0 <= start_vertex < rows:
-        raise ValueError("start vertex out of range")
+    start_vertex = _start_index(spec, start_vertex)
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    rows = spec.base.size ** spec.copies
     if method == "projector":
         F = _single_copy_evolution(spec, t)
         state = np.zeros(rows, dtype=complex)
@@ -111,18 +123,18 @@ def _dense_eigh(spec: WalkSpec):
 def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:
     """Map each class index to the vertices related to the start vertex.
 
-    Column v of a Kronecker product is the product of the factor columns at
-    the digits of v, so only base columns are read, never a class matrix.
+    Vertex v is in class beta when beta_k of its copies s have
+    A_k[v_s, u_s] = 1, u the start vertex: the per-copy relation counts are
+    read from the start column alone, never from a class matrix.
     """
-    rows = _guarded_size(spec)
-    if not 0 <= start_vertex < rows:
-        raise ValueError("start vertex out of range")
-    digits = np.unravel_index(start_vertex, (spec.base.size,) * spec.copies)
-    columns = [[a[:, [v]] for v in digits] for a in spec.base.adjacency]
-    return {beta: np.flatnonzero(sum(
-                _kron_chain([columns[k][s] for s, k in enumerate(arr)], np.int64)
-                for arr in multiset_arrangements(beta)))
-            for beta in extension_scheme(spec.base, spec.copies).index_set}
+    u = _start_index(spec, start_vertex)
+    R = _relation_table(spec.base.adjacency)
+    digits = np.unravel_index(u, (spec.base.size,) * spec.copies)
+    counts = _relation_counts([R[:, [x]] for x in digits], range(spec.base.classes))[:, :, 0].T
+    table = spec.table
+    pos = np.array([table.position[c] for c in map(tuple, counts.tolist())], dtype=np.intp)
+    bounds = np.cumsum(np.bincount(pos, minlength=len(table.order)))[:-1]
+    return dict(zip(table.order, np.split(np.argsort(pos, kind="stable"), bounds)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,6 +160,8 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     eigendecomposition of the dense Hamiltonian serves every time.
     """
     times = np.fromiter(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("times must not be empty")
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     _guarded_size(spec, SWEEP_GUARD)

@@ -139,6 +139,17 @@ def test_materialize_guard(monkeypatch):
     materialize_class(ext, (3, 0))
 
 
+def test_large_hypercube_class_is_hamming_distance():
+    # multinomial(10; 5, 5) = 252 arrangements; the class is read off the
+    # per-copy relation counts in one pass, whatever that number
+    ext = extension_scheme(trivial_scheme_2(), 10)
+    v = np.arange(2 ** 10)
+    expected = (np.bitwise_count(v[:, None] ^ v[None, :]) == 5).astype(np.int64)
+    A = materialize_class(ext, (5, 5))
+    assert A.dtype == np.int64
+    np.testing.assert_array_equal(A, expected)
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
 def test_size_guard_rejects_bad_env(monkeypatch, value):
     monkeypatch.setenv("SIMPLEXWALK_GUARD", value)

@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     amplitudes,
@@ -104,6 +106,39 @@ def test_dense_evolution_rejects_bad_method():
         dense_evolution(spec, 1.0, 0, method="magic")
 
 
+@pytest.mark.parametrize("method", ["eig", "projector"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_dense_evolution_rejects_non_finite_time(t, method):
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="finite"):
+        dense_evolution(spec, t, 0, method=method)
+
+
+@pytest.mark.parametrize("start", [True, False, 2.5, 1.0, np.float64(1.0), "1", None],
+                         ids=["True", "False", "2.5", "float", "float64", "str", "None"])
+def test_start_vertex_must_be_an_integer(start):
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    for method in ("eig", "projector"):
+        with pytest.raises(ValueError, match="integer"):
+            dense_evolution(spec, 0.5, start, method=method)
+    with pytest.raises(ValueError, match="integer"):
+        vertex_classes(spec, start)
+
+
+def test_numpy_integer_start_vertex_accepted():
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    np.testing.assert_array_equal(dense_evolution(spec, 0.5, np.int64(4)), dense_evolution(spec, 0.5, 4))
+    members = vertex_classes(spec, np.intp(4))
+    for beta, verts in vertex_classes(spec, 4).items():
+        np.testing.assert_array_equal(members[beta], verts)
+
+
+def test_compare_amplitudes_rejects_empty_times():
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="empty"):
+        compare_amplitudes(spec, [])
+
+
 def test_vertex_classes_partition():
     spec = walk_spec(ordered_word_scheme(2), 2, [0.5, 0.5])
     members = vertex_classes(spec)
@@ -137,6 +172,99 @@ def test_vertex_classes_match_class_columns(spec, monkeypatch):
         assert list(members) == list(ext.index_set)
         for beta, A in classes.items():
             np.testing.assert_array_equal(members[beta], np.flatnonzero(A[:, v]))
+
+
+def _arrangements(beta):
+    """Distinct sequences with beta_k entries equal to k."""
+    if not any(beta):
+        yield ()
+        return
+    for k, b in enumerate(beta):
+        if b:
+            rest = list(beta)
+            rest[k] -= 1
+            yield from ((k,) + tail for tail in _arrangements(rest))
+
+
+def _chain(mats):
+    out = np.eye(1, dtype=np.int64)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def _reference_class(scheme, N, beta):
+    """Class beta as a sum of one Kronecker chain of base relations per
+    arrangement of beta."""
+    rows = scheme.size ** N
+    total = np.zeros((rows, rows), dtype=np.int64)
+    for arr in _arrangements(beta):
+        total += _chain([scheme.adjacency[k] for k in arr])
+    return total
+
+
+def _reference_vertex_classes(scheme, N, order, u):
+    digits = np.unravel_index(u, (scheme.size,) * N)
+    return {beta: np.flatnonzero(sum(
+                _chain([scheme.adjacency[k][:, [v]] for v, k in zip(digits, arr)])
+                for arr in _arrangements(beta)))
+            for beta in order}
+
+
+_REFERENCE_WALKS = (
+    [(trivial_scheme_2(), [1.0])]
+    + [(directed_ngon(n), canonical_ngon_weights(n)) for n in range(1, 6)]
+    + [(ordered_word_scheme(d), [0.7, -0.3, 0.25][:d]) for d in range(1, 4)]
+)
+
+
+@st.composite
+def _reference_cases(draw):
+    scheme, weights = draw(st.sampled_from(_REFERENCE_WALKS))
+    N = draw(st.integers(0, max(n for n in range(9) if scheme.size ** n <= 256)))
+    rows = scheme.size ** N
+    starts = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))
+    return walk_spec(scheme, N, weights), starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_reference_cases())
+def test_dense_oracle_matches_arrangement_sum_reference(case):
+    spec, starts = case
+    scheme, N = spec.base, spec.copies
+    ext = extension_scheme(scheme, N)
+    reference = {beta: _reference_class(scheme, N, beta) for beta in ext.index_set}
+    for beta, expected in reference.items():
+        A = materialize_class(ext, beta)
+        assert A.dtype == expected.dtype
+        np.testing.assert_array_equal(A, expected)
+    for u in starts:
+        members = vertex_classes(spec, u)
+        expected = _reference_vertex_classes(scheme, N, ext.index_set, u)
+        assert list(members) == list(expected)
+        for beta, verts in expected.items():
+            assert members[beta].dtype == verts.dtype
+            np.testing.assert_array_equal(members[beta], verts)
+    H = np.zeros((scheme.size ** N,) * 2, dtype=complex)
+    for i in range(1, scheme.classes) if N else ():
+        H += spec.weights[i - 1] * reference[(N - 1,) + (0,) * (i - 1) + (1,) + (0,) * (scheme.d - i)]
+    assert dense_hamiltonian(spec).tobytes() == H.tobytes()
+
+
+def test_dense_oracle_forms_no_arrangements(monkeypatch):
+    calls = []
+    for module in (extension, oracle):
+        for name in ("_kron_chain", "multiset_arrangements"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    spec = walk_spec(directed_ngon(4), 4, canonical_ngon_weights(4))
+    assert compare_amplitudes(spec, [0.3, 1.2]).max_error < 1e-9
+    ext = extension_scheme(spec.base, spec.copies)
+    for beta in ext.index_set:
+        materialize_class(ext, beta)
+    assert calls == []
 
 
 def test_compare_amplitudes_diagonalizes_once(monkeypatch):
