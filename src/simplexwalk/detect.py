@@ -255,7 +255,9 @@ def _dedupe(events, spacing) -> list:
 
 
 def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
-    """Classes whose probability stays below tol over the whole grid.
+    """Classes whose probability multinomial(N; beta) prod_k q_k^beta_k stays
+    below tol over the whole grid; the products are the class monomials of
+    the site masses (``ClassTable.monomials``), one time at a time.
 
     Only candidates: a finite grid cannot certify vanishing for all times.
     """
@@ -266,8 +268,7 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     table = spec.table
     worst = np.zeros(len(table.order))
     for q in _site_masses(spec, _site_factor_rows(spec, grid)):
-        # class beta holds multinomial(N; beta) prod_k q_k^beta_k
-        worst = np.maximum(worst, table.multinomial * np.prod(q ** table.index, axis=1))
+        worst = np.maximum(worst, table.multinomial * table.monomials(q, np.ones(len(worst))))
     return [TransferEvent(kind="ZT-candidate", time=None, support=(beta,), fidelity=0.0)
             for beta in sorted(b for b, w in zip(table.order, worst) if w < tol)]
 

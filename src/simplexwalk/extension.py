@@ -47,9 +47,24 @@ def enumerate_indices(N: int, d: int) -> list:
     return [prefix + (N - sum(prefix),) for prefix in prefixes]
 
 
+def _integers(values, what: str = "multi-index entries") -> tuple:
+    """``values`` as a tuple of ints; ValueError on a bool, a non-integral or
+    a non-finite entry, where int() would truncate or overflow."""
+    out = []
+    for v in values:
+        try:
+            i = int(v)
+        except (OverflowError, TypeError, ValueError):
+            i = None
+        if i is None or i != v or isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        out.append(i)
+    return tuple(out)
+
+
 def multinomial(N: int, beta) -> int:
     """Exact N! / prod(beta_i!)."""
-    beta = tuple(int(b) for b in beta)
+    beta = _integers(beta)
     if any(b < 0 for b in beta):
         raise ValueError("multi-index entries must be non-negative")
     if sum(beta) != N:
@@ -132,6 +147,16 @@ class ClassTable:
     valency: np.ndarray
     multinomial: np.ndarray
 
+    def monomials(self, x, out) -> np.ndarray:
+        """out[..., r] *= prod_k x[..., k]^beta_k in place, beta = order[r]:
+        the powers 0..N of each x_k are formed once and gathered by the
+        table's exponent column, and x_k^0 is skipped, so the zeros and
+        signs of ``out`` stay where beta_k = 0."""
+        powers = np.asarray(x)[..., None] ** np.arange(int(self.index[0].sum()) + 1)
+        for k, (exponents, used) in enumerate(zip(self.index.T, self.index.T > 0)):
+            np.multiply(out, powers[..., k, exponents], out=out, where=used)
+        return out
+
     @functools.cached_property
     def _pair_blocks(self) -> dict:
         """Per slot pair s < t, entry n holds one row per set of classes with
@@ -188,33 +213,25 @@ def _symmetric_power_state(V, start, table: ClassTable) -> np.ndarray:
     normalised class states: entry gamma is the coefficient of x^gamma in
     prod_i (sum_j V[i,j] x_j)^start_i times sqrt(gamma! / start!).  From an
     extreme start N e_s that is sqrt(multinomial(N; gamma)) prod_j
-    V[s,j]^gamma_j; every other start takes ``_givens_state``."""
+    V[s,j]^gamma_j (``ClassTable.monomials``); else ``_givens_state``."""
     V = np.asarray(V, dtype=complex)
     if np.count_nonzero(start) <= 1:
         state = np.sqrt(table.multinomial).astype(complex)
-        return _scale_by_powers(state, V[int(np.argmax(start))], table)
+        return table.monomials(V[int(np.argmax(start))], state)
     return _givens_state(V, start, table)
-
-
-def _scale_by_powers(state, x, table: ClassTable) -> np.ndarray:
-    """state[gamma] *= prod_j x_j^gamma_j in place: the powers of each x_j
-    are formed once and gathered by the table's exponent column."""
-    powers = x[:, None] ** np.arange(int(table.index[0].sum()) + 1)
-    for pj, exponents in zip(powers, table.index.T):
-        state *= pj[exponents]
-    return state
 
 
 def _givens_state(V, start, table: ClassTable) -> np.ndarray:
     """``_symmetric_power_state`` from any start.  Givens rotations G_k on
     the slot pairs s < t, column by column, bring V to the diagonal
     D = G_m ... G_1 V, so the state is lifted through each G_k^+ in turn,
-    then through D as prod_j D_jj^gamma_j.  Each G_k is in SU(2) with a
-    real diagonal c >= 0, so G_k = exp(iK), K = [[0, conj(kappa)], [kappa, 0]],
-    |kappa| = atan2(|G_ts|, c) <= pi/2.  On the classes with n units in
-    slots s and t, G_k^+ acts by exp(-i |kappa| P J_n P^+), P = diag(exp(i a
-    arg kappa)), a = beta_s, and J_n the real lift of [[0, 1], [1, 0]]: its
-    eigh is taken once per n, so every step is unitary to rounding."""
+    then through D as prod_j D_jj^gamma_j (``ClassTable.monomials``).
+    Each G_k is in SU(2) with a real diagonal c >= 0, so G_k = exp(iK),
+    K = [[0, conj(kappa)], [kappa, 0]], |kappa| = atan2(|G_ts|, c) <= pi/2.
+    On the classes with n units in slots s and t, G_k^+ acts by
+    exp(-i |kappa| P J_n P^+), P = diag(exp(i a arg kappa)), a = beta_s, and
+    J_n the real lift of [[0, 1], [1, 0]]: its eigh is taken once per n, so
+    every step is unitary to rounding."""
     V = np.array(V, dtype=complex)
     N = sum(start)
     state = np.zeros(len(table.order), dtype=complex)
@@ -236,11 +253,11 @@ def _givens_state(V, start, table: ClassTable) -> np.ndarray:
             p = np.exp(1j * arg * np.arange(n + 1))
             step = (p.conj()[:, None] * Q * np.exp(-1j * angle * lam)) @ (Q.T * p)
             state[blocks[n]] = state[blocks[n]] @ step
-    return _scale_by_powers(state, np.diagonal(V), table)
+    return table.monomials(np.diagonal(V), state)
 
 
 def _check_index(ext: ExtensionScheme, beta) -> tuple:
-    beta = tuple(int(b) for b in beta)
+    beta = _integers(beta)
     if beta not in ext.position:
         raise ValueError(f"{beta} is not a composition of {ext.copies} into {ext.base.d + 1} parts")
     return beta
@@ -262,16 +279,17 @@ def _kron_chain(mats, dtype) -> np.ndarray:
     return out
 
 
-def _guarded_rows(ext: ExtensionScheme) -> int:
-    rows = ext.base.size ** ext.copies
-    guard = size_guard()
+def _guarded_rows(base: AssociationScheme, copies: int, default: int = DEFAULT_GUARD) -> int:
+    """|X|^N, the rows of a dense matrix on the N-th power, within the guard."""
+    rows = base.size ** copies
+    guard = size_guard(default)
     if rows > guard:
         raise ValueError(f"materialization of {rows} rows exceeds the guard ({guard})")
     return rows
 
 
 def _materialize(ext: ExtensionScheme, index, factors, dtype) -> np.ndarray:
-    rows = _guarded_rows(ext)
+    rows = _guarded_rows(ext.base, ext.copies)
     total = np.zeros((rows, rows), dtype=dtype)
     for arrangement in multiset_arrangements(index):
         total += _kron_chain([factors[s] for s in arrangement], dtype)
@@ -304,7 +322,7 @@ def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
     in it when, for each k with beta_k > 0, exactly beta_k copies s have
     A_k[v_s, w_s] = 1 (the other counts are then 0, as beta sums to N)."""
     beta = _check_index(ext, beta)
-    rows = _guarded_rows(ext)
+    rows = _guarded_rows(ext.base, ext.copies)
     ks = [k for k, b in enumerate(beta) if b]
     counts = _relation_counts([_relation_table(ext.base.adjacency)] * ext.copies, ks)
     member = np.ones((rows, rows), dtype=bool)

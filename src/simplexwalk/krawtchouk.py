@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extension import enumerate_indices, multinomial, symmetric_power_row
+from .extension import _integers, enumerate_indices, multinomial, symmetric_power_row
 from .schemes import AssociationScheme, directed_ngon
 from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
@@ -88,7 +88,7 @@ def params_from_scheme(scheme: AssociationScheme) -> GriffithsParams:
 
 
 def _check_weights(n, N, U):
-    n = tuple(int(v) for v in n)
+    n = _integers(n)
     if len(n) != np.shape(U)[0]:
         raise ValueError(f"index {n} must have {np.shape(U)[0]} parts, one per row of U")
     if any(v < 0 for v in n) or sum(n) != N:

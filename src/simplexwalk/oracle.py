@@ -16,15 +16,7 @@ import math
 import numpy as np
 
 from . import krawtchouk
-from .extension import (
-    DEFAULT_GUARD,
-    _relation_counts,
-    _relation_table,
-    enumerate_indices,
-    extension_scheme,
-    materialize_class,
-    size_guard,
-)
+from .extension import _guarded_rows, _relation_counts, _relation_table, enumerate_indices
 from .schemes import (
     SPECTRAL_TOL,
     directed_ngon,
@@ -44,16 +36,8 @@ from .walk import (
 SWEEP_GUARD = 1024
 
 
-def _guarded_size(spec: WalkSpec, default: int = DEFAULT_GUARD) -> int:
-    rows = spec.base.size ** spec.copies
-    guard = size_guard(default)
-    if rows > guard:
-        raise ValueError(f"dense verification of {rows} rows exceeds the guard ({guard})")
-    return rows
-
-
 def _start_index(spec: WalkSpec, start_vertex) -> int:
-    rows = _guarded_size(spec)
+    rows = _guarded_rows(spec.base, spec.copies)
     if isinstance(start_vertex, bool) or not isinstance(start_vertex, (int, np.integer)):
         raise ValueError(f"start vertex must be an integer, got {start_vertex!r}")
     if not 0 <= start_vertex < rows:
@@ -62,17 +46,17 @@ def _start_index(spec: WalkSpec, start_vertex) -> int:
 
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
-    """Materialize the walk Hamiltonian on the full vertex set."""
-    rows = _guarded_size(spec)
-    ext = extension_scheme(spec.base, spec.copies)
-    H = np.zeros((rows, rows), dtype=complex)
-    if spec.copies == 0:
-        return H
-    for i in range(1, spec.base.classes):
-        beta = [0] * spec.base.classes
-        beta[0] = spec.copies - 1
-        beta[i] = 1
-        H += spec.weights[i - 1] * materialize_class(ext, tuple(beta))
+    """Materialize the walk Hamiltonian on the full vertex set: the
+    Kronecker sum over the copies of h = sum_i w_i A_i, read off the
+    relation table.  Each entry has at most one nonzero term, so H holds
+    the weights exactly; adding 0.0 turns the signed zeros to +0.0."""
+    _guarded_rows(spec.base, spec.copies)
+    h = np.append(0.0, spec.weights)[_relation_table(spec.base.adjacency)]
+    H = np.zeros((1, 1), dtype=complex)
+    for _ in range(spec.copies):
+        H, step = np.kron(np.eye(spec.base.size), H), np.kron(h, np.eye(len(H)))
+        H += step
+    H += 0.0
     return H
 
 
@@ -164,7 +148,7 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
         raise ValueError("times must not be empty")
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    _guarded_size(spec, SWEEP_GUARD)
+    _guarded_rows(spec.base, spec.copies, SWEEP_GUARD)
     members = vertex_classes(spec, start_vertex=0)
     vals, vecs = _dense_eigh(spec)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .extension import ClassTable, _symmetric_power_state, class_table
+from .extension import ClassTable, _integers, _symmetric_power_state, class_table
 from .schemes import AssociationScheme, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -35,6 +35,15 @@ class WalkSpec:
     def table(self) -> ClassTable:
         """The class table of the N-th power scheme, built on first use."""
         return class_table(self.base, self.copies)
+
+    @functools.cached_property
+    def _site_terms(self) -> tuple:
+        """mu_l = theta_0 - theta_l = sum_i w_i k_i (1 - c_{l,i}), m_l and the
+        columns conj(c_{l,k}), l = 1..d: what p_k(t) reads of the spec.  The
+        rows of P are subtracted before the product: subtracting theta
+        values instead moves every amplitude in the last bits."""
+        P, m = self.base.first_eigenmatrix[:, 1:], self.base.multiplicities.astype(float)
+        return (P[0] - P[1:]) @ self.weights, m[1:], np.conj(self.base.cosine[1:, :]).T
 
     @property
     def hermiticity_residual(self) -> float:
@@ -55,6 +64,7 @@ def walk_spec(base: AssociationScheme, copies: int, weights) -> WalkSpec:
         raise ValueError(f"expected {base.d} weights, got {weights.shape}")
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
+    (copies,) = _integers((copies,), "copies")
     if copies < 0:
         raise ValueError("copies must be non-negative")
     weights.setflags(write=False)
@@ -88,19 +98,9 @@ def _one_copy_spectrum(spec: WalkSpec) -> np.ndarray:
     return spec.base.first_eigenmatrix[:, 1:] @ spec.weights
 
 
-def _coupling_rates(spec: WalkSpec) -> np.ndarray:
-    """mu_l = theta_0 - theta_l = sum_i w_i k_i (1 - c_{l,i}) for l = 1..d.
-
-    The rows of P are subtracted before the product: subtracting theta
-    values instead moves every amplitude in the last bits.
-    """
-    P = spec.base.first_eigenmatrix[:, 1:]
-    return (P[0] - P[1:]) @ spec.weights
-
-
 def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
     """Eigenvalue of the Hamiltonian on the idempotent labelled by alpha."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _integers(alpha)
     if len(alpha) != spec.base.classes or sum(alpha) != spec.copies or min(alpha) < 0:
         raise ValueError(f"{alpha} is not a valid index for this walk")
     return complex(np.dot(alpha, _one_copy_spectrum(spec)))
@@ -108,16 +108,16 @@ def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
 
 def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
     """Unit phases z_l(t) = exp(i t mu_l), one per nontrivial idempotent."""
-    return np.exp(1j * t * _coupling_rates(spec))
+    return np.exp(1j * t * spec._site_terms[0])
 
 
 def _site_factor_rows(spec: WalkSpec, times) -> np.ndarray:
     """The T x (d+1) array of p_k(times[i]), row i per time: one stacked
     matrix-vector product per time, as one 2-D product over all times
     moves the last bits of p_k."""
-    m = spec.base.multiplicities.astype(float)
-    mz = m[1:] * z_factors(spec, np.asarray(times, dtype=float)[:, None])
-    return 1.0 + np.matmul(np.conj(spec.base.cosine[1:, :]).T, mz[:, :, None])[..., 0]
+    mu, m, conj_cosine = spec._site_terms
+    mz = m * np.exp(1j * np.asarray(times, dtype=float)[:, None] * mu)
+    return 1.0 + np.matmul(conj_cosine, mz[:, :, None])[..., 0]
 
 
 def site_factors(spec: WalkSpec, t: float) -> np.ndarray:
@@ -153,22 +153,17 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
     """The class table and the T x D array of f_beta(times[i]) = prefactor *
     prod_k p_k^beta_k (k = 0..d in turn, p_k^0 skipped), row i per time.
 
-    The site factors come from one ``_site_factor_rows`` call; the powers
-    p_k^0..p_k^N of every site and time are formed at once, and each site's
-    are gathered by the table's exponent column.
+    The site factors come from one ``_site_factor_rows`` call, and the
+    products from one ``ClassTable.monomials`` call over every time.
     """
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     times = np.asarray(times, dtype=float)
     table = spec.table
     theta0 = complex(_one_copy_spectrum(spec)[0])
-    p = _site_factor_rows(spec, times).T  # [k, i] = p_k(times[i])
     prefactor = np.exp(-1j * times * spec.copies * theta0) / float(spec.base.size) ** spec.copies
     f = np.repeat(prefactor[:, None], len(table.order), axis=1)
-    powers = p[:, :, None] ** np.arange(spec.copies + 1)  # [k, i, e] = p_k(times[i])^e
-    for pk, exponents, used in zip(powers, table.index.T, table.index.T > 0):
-        np.multiply(f, pk[:, exponents], out=f, where=used)
-    return table, f
+    return table, table.monomials(_site_factor_rows(spec, times), f)
 
 
 def amplitudes(spec: WalkSpec, t: float) -> AmplitudeProfile:
@@ -298,7 +293,7 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
         raise ValueError("projected matrix is not Hermitian")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    start = tuple(int(b) for b in start)
+    start = _integers(start)
     if start not in pm.table.position:
         raise ValueError(f"{start} is not an index of this projected matrix")
     vals, vecs = np.linalg.eigh(pm.one_body)

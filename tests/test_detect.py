@@ -530,3 +530,32 @@ def test_zt_candidates_read_site_masses(monkeypatch):
 
 def test_zt_candidates_empty_grid():
     assert zt_candidates(walk_spec(trivial_scheme_2(), 2, [0.0]), []) == []
+
+
+def _zt_by_class_product(spec, grid, tol):
+    """zt_candidates' supports by the broadcast formula it used before the
+    class monomials: multinomial(N; beta) * prod(q ** beta) at each time."""
+    from simplexwalk.detect import _site_masses
+    from simplexwalk.walk import _site_factor_rows
+
+    table = spec.table
+    worst = np.zeros(len(table.order))
+    for q in _site_masses(spec, _site_factor_rows(spec, np.asarray(grid, dtype=float))):
+        worst = np.maximum(worst, table.multinomial * np.prod(q ** table.index, axis=1))
+    return sorted(b for b, w in zip(table.order, worst) if w < tol)
+
+
+SHIPPED_SCENARIOS = ([ngon_mpst_scenario(n, N) for n in range(2, 6) for N in range(1, 5)]
+                     + [hypercube_pst_scenario(N) for N in (1, 2, 5, 12)]
+                     + [ow_fr_scenario(d, N, k) for d in (2, 3, 4) for N in (1, 2, 3)
+                        for k in range(1, d + 1)])
+
+
+@pytest.mark.parametrize("sc", SHIPPED_SCENARIOS, ids=lambda sc: sc.label)
+def test_zt_candidates_match_the_class_product_formula(sc):
+    grids = ([0.0], [t for t, _, _ in sc.expected_events][:1] or [1.0],
+             np.linspace(0.0, math.pi, 40), np.linspace(0.0, 2 * math.pi, 90))
+    for grid in grids:
+        for tol in (1e-9, 1e-3, 0.1):
+            got = [ev.support[0] for ev in zt_candidates(sc.spec, grid, tol=tol)]
+            assert got == _zt_by_class_product(sc.spec, grid, tol), (list(grid)[:3], tol)

@@ -22,7 +22,7 @@ from simplexwalk import (
     ordered_word_scheme,
     trivial_scheme_2,
 )
-from simplexwalk import extension, walk
+from simplexwalk import detect, extension, krawtchouk, walk
 from simplexwalk.extension import (
     _givens_state,
     _symmetric_power_state,
@@ -334,3 +334,115 @@ def test_pair_blocks_are_built_lazily_and_partition_the_table():
                 assert (block[:, s] + block[:, t] == n).all()
                 others = np.delete(block, (s, t), axis=1)
                 assert (others == others[0]).all()
+
+
+def _class_products(table, x, out):
+    """out[..., r] times prod over k with beta_k > 0 of x[..., k]^beta_k, one
+    class at a time."""
+    ref = np.array(out, copy=True)
+    for r, beta in enumerate(table.order):
+        for k, b in enumerate(beta):
+            if b:
+                ref[..., r] = ref[..., r] * x[..., k] ** b
+    return ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(0, 4), N=st.integers(0, 6),
+       batch=st.sampled_from([(), (1,), (5,)]), is_complex=st.booleans())
+def test_monomials_match_per_class_product(seed, d, N, batch, is_complex):
+    rng = np.random.default_rng(seed)
+    table = class_table(directed_ngon(d + 1), N)
+    x = rng.normal(size=batch + (d + 1,))
+    out = rng.normal(size=batch + (len(table.order),))
+    if is_complex:
+        x = x + 1j * rng.normal(size=x.shape)
+        out = out + 1j * rng.normal(size=out.shape)
+    ref = _class_products(table, x, out)
+    got = table.monomials(x, out)
+    assert got is out and got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_monomials_skip_zeroth_powers():
+    # N = 0: the one class has beta = 0, so nothing is multiplied, not even
+    # nan^0 = 1 or (1 + 0j) on a signed zero
+    out = np.array([complex(0.0, -0.0)])
+    class_table(directed_ngon(3), 0).monomials(np.array([np.nan, 1j, -0.0]), out)
+    assert out.tobytes() == np.array([complex(0.0, -0.0)]).tobytes()
+    # (-1) * 1j = -0.0 - 1j; a further (1 + 0j) for the unused slot would
+    # turn the real part to +0.0
+    table = class_table(trivial_scheme_2(), 1)
+    out = table.monomials(np.array([1j, 1j]), np.full(2, -1.0 + 0.0j))
+    np.testing.assert_array_equal(out, [-1j, -1j])
+    assert np.signbit(out.real).all()
+    # real signed zeros: -0.0 in out flips its sign once per factor -0.0
+    table = class_table(directed_ngon(3), 2)
+    out = table.monomials(np.array([0.0, 2.0, -0.0]), np.full(len(table.order), -0.0))
+    for beta, value in zip(table.order, out):
+        assert value == 0.0 and np.signbit(value) == (beta[2] % 2 == 0), beta
+
+
+def test_call_sites_reach_the_class_monomials(monkeypatch):
+    calls = []
+    real = extension.ClassTable.monomials
+
+    def counting(self, x, out):
+        calls.append(np.shape(x))
+        return real(self, x, out)
+
+    monkeypatch.setattr(extension.ClassTable, "monomials", counting)
+    spec = walk.walk_spec(directed_ngon(3), 4, walk.canonical_ngon_weights(3))
+    walk.amplitudes(spec, 0.3)
+    assert calls == [(1, 3)]
+    pm = walk.projected_matrix(spec)
+    for start in ((4, 0, 0), (2, 1, 1)):  # product form, then the Givens lift
+        calls.clear()
+        walk.evolve_projected(pm, 0.7, start)
+        assert calls == [(3,)]
+    calls.clear()
+    detect.zt_candidates(spec, np.linspace(0.0, 1.0, 7))
+    assert calls == [(3,)] * 7
+
+
+def _bad_calls():
+    ngon3 = walk.walk_spec(directed_ngon(3), 2, walk.canonical_ngon_weights(3))
+    pm = walk.projected_matrix(ngon3)
+    ext = extension_scheme(directed_ngon(3), 2)
+    U = directed_ngon(3).cosine
+    return {
+        "walk_spec": lambda v: walk.walk_spec(trivial_scheme_2(), v, [1.0]),
+        "multinomial": lambda v: multinomial(2, (v, 1)),
+        "class_valency": lambda v: class_valency(ext, (v, 1, 0)),
+        "materialize_class": lambda v: materialize_class(ext, (v, 1, 0)),
+        "eigenvalue_lambda": lambda v: walk.eigenvalue_lambda(ngon3, (v, 1, 0)),
+        "evolve_projected": lambda v: walk.evolve_projected(pm, 0.5, (v, 1, 0)),
+        "krawtchouk_series": lambda v: krawtchouk.krawtchouk_series((v, 1, 0), (2, 0, 0), 2, U),
+        "krawtchouk_genfun": lambda v: krawtchouk.krawtchouk_genfun((v, 1, 0), 2, U),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bad_calls()))
+@pytest.mark.parametrize("bad", [1.5, 0.9, True, np.True_, np.float64(1.1), math.nan, math.inf,
+                                 -math.inf, "1", None], ids=repr)
+def test_integer_inputs_are_checked_not_truncated(name, bad):
+    call = _bad_calls()[name]
+    with pytest.raises(ValueError, match="must be integers"):
+        call(bad)
+    for good in (1, np.int64(1), 1.0, np.float32(1.0)):
+        if name == "walk_spec":
+            good = 2 * good
+            assert type(call(good).copies) is int
+        else:
+            call(good)
+
+
+def test_truncating_examples_are_rejected():
+    spec = walk.walk_spec(directed_ngon(3), 2, walk.canonical_ngon_weights(3))
+    for call in (lambda: walk.evolve_projected(walk.projected_matrix(spec), 0.5, (2.9, 0.1, 0)),
+                 lambda: walk.eigenvalue_lambda(spec, (2.9, 0.1, 0)),
+                 lambda: class_valency(extension_scheme(directed_ngon(3), 2), (1.5, 1.5, 0)),
+                 lambda: multinomial(2, (1.9, 1.2)),
+                 lambda: krawtchouk.krawtchouk_series((2.5, 0, 0), (2, 0, 0), 2, directed_ngon(3).cosine)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()

@@ -30,6 +30,7 @@ from simplexwalk.oracle import (
     run_suite,
     vertex_classes,
 )
+from simplexwalk.walk import WalkSpec
 
 
 def hypercube_adjacency(N):
@@ -165,7 +166,7 @@ def test_vertex_classes_match_class_columns(spec, monkeypatch):
     def forbidden(*args):
         raise AssertionError("vertex_classes formed a dense class matrix")
 
-    monkeypatch.setattr(oracle, "materialize_class", forbidden)
+    monkeypatch.setattr(oracle, "materialize_class", forbidden, raising=False)
     monkeypatch.setattr(extension, "materialize_class", forbidden)
     for v in range(spec.base.size ** spec.copies):
         members = vertex_classes(spec, start_vertex=v)
@@ -426,3 +427,47 @@ def test_golden_bmatrix_keeps_nan(monkeypatch):
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+def _dense_hamiltonian_by_classes(spec):
+    """sum_i w_i x the class (N-1) e_0 + e_i, as dense_hamiltonian summed it
+    before the Kronecker sum."""
+    ext = extension_scheme(spec.base, spec.copies)
+    H = np.zeros((spec.base.size ** spec.copies,) * 2, dtype=complex)
+    for i in range(1, spec.base.classes) if spec.copies else ():
+        beta = [0] * spec.base.classes
+        beta[0], beta[i] = spec.copies - 1, 1
+        H += spec.weights[i - 1] * materialize_class(ext, tuple(beta))
+    return H
+
+
+def _signed_zero_weights(d, seed):
+    rng = np.random.default_rng(seed)
+    parts = rng.choice([0.0, -0.0, 1.0, -2.5, 0.3], size=(d, 2))
+    return parts[:, 0] + 1j * parts[:, 1] if d else np.zeros(0, dtype=complex)
+
+
+DENSE_H_SPECS = (
+    [walk_spec(directed_ngon(n), N, canonical_ngon_weights(n)) for n in range(1, 6) for N in range(4)]
+    + [WalkSpec(directed_ngon(n), N, _signed_zero_weights(n - 1, 7 * n + N))
+       for n in range(2, 5) for N in range(4)]
+    + [walk_spec(trivial_scheme_2(), N, [1.0]) for N in range(0, 9)]
+    + [WalkSpec(ordered_word_scheme(d), N, _signed_zero_weights(d, d + N)) for d in (1, 2, 3)
+       for N in range(3)]
+    + [walk_spec(directed_ngon(32), 2, canonical_ngon_weights(32))]
+)
+
+
+@pytest.mark.parametrize("spec", DENSE_H_SPECS,
+                         ids=lambda s: f"{s.base.size}-{s.base.classes}-N{s.copies}")
+def test_dense_hamiltonian_is_the_class_sum_bitwise(spec, monkeypatch):
+    expected = _dense_hamiltonian_by_classes(spec)
+
+    def forbidden(*args):
+        raise AssertionError("dense_hamiltonian formed a class matrix")
+
+    monkeypatch.setattr(extension, "materialize_class", forbidden)
+    monkeypatch.setattr(extension, "extension_scheme", forbidden)
+    H = dense_hamiltonian(spec)
+    assert H.dtype == complex and H.shape == expected.shape
+    assert H.tobytes() == expected.tobytes()

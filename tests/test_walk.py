@@ -582,3 +582,24 @@ def test_profile_views_consistent():
         prob = prof.class_probabilities[beta]
         assert abs(abs(site) ** 2 - prob) < 1e-12
         assert abs(np.angle(site) - np.angle(f)) < 1e-12 or abs(f) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [canonical_spec(3, 2), canonical_spec(5, 1),
+                                  walk_spec(ordered_word_scheme(3), 2, [0.7, -0.3, 0.25]),
+                                  walk_spec(trivial_scheme_2(), 4, [1.0])])
+def test_site_terms_are_formed_once_and_keep_every_bit(spec):
+    times = np.array([0.0, -0.0, 0.4, math.pi, 7.25])
+    assert "_site_terms" not in vars(spec)
+    rows = walk._site_factor_rows(spec, times)
+    terms = spec._site_terms
+    walk._site_factor_rows(spec, times[::-1])
+    assert spec._site_terms is terms
+    # the expressions the site factors read before the spec held its terms
+    P = spec.base.first_eigenmatrix[:, 1:]
+    mu = (P[0] - P[1:]) @ spec.weights
+    m = spec.base.multiplicities.astype(float)
+    mz = m[1:] * np.exp(1j * times[:, None] * mu)
+    expected = 1.0 + np.matmul(np.conj(spec.base.cosine[1:, :]).T, mz[:, :, None])[..., 0]
+    assert rows.tobytes() == expected.tobytes()
+    for t in times:
+        assert z_factors(spec, t).tobytes() == np.exp(1j * t * mu).tobytes()
