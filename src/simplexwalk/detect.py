@@ -94,24 +94,41 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     return TransferEvent(kind="FR", time=profile.time, support=indices, fidelity=cum)
 
 
-def _golden_max(fun, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Golden-section maximization on every bracket [a_i, b_i] in lockstep,
-    60 steps: ``fun`` maps one time per bracket to one value per bracket
-    and is called once per step.  A zero-width bracket keeps t = a_i."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 60
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(a: float, b: float):
+    """Golden-section maximization on [a, b], _GOLDEN_STEPS steps, as a
+    generator: it yields the _GOLDEN_STEPS + 2 times to evaluate, takes the
+    value at each by ``send``, then yields the maximizer.  A zero-width
+    bracket keeps t = a."""
     lo, hi = a, b
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(60):
-        # where f1 < f2: a, x1, f1 = x1, x2, f2 and x2 is new; elsewhere
-        # b, x2, f2 = x2, x1, f1 and x1 is new
-        up = f1 < f2
-        a, b = np.where(up, x1, a), np.where(up, b, x2)
-        x1, x2 = np.where(up, x2, b - invphi * (b - a)), np.where(up, a + invphi * (b - a), x1)
-        f_new = fun(np.where(up, x2, x1))
-        f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
-    return np.where(hi > lo, (a + b) / 2.0, lo)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = yield x1
+    f2 = yield x2
+    for _ in range(_GOLDEN_STEPS):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = yield x2
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = yield x1
+    yield (a + b) / 2.0 if hi > lo else lo
+
+
+def _golden_max(fun, a, b) -> list:
+    """``_golden_section`` on every bracket [a_i, b_i] in lockstep: ``fun``
+    maps one time per bracket to one value per bracket and is called once
+    per step, _GOLDEN_STEPS + 2 times in all."""
+    runs = [_golden_section(lo, hi) for lo, hi in zip(a, b)]
+    ts = [next(run) for run in runs]
+    for _ in range(_GOLDEN_STEPS + 2):
+        ts = [run.send(f) for run, f in zip(runs, fun(np.array(ts)).tolist())]
+    return ts
 
 
 def _finite_times(times) -> np.ndarray:
@@ -146,37 +163,47 @@ def _face_classes(sites, N: int, d: int) -> tuple:
     return tuple(sorted(out))
 
 
-def _face_event(spec: WalkSpec, t: float, p: np.ndarray, tol: float):
-    """Simplex analogue of ``classify``: the event at ``t``, whose site
-    factors are ``p``, is named by the smallest face holding
-    1 - max(tol, FR_TOL) of the probability, and its support is the classes
-    of that face; None when there is no event."""
+def _face_events(spec: WalkSpec, times, p: np.ndarray, tol: float) -> list:
+    """Simplex analogue of ``classify``: the event at each of ``times``,
+    whose site factors are the rows of ``p``, is named by the smallest face
+    holding 1 - max(tol, FR_TOL) of the probability, and its support is the
+    classes of that face; None where there is no event.  The masses, their
+    ranking and the face masses come from one pass over every row."""
     N, d = spec.copies, spec.base.d
     fr_tol = max(tol, FR_TOL)
     q = _site_masses(spec, p)
-    ranked = np.argsort(-q, kind="stable")
-    held = np.cumsum(q[ranked]) ** N
-    size = next((r for r in range(1, d + 1) if held[r - 1] >= 1.0 - fr_tol), d + 1)
-    sites = sorted(ranked[:size].tolist())
-    fidelity = float(held[size - 1])
-    count = math.comb(N + size - 1, size - 1)
-    if size == 1:
-        if fidelity < 1.0 - tol:
+    ranked = np.argsort(-q, axis=1, kind="stable")
+    helds = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1) ** N
+    # N theta_0 is the eigenvalue on the trivial idempotent (N, 0, ..., 0)
+    lam = eigenvalue_lambda(spec, _extreme_index(d, N, 0))
+
+    def named(t, row, q, ranked, held):
+        size = next((r for r in range(1, d + 1) if held[r - 1] >= 1.0 - fr_tol), d + 1)
+        sites = sorted(ranked[:size])
+        fidelity = held[size - 1]
+        count = math.comb(N + size - 1, size - 1)
+        if size == 1:
+            if fidelity < 1.0 - tol:
+                return None
+            phase = float(np.angle(np.exp(-1j * t * lam) * row[sites[0]] ** N))
+            return TransferEvent(kind="PST", time=t, support=_face_classes(sites, N, d),
+                                 fidelity=fidelity, phase=phase)
+        if count == 2 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
+            kind = "GME"
+        elif size == d + 1:
+            # unconfined: the probability reaches every site
             return None
-        j = sites[0]
-        # N theta_0 is the eigenvalue on the trivial idempotent (N, 0, ..., 0)
-        prefactor = np.exp(-1j * t * eigenvalue_lambda(spec, _extreme_index(d, N, 0)))
-        phase = float(np.angle(prefactor * p[j] ** N))
-        return TransferEvent(kind="PST", time=t, support=_face_classes(sites, N, d),
-                             fidelity=fidelity, phase=phase)
-    if count == 2 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
-        kind = "GME"
-    elif size == d + 1:
-        # unconfined: the probability reaches every site
-        return None
-    else:
-        kind = "FR"
-    return TransferEvent(kind=kind, time=t, support=_face_classes(sites, N, d), fidelity=fidelity)
+        else:
+            kind = "FR"
+        return TransferEvent(kind=kind, time=t, support=_face_classes(sites, N, d),
+                             fidelity=fidelity)
+
+    return list(map(named, times, p, q.tolist(), ranked.tolist(), helds.tolist()))
+
+
+def _face_event(spec: WalkSpec, t: float, p: np.ndarray, tol: float):
+    """The event at one time: the one row of ``_face_events``."""
+    return _face_events(spec, [t], np.asarray(p)[None, :], tol)[0]
 
 
 def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
@@ -202,9 +229,10 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     ranked = np.argsort(-q, axis=1, kind="stable")
     heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
 
-    # per run (first, last); per face size r, the runs' sites as flat indices
-    # into the (runs, d+1) masses, one row per run, to sum as q[sites].sum()
-    bounds, gathers = [], []
+    # per run (first, last); the sites of every run as flat indices into
+    # the (runs, d+1) masses, r per run and in order of r; per r, the
+    # (start, stop, r) of its runs' indices there
+    bounds, gathers, blocks = [], [], []
     for r in range(1, spec.base.d + 1):
         mass = heaviest[:, r - 1]
         peak = np.ones(len(grid), dtype=bool)
@@ -219,20 +247,28 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
                 runs.append([i, i, sites])
         if runs:
             at = np.arange(len(bounds), len(bounds) + len(runs))[:, None] * spec.base.classes
-            gathers.append(at + np.array([sites for _, _, sites in runs]))
+            gathers += (at + np.array([sites for _, _, sites in runs])).ravel().tolist()
+            blocks.append((len(gathers) - len(runs) * r, len(gathers), r))
             bounds += [(first, last) for first, last, _ in runs]
     if not bounds:
         return []
     first, last = np.array(bounds).T
     a, b = grid[np.maximum(first - 1, 0)], grid[np.minimum(last + 1, len(grid) - 1)]
+    gathers = np.array(gathers)
+    # r = 1 always peaks and comes first: a face of one site holds its mass
+    singles = blocks.pop(0)[1]
+    valencies, size2 = spec.base.valencies, float(spec.base.size) ** 2
 
     def face_mass(ts):
-        q = _site_masses(spec, _site_factor_rows(spec, ts)).ravel()
-        return np.concatenate([q[at].sum(axis=1) for at in gathers])
+        # _site_masses, with its scale read once per scan; each larger face
+        # is summed by the same reduction as q[sites].sum()
+        q = (valencies * np.abs(_site_factor_rows(spec, ts)) ** 2 / size2).take(gathers)
+        return np.concatenate([q[:singles]] + [np.add.reduce(q[lo:hi].reshape(-1, r), 1)
+                                               for lo, hi, r in blocks])
 
-    times = _golden_max(face_mass, a, b)
-    events = [ev for t, p in zip(times.tolist(), _site_factor_rows(spec, times))
-              if (ev := _face_event(spec, t, p, tol)) is not None]
+    times = _golden_max(face_mass, a.tolist(), b.tolist())
+    events = [ev for ev in _face_events(spec, times, _site_factor_rows(spec, times), tol)
+              if ev is not None]
     events.sort(key=lambda ev: ev.time)
     return _dedupe(events, _grid_spacing(grid))
 

@@ -60,15 +60,28 @@ def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
     return H
 
 
-def _single_copy_evolution(spec: WalkSpec, t: float) -> np.ndarray:
-    """exp(-i t R) for the one-copy Hamiltonian R, via the base idempotents."""
+def _base_idempotents(spec: WalkSpec) -> list:
+    """The d+1 dense base idempotents E_j."""
+    return [spec.base.idempotent(j) for j in range(spec.base.classes)]
+
+
+def _projector_evolution(spec: WalkSpec, t: float, start_vertex: int, idempotents) -> np.ndarray:
+    """exp(-i t M) applied to the vertex indicator, slot by slot: each copy
+    is phased by exp(-i t R) = sum_j exp(-i t theta_j) E_j, R the one-copy
+    Hamiltonian and E_j = ``idempotents[j]``."""
     scheme = spec.base
     P = scheme.first_eigenmatrix
     F = np.zeros((scheme.size, scheme.size), dtype=complex)
-    for j in range(scheme.classes):
+    for j, E in enumerate(idempotents):
         rate = sum(spec.weights[i - 1] * P[j, i] for i in range(1, scheme.classes))
-        F += np.exp(-1j * t * rate) * scheme.idempotent(j)
-    return F
+        F += np.exp(-1j * t * rate) * E
+    rows = scheme.size ** spec.copies
+    state = np.zeros(rows, dtype=complex)
+    state[start_vertex] = 1.0
+    tensor = state.reshape((scheme.size,) * spec.copies) if spec.copies else state
+    for axis in range(spec.copies):
+        tensor = np.moveaxis(np.tensordot(F, tensor, axes=(1, axis)), 0, axis)
+    return tensor.reshape(rows)
 
 
 def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "eig") -> np.ndarray:
@@ -81,15 +94,8 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     start_vertex = _start_index(spec, start_vertex)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    rows = spec.base.size ** spec.copies
     if method == "projector":
-        F = _single_copy_evolution(spec, t)
-        state = np.zeros(rows, dtype=complex)
-        state[start_vertex] = 1.0
-        tensor = state.reshape((spec.base.size,) * spec.copies) if spec.copies else state
-        for axis in range(spec.copies):
-            tensor = np.moveaxis(np.tensordot(F, tensor, axes=(1, axis)), 0, axis)
-        return tensor.reshape(rows)
+        return _projector_evolution(spec, t, start_vertex, _base_idempotents(spec))
     if method == "eig":
         vals, vecs = _dense_eigh(spec)
         return vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[start_vertex, :]))
@@ -141,7 +147,8 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     For each time, checks that the dense state is constant on every class
     (membership taken relative to the start vertex), equals f_beta there,
     agrees between the two dense methods, and stays normalized.  One
-    eigendecomposition of the dense Hamiltonian serves every time.
+    eigendecomposition of the dense Hamiltonian, and one set of dense base
+    idempotents, serves every time.
     """
     times = np.fromiter(times, dtype=float)
     if times.size == 0:
@@ -151,11 +158,12 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     _guarded_rows(spec.base, spec.copies, SWEEP_GUARD)
     members = vertex_classes(spec, start_vertex=0)
     vals, vecs = _dense_eigh(spec)
+    idempotents = _base_idempotents(spec)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0
     amp_err = cls_err = mth_err = nrm_err = 0.0
     for t in times:
         psi = vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[0, :]))
-        psi_proj = dense_evolution(spec, t, 0, method="projector")
+        psi_proj = _projector_evolution(spec, t, 0, idempotents)
         mth_err = np.maximum(mth_err, np.abs(psi - psi_proj).max())
         nrm_err = np.maximum(nrm_err, abs(np.linalg.norm(psi) - 1.0))
         prof = amplitudes(spec, t)

@@ -31,6 +31,20 @@ class WalkSpec:
     copies: int
     weights: np.ndarray
 
+    def __post_init__(self):
+        """Check the fields and hold the weights as a read-only complex copy."""
+        weights = np.array(self.weights, dtype=complex)
+        if weights.shape != (self.base.d,):
+            raise ValueError(f"expected {self.base.d} weights, got {weights.shape}")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        (copies,) = _integers((self.copies,), "copies")
+        if copies < 0:
+            raise ValueError("copies must be non-negative")
+        weights.setflags(write=False)
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "weights", weights)
+
     @functools.cached_property
     def table(self) -> ClassTable:
         """The class table of the N-th power scheme, built on first use."""
@@ -59,15 +73,8 @@ class WalkSpec:
 
 
 def walk_spec(base: AssociationScheme, copies: int, weights) -> WalkSpec:
-    weights = np.asarray(weights, dtype=complex)
-    if weights.shape != (base.d,):
-        raise ValueError(f"expected {base.d} weights, got {weights.shape}")
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    (copies,) = _integers((copies,), "copies")
-    if copies < 0:
-        raise ValueError("copies must be non-negative")
-    weights.setflags(write=False)
+    """``WalkSpec(base, copies, weights)``, with a warning when the weights
+    are not Hermitian."""
     spec = WalkSpec(base=base, copies=copies, weights=weights)
     if not spec.is_hermitian:
         warnings.warn("weights are not Hermitian; evolution will not be unitary", stacklevel=2)

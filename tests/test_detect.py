@@ -312,6 +312,54 @@ def test_scan_lockstep_matches_one_run_at_a_time_bitwise(spec, grid, tol):
     assert _event_bits(scan(spec, grid, tol=tol)) == _event_bits(_scan_one_run_at_a_time(spec, grid, tol))
 
 
+def _peak_runs(monkeypatch, spec, grid):
+    # the number of brackets refined in lockstep: the length of the second
+    # kernel call's time batch
+    from simplexwalk import detect, walk
+
+    calls = []
+
+    def counting(spec, times):
+        calls.append(len(times))
+        return walk._site_factor_rows(spec, times)
+
+    with monkeypatch.context() as m:
+        m.setattr(detect, "_site_factor_rows", counting)
+        scan(spec, grid)
+    return calls[1]
+
+
+@pytest.mark.parametrize("sc, steps", [
+    (ngon_mpst_scenario(9, 1), 400), (ngon_mpst_scenario(12, 1), 1000),
+    (ow_fr_scenario(3, 2, 2), 400), (ngon_mpst_scenario(5, 2), 400),
+], ids=lambda x: getattr(x, "label", str(x)))
+@pytest.mark.parametrize("tol", [1e-8, 0.1])
+def test_scan_lockstep_matches_one_run_at_a_time_bitwise_on_many_runs(monkeypatch, sc, steps, tol):
+    grid = np.linspace(0.0, 4 * math.pi, steps)
+    assert _peak_runs(monkeypatch, sc.spec, grid) >= 40
+    events = scan(sc.spec, grid, tol=tol)
+    assert events and _event_bits(events) == _event_bits(_scan_one_run_at_a_time(sc.spec, grid, tol))
+
+
+@pytest.mark.parametrize("sc", [ngon_mpst_scenario(3, 2), ngon_mpst_scenario(4, 1),
+                                hypercube_pst_scenario(3), ow_fr_scenario(3, 2, 2)],
+                         ids=lambda sc: sc.label)
+def test_scan_reads_the_trivial_eigenvalue_at_most_once(monkeypatch, sc):
+    from simplexwalk import detect, walk
+
+    calls = []
+
+    def counting(spec, alpha):
+        calls.append(tuple(alpha))
+        return walk.eigenvalue_lambda(spec, alpha)
+
+    monkeypatch.setattr(detect, "eigenvalue_lambda", counting)
+    events = scan(sc.spec, np.linspace(0.0, 4 * math.pi, 400))
+    assert len(calls) <= 1
+    if any(ev.kind == "PST" for ev in events):
+        assert calls == [(sc.spec.copies,) + (0,) * sc.spec.base.d]
+
+
 @pytest.mark.parametrize("sc", [hypercube_pst_scenario(12), ow_fr_scenario(3, 2, 2)],
                          ids=lambda sc: sc.label)
 def test_scan_kernel_calls_do_not_grow_with_peak_runs(monkeypatch, sc):

@@ -283,6 +283,24 @@ def test_compare_amplitudes_diagonalizes_once(monkeypatch):
     assert report.max_error < 1e-9
 
 
+def test_compare_amplitudes_builds_the_base_idempotents_once(monkeypatch):
+    from simplexwalk.schemes import AssociationScheme
+
+    calls = []
+    idempotent = AssociationScheme.idempotent
+
+    def counted(self, j):
+        calls.append(j)
+        return idempotent(self, j)
+
+    monkeypatch.setattr(AssociationScheme, "idempotent", counted)
+    spec = walk_spec(directed_ngon(4), 2, canonical_ngon_weights(4))
+    times = [0.0, 0.4, 1.1, 2.0, 3.7]
+    report = compare_amplitudes(spec, times)
+    assert sorted(calls) == [0, 1, 2, 3]  # d+1, however many times
+    assert report.max_error < 1e-9
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_compare_amplitudes_rejects_non_finite_times(t):
     spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))

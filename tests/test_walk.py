@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from simplexwalk import (
     WalkSpec,
     amplitudes,
+    bivariate_recurrence_residual,
     canonical_ngon_weights,
     class_valency,
     directed_ngon,
@@ -26,7 +27,7 @@ from simplexwalk import (
     walk_spec,
     z_factors,
 )
-from simplexwalk import extension, walk
+from simplexwalk import extension, oracle, walk
 from simplexwalk.oracle import GOLDEN_BM3_W1, GOLDEN_BM3_W2
 
 
@@ -66,6 +67,53 @@ def test_non_hermitian_warns():
     with pytest.warns(UserWarning):
         spec = walk_spec(directed_ngon(3), 1, [1.0, 0.5])
     assert not spec.is_hermitian
+
+
+@pytest.mark.parametrize("copies, weights, match", [
+    (2.5, canonical_ngon_weights(3), "integers"),
+    (True, canonical_ngon_weights(3), "integers"),
+    (np.bool_(True), canonical_ngon_weights(3), "integers"),
+    ("2", canonical_ngon_weights(3), "integers"),
+    (-1, canonical_ngon_weights(3), "non-negative"),
+    (2, [1.0], "expected 2 weights"),
+    (2, [[1.0, 1.0]], "expected 2 weights"),
+    (2, [1.0, float("nan")], "finite"),
+    (2, [complex(1.0, float("inf")), 1.0], "finite"),
+])
+def test_walk_spec_constructor_checks_its_fields(copies, weights, match):
+    # the dataclass itself checks, not only the walk_spec factory
+    with pytest.raises(ValueError, match=match):
+        WalkSpec(directed_ngon(3), copies, weights)
+    with pytest.raises(ValueError, match=match):
+        walk_spec(directed_ngon(3), copies, weights)
+
+
+def test_walk_spec_constructor_normalizes_its_fields():
+    w = np.array([1.0, 2.0])
+    spec = WalkSpec(directed_ngon(3), np.int64(3), w)
+    assert type(spec.copies) is int and spec.copies == 3
+    assert spec.weights.dtype == complex and not spec.weights.flags.writeable
+    assert w.flags.writeable  # the caller's array is copied, not frozen
+    assert WalkSpec(trivial_scheme_2(), 2.0, [1]).copies == 2
+    assert dataclasses.replace(spec, copies=1).copies == 1
+    with pytest.raises(ValueError, match="integers"):
+        dataclasses.replace(spec, copies=1.5)
+
+
+def test_direct_construction_does_not_warn():
+    # solve_weights and the oracle's probes build non-Hermitian specs on purpose
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = WalkSpec(directed_ngon(3), 1, [1.0, 0.5])
+        assert not spec.is_hermitian
+        solve_weights(ordered_word_scheme(3), 1.0, [0.3, 1.1, 2.0])
+        oracle.golden_bmatrix_residual()
+        bivariate_recurrence_residual(2, 1.0, 0.5)
+
+
+def test_total_probability_of_a_direct_spec_is_finite():
+    spec = WalkSpec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    assert abs(amplitudes(spec, 0.7).total_probability() - 1.0) < 1e-12
 
 
 def test_eigenvalues_ngon3_single_copy():
