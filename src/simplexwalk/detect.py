@@ -201,11 +201,6 @@ def _face_events(spec: WalkSpec, times, p: np.ndarray, tol: float) -> list:
     return list(map(named, times, p, q.tolist(), ranked.tolist(), helds.tolist()))
 
 
-def _face_event(spec: WalkSpec, t: float, p: np.ndarray, tol: float):
-    """The event at one time: the one row of ``_face_events``."""
-    return _face_events(spec, [t], np.asarray(p)[None, :], tol)[0]
-
-
 def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """Locate transfer events along a sorted time grid.
 
@@ -293,7 +288,7 @@ def _dedupe(events, spacing) -> list:
 def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """Classes whose probability multinomial(N; beta) prod_k q_k^beta_k stays
     below tol over the whole grid; the products are the class monomials of
-    the site masses (``ClassTable.monomials``), one time at a time.
+    the site masses (``ExtensionScheme.monomials``), one time at a time.
 
     Only candidates: a finite grid cannot certify vanishing for all times.
     """
@@ -302,11 +297,11 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     if not len(grid):
         return []
     table = spec.table
-    worst = np.zeros(len(table.order))
+    worst = np.zeros(table.dimension)
     for q in _site_masses(spec, _site_factor_rows(spec, grid)):
         worst = np.maximum(worst, table.multinomial * table.monomials(q, np.ones(len(worst))))
     return [TransferEvent(kind="ZT-candidate", time=None, support=(beta,), fidelity=0.0)
-            for beta in sorted(b for b, w in zip(table.order, worst) if w < tol)]
+            for beta in sorted(b for b, w in zip(table.index_set, worst) if w < tol)]
 
 
 def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
@@ -372,7 +367,7 @@ def ow_fr_scenario(d: int, N: int, k: int) -> Scenario:
     sol = solve_weights(scheme, t_star, args)
     spec = walk_spec(scheme, N, sol.weights)
     support = tuple(
-        beta for beta in spec.table.order if all(beta[j] == 0 for j in range(k, d + 1))
+        beta for beta in spec.table.index_set if all(beta[j] == 0 for j in range(k, d + 1))
     )
     if len(support) == 1:
         kind = "PST"

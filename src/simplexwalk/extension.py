@@ -119,40 +119,28 @@ def symmetric_power_row(M, beta) -> dict:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtensionScheme:
-    """Symbolic handle on the N-th symmetric tensor power of ``base``."""
+    """The N-th symmetric tensor power of ``base``, N = ``copies``, as its
+    class table in canonical order: ``index`` row r, ``valency`` and
+    ``multinomial`` hold index_set[r], k_beta and multinomial(N; beta)."""
 
     base: AssociationScheme
     copies: int
     index_set: tuple
-    position: dict
-
-    @property
-    def dimension(self) -> int:
-        return len(self.index_set)
-
-
-def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
-    table = class_table(base, N)
-    return ExtensionScheme(base=base, copies=N, index_set=table.order, position=table.position)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class ClassTable:
-    """Classes of an N-th power scheme in canonical order; ``index`` row r,
-    ``valency`` and ``multinomial`` hold order[r], k_beta and multinomial(N; beta)."""
-
-    order: tuple
     position: types.MappingProxyType
     index: np.ndarray
     valency: np.ndarray
     multinomial: np.ndarray
 
+    @property
+    def dimension(self) -> int:
+        return len(self.index_set)
+
     def monomials(self, x, out) -> np.ndarray:
-        """out[..., r] *= prod_k x[..., k]^beta_k in place, beta = order[r]:
+        """out[..., r] *= prod_k x[..., k]^beta_k in place, beta = index_set[r]:
         the powers 0..N of each x_k are formed once and gathered by the
         table's exponent column, and x_k^0 is skipped, so the zeros and
         signs of ``out`` stay where beta_k = 0."""
-        powers = np.asarray(x)[..., None] ** np.arange(int(self.index[0].sum()) + 1)
+        powers = np.asarray(x)[..., None] ** np.arange(self.copies + 1)
         for k, (exponents, used) in enumerate(zip(self.index.T, self.index.T > 0)):
             np.multiply(out, powers[..., k, exponents], out=out, where=used)
         return out
@@ -164,12 +152,11 @@ class ClassTable:
         ordered by beta_s = 0..n.  Built on first access only, so tables
         that never take a two-slot step do not grow."""
         index = self.index
-        N = int(index[0].sum())
         blocks = {}
         for s, t in itertools.combinations(range(index.shape[1]), 2):
             n = index[:, s] + index[:, t]
             rows = np.lexsort((index[:, s], *np.delete(index, (s, t), axis=1).T, n))
-            segments = np.split(rows, np.cumsum(np.bincount(n, minlength=N + 1))[:-1])
+            segments = np.split(rows, np.cumsum(np.bincount(n, minlength=self.copies + 1))[:-1])
             blocks[s, t] = [seg.reshape(-1, k + 1) for k, seg in enumerate(segments)]
         return blocks
 
@@ -182,9 +169,9 @@ def _binomial_row(r: int) -> list:
     return row
 
 
-def class_table(base: AssociationScheme, N: int) -> ClassTable:
-    """The class table of the N-th power of ``base``, uncached: a walk holds
-    its own as ``WalkSpec.table``.  multinomial(N; beta) = prod_i C(r_i,
+def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
+    """The N-th power of ``base`` with its class table, uncached: a walk
+    holds its own as ``WalkSpec.table``.  multinomial(N; beta) = prod_i C(r_i,
     beta_i), r_i the copies left before slot i, and k_beta = multinomial(N;
     beta) * prod_i k_i^beta_i stay exact ints up to their float conversion;
     d = 1 reads one binomial row, since the last slot's is C(r_d, r_d) = 1."""
@@ -204,16 +191,16 @@ def class_table(base: AssociationScheme, N: int) -> ClassTable:
     multinomials, valency = np.array(multinomials), np.array(valency)
     for a in (index, valency, multinomials):
         a.setflags(write=False)
-    return ClassTable(order=order, position=position, index=index, valency=valency,
-                      multinomial=multinomials)
+    return ExtensionScheme(base=base, copies=N, index_set=order, position=position, index=index,
+                           valency=valency, multinomial=multinomials)
 
 
-def _symmetric_power_state(V, start, table: ClassTable) -> np.ndarray:
+def _symmetric_power_state(V, start, table: ExtensionScheme) -> np.ndarray:
     """Sym^N of the unitary V applied to the class state ``start``, on the
     normalised class states: entry gamma is the coefficient of x^gamma in
     prod_i (sum_j V[i,j] x_j)^start_i times sqrt(gamma! / start!).  From an
     extreme start N e_s that is sqrt(multinomial(N; gamma)) prod_j
-    V[s,j]^gamma_j (``ClassTable.monomials``); else ``_givens_state``."""
+    V[s,j]^gamma_j (``ExtensionScheme.monomials``); else ``_givens_state``."""
     V = np.asarray(V, dtype=complex)
     if np.count_nonzero(start) <= 1:
         state = np.sqrt(table.multinomial).astype(complex)
@@ -221,11 +208,11 @@ def _symmetric_power_state(V, start, table: ClassTable) -> np.ndarray:
     return _givens_state(V, start, table)
 
 
-def _givens_state(V, start, table: ClassTable) -> np.ndarray:
+def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
     """``_symmetric_power_state`` from any start.  Givens rotations G_k on
     the slot pairs s < t, column by column, bring V to the diagonal
     D = G_m ... G_1 V, so the state is lifted through each G_k^+ in turn,
-    then through D as prod_j D_jj^gamma_j (``ClassTable.monomials``).
+    then through D as prod_j D_jj^gamma_j (``ExtensionScheme.monomials``).
     Each G_k is in SU(2) with a real diagonal c >= 0, so G_k = exp(iK),
     K = [[0, conj(kappa)], [kappa, 0]], |kappa| = atan2(|G_ts|, c) <= pi/2.
     On the classes with n units in slots s and t, G_k^+ acts by
@@ -233,8 +220,8 @@ def _givens_state(V, start, table: ClassTable) -> np.ndarray:
     J_n the real lift of [[0, 1], [1, 0]]: its eigh is taken once per n, so
     every step is unitary to rounding."""
     V = np.array(V, dtype=complex)
-    N = sum(start)
-    state = np.zeros(len(table.order), dtype=complex)
+    N = table.copies
+    state = np.zeros(table.dimension, dtype=complex)
     state[table.position[tuple(start)]] = 1.0
     spins = []
     for n in range(N + 1):  # J_n[a+1, a] = J_n[a, a+1] = sqrt((a+1)(n-a))

@@ -26,6 +26,7 @@ from .schemes import (
 )
 from .walk import (
     WalkSpec,
+    _amplitude_rows,
     amplitudes,
     canonical_ngon_weights,
     evolve_projected,
@@ -110,21 +111,27 @@ def _dense_eigh(spec: WalkSpec):
     return np.linalg.eigh(H)
 
 
-def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:
-    """Map each class index to the vertices related to the start vertex.
-
-    Vertex v is in class beta when beta_k of its copies s have
-    A_k[v_s, u_s] = 1, u the start vertex: the per-copy relation counts are
-    read from the start column alone, never from a class matrix.
-    """
-    u = _start_index(spec, start_vertex)
+def _class_positions(spec: WalkSpec, start) -> np.ndarray:
+    """pos[v] = the table position of the class holding vertex v: v is in
+    class beta when beta_k of its copies s have A_k[v_s, u_s] = 1, u the
+    start vertex.  The per-copy relation counts are read from the start
+    column alone, never from a class matrix, and each distinct count row
+    is looked up once."""
+    u = _start_index(spec, start)
     R = _relation_table(spec.base.adjacency)
     digits = np.unravel_index(u, (spec.base.size,) * spec.copies)
     counts = _relation_counts([R[:, [x]] for x in digits], range(spec.base.classes))[:, :, 0].T
-    table = spec.table
-    pos = np.array([table.position[c] for c in map(tuple, counts.tolist())], dtype=np.intp)
-    bounds = np.cumsum(np.bincount(pos, minlength=len(table.order)))[:-1]
-    return dict(zip(table.order, np.split(np.argsort(pos, kind="stable"), bounds)))
+    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
+    found = np.array([spec.table.position[c] for c in map(tuple, rows.tolist())], dtype=np.intp)
+    return found[inverse.reshape(-1)]
+
+
+def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:
+    """Map each class index to the vertices related to the start vertex
+    (``_class_positions``), in increasing order."""
+    pos, table = _class_positions(spec, start_vertex), spec.table
+    bounds = np.cumsum(np.bincount(pos, minlength=table.dimension))[:-1]
+    return dict(zip(table.index_set, np.split(np.argsort(pos, kind="stable"), bounds)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,22 +163,21 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     _guarded_rows(spec.base, spec.copies, SWEEP_GUARD)
-    members = vertex_classes(spec, start_vertex=0)
+    pos = _class_positions(spec, 0)
+    sizes = np.bincount(pos)
     vals, vecs = _dense_eigh(spec)
     idempotents = _base_idempotents(spec)
+    _, f = _amplitude_rows(spec, times)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0
     amp_err = cls_err = mth_err = nrm_err = 0.0
-    for t in times:
+    for t, f_t in zip(times, f):
         psi = vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[0, :]))
         psi_proj = _projector_evolution(spec, t, 0, idempotents)
         mth_err = np.maximum(mth_err, np.abs(psi - psi_proj).max())
         nrm_err = np.maximum(nrm_err, abs(np.linalg.norm(psi) - 1.0))
-        prof = amplitudes(spec, t)
-        for beta, verts in members.items():
-            found = psi[verts]
-            mean = found.mean()
-            cls_err = np.maximum(cls_err, np.abs(found - mean).max())
-            amp_err = np.maximum(amp_err, abs(mean - prof.coefficients[beta]))
+        mean = (np.bincount(pos, psi.real) + 1j * np.bincount(pos, psi.imag)) / sizes
+        cls_err = np.maximum(cls_err, np.abs(psi - mean[pos]).max())
+        amp_err = np.maximum(amp_err, np.abs(mean - f_t).max())
     return ComparisonReport(
         times=tuple(times.tolist()),
         max_amplitude_error=float(amp_err),

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .extension import ClassTable, _integers, _symmetric_power_state, class_table
+from .extension import ExtensionScheme, _integers, _symmetric_power_state, extension_scheme
 from .schemes import AssociationScheme, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -46,9 +46,9 @@ class WalkSpec:
         object.__setattr__(self, "weights", weights)
 
     @functools.cached_property
-    def table(self) -> ClassTable:
-        """The class table of the N-th power scheme, built on first use."""
-        return class_table(self.base, self.copies)
+    def table(self) -> ExtensionScheme:
+        """The N-th power scheme with its class table, built on first use."""
+        return extension_scheme(self.base, self.copies)
 
     @functools.cached_property
     def _site_terms(self) -> tuple:
@@ -115,6 +115,8 @@ def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
 
 def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
     """Unit phases z_l(t) = exp(i t mu_l), one per nontrivial idempotent."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     return np.exp(1j * t * spec._site_terms[0])
 
 
@@ -134,6 +136,8 @@ def site_factors(spec: WalkSpec, t: float) -> np.ndarray:
     Whenever p_k vanishes, every class with beta_k > 0 carries zero
     amplitude at time t.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     return _site_factor_rows(spec, [t])[0]
 
 
@@ -161,7 +165,7 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
     prod_k p_k^beta_k (k = 0..d in turn, p_k^0 skipped), row i per time.
 
     The site factors come from one ``_site_factor_rows`` call, and the
-    products from one ``ClassTable.monomials`` call over every time.
+    products from one ``ExtensionScheme.monomials`` call over every time.
     """
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
@@ -169,7 +173,7 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
     table = spec.table
     theta0 = complex(_one_copy_spectrum(spec)[0])
     prefactor = np.exp(-1j * times * spec.copies * theta0) / float(spec.base.size) ** spec.copies
-    f = np.repeat(prefactor[:, None], len(table.order), axis=1)
+    f = np.repeat(prefactor[:, None], table.dimension, axis=1)
     return table, table.monomials(_site_factor_rows(spec, times), f)
 
 
@@ -178,9 +182,9 @@ def amplitudes(spec: WalkSpec, t: float) -> AmplitudeProfile:
     table, (f,) = _amplitude_rows(spec, (t,))
     return AmplitudeProfile(
         time=float(t),
-        coefficients=dict(zip(table.order, f.tolist())),
-        site_amplitudes=dict(zip(table.order, (f * np.sqrt(table.valency)).tolist())),
-        class_probabilities=dict(zip(table.order, (table.valency * np.abs(f) ** 2).tolist())),
+        coefficients=dict(zip(table.index_set, f.tolist())),
+        site_amplitudes=dict(zip(table.index_set, (f * np.sqrt(table.valency)).tolist())),
+        class_probabilities=dict(zip(table.index_set, (table.valency * np.abs(f) ** 2).tolist())),
         hermitian=spec.is_hermitian,
     )
 
@@ -236,12 +240,12 @@ class ProjectedMatrix:
     on first access.
     """
 
-    table: ClassTable
+    table: ExtensionScheme
     one_body: np.ndarray
 
     @property
     def order(self) -> tuple:
-        return self.table.order
+        return self.table.index_set
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -263,7 +267,7 @@ class ProjectedMatrix:
     def hermiticity_residual(self) -> float:
         """max |B - B^dagger|, read off h: the lift scales the off-diagonal
         defects of h by at most max_x sqrt(x (N - x + 1)), the diagonal by N."""
-        N = sum(self.order[0])
+        N = self.table.copies
         x = (N + 1) // 2
         scale = np.full(self.one_body.shape, math.sqrt(x * (N - x + 1)))
         np.fill_diagonal(scale, N)

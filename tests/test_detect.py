@@ -280,7 +280,7 @@ def _scan_one_run_at_a_time(spec, grid, tol):
         for first, last, sites in runs:
             a, b = grid[max(first - 1, 0)], grid[min(last + 1, len(grid) - 1)]
             t = _golden_max_scalar(lambda s: masses(s)[sites].sum(), a, b) if b > a else a
-            ev = detect._face_event(spec, float(t), site_factors(spec, t), tol)
+            ev = detect._face_events(spec, [float(t)], site_factors(spec, t)[None, :], tol)[0]
             if ev is not None:
                 events.append(ev)
     events.sort(key=lambda ev: ev.time)
@@ -587,10 +587,10 @@ def _zt_by_class_product(spec, grid, tol):
     from simplexwalk.walk import _site_factor_rows
 
     table = spec.table
-    worst = np.zeros(len(table.order))
+    worst = np.zeros(len(table.index_set))
     for q in _site_masses(spec, _site_factor_rows(spec, np.asarray(grid, dtype=float))):
         worst = np.maximum(worst, table.multinomial * np.prod(q ** table.index, axis=1))
-    return sorted(b for b, w in zip(table.order, worst) if w < tol)
+    return sorted(b for b, w in zip(table.index_set, worst) if w < tol)
 
 
 SHIPPED_SCENARIOS = ([ngon_mpst_scenario(n, N) for n in range(2, 6) for N in range(1, 5)]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexwalk import (
+    ExtensionScheme,
     class_valency,
     directed_ngon,
     enumerate_indices,
@@ -26,7 +28,6 @@ from simplexwalk import detect, extension, krawtchouk, walk
 from simplexwalk.extension import (
     _givens_state,
     _symmetric_power_state,
-    class_table,
     symmetric_power_row,
 )
 
@@ -230,13 +231,39 @@ def test_symmetric_power_row_sums_to_row_product():
                          + [(directed_ngon(3), N) for N in range(41)]
                          + [(ordered_word_scheme(4), N) for N in range(9)])
 def test_class_table_matches_exact_bookkeeping(base, N):
-    table = class_table(base, N)
-    ext = extension_scheme(base, N)
-    assert table.order == tuple(enumerate_indices(N, base.d)) == ext.index_set
-    assert table.position == {beta: i for i, beta in enumerate(table.order)}
-    np.testing.assert_array_equal(table.index, np.array(table.order))
-    assert table.valency.tolist() == [float(class_valency(ext, b)) for b in table.order]
-    assert table.multinomial.tolist() == [float(multinomial(N, b)) for b in table.order]
+    table = extension_scheme(base, N)
+    assert table.index_set == tuple(enumerate_indices(N, base.d))
+    assert table.position == {beta: i for i, beta in enumerate(table.index_set)}
+    np.testing.assert_array_equal(table.index, np.array(table.index_set))
+    assert table.valency.tolist() == [float(class_valency(table, b)) for b in table.index_set]
+    assert table.multinomial.tolist() == [float(multinomial(N, b)) for b in table.index_set]
+
+
+@pytest.mark.parametrize("spec", [
+    walk.walk_spec(directed_ngon(3), 3, walk.canonical_ngon_weights(3)),
+    walk.walk_spec(directed_ngon(4), 0, walk.canonical_ngon_weights(4)),
+    walk.walk_spec(ordered_word_scheme(2), 2, [0.5, 0.5]),
+    walk.walk_spec(trivial_scheme_2(), 4, [1.0]),
+], ids=["ngon3-N3", "ngon4-N0", "ow2-N2", "trivial2-N4"])
+def test_walk_table_is_the_extension_scheme(spec):
+    # a walk's own table and a fresh build agree field by field, and every
+    # index-level function reads either the same way
+    table, ext = spec.table, extension_scheme(spec.base, spec.copies)
+    assert type(table) is ExtensionScheme and table is not ext
+    for field in dataclasses.fields(ExtensionScheme):
+        mine, fresh = getattr(table, field.name), getattr(ext, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == fresh.dtype and mine.shape == fresh.shape
+            assert mine.tobytes() == fresh.tobytes() and not mine.flags.writeable
+        else:
+            assert mine == fresh, field.name
+    assert table.base is spec.base and table.copies == spec.copies
+    assert indices_json(table) == indices_json(ext)
+    for beta in ext.index_set:
+        assert class_valency(table, beta) == class_valency(ext, beta)
+        assert materialize_class(table, beta).tobytes() == materialize_class(ext, beta).tobytes()
+        for alpha in ext.index_set:
+            assert extension_cosine(table, alpha, beta) == extension_cosine(ext, alpha, beta)
 
 
 def test_walk_builds_its_class_table_once(monkeypatch):
@@ -246,9 +273,9 @@ def test_walk_builds_its_class_table_once(monkeypatch):
 
     def counting(base, N):
         builds.append((id(base), N))
-        return class_table(base, N)
+        return extension.extension_scheme(base, N)
 
-    monkeypatch.setattr(walk, "class_table", counting)
+    monkeypatch.setattr(walk, "extension_scheme", counting)
     specs = [walk.walk_spec(directed_ngon(3), N, walk.canonical_ngon_weights(3)) for N in range(1, 13)]
     for _ in range(3):
         for spec in specs:
@@ -275,11 +302,11 @@ def test_class_table_build_leaves_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        table = class_table(trivial_scheme_2(), 940)
+        table = extension_scheme(trivial_scheme_2(), 940)
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert len(table.order) == 941
+    assert len(table.index_set) == 941
 
 
 def _random_unitary(seed, d):
@@ -294,15 +321,15 @@ def _rescaled_row(V, start, table):
     # the expansion reference: row ``start`` of Sym^N(V) on the normalised states
     row = symmetric_power_row(V, start)
     scale = np.sqrt(table.multinomial[table.position[start]] / table.multinomial)
-    return np.array([row[g] for g in table.order]) * scale
+    return np.array([row[g] for g in table.index_set]) * scale
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(0, 4), N=st.integers(0, 6))
 def test_symmetric_power_state_matches_expansion(seed, d, N):
     V = _random_unitary(seed, d)
-    table = class_table(directed_ngon(d + 1), N)
-    for start in table.order:
+    table = extension_scheme(directed_ngon(d + 1), N)
+    for start in table.index_set:
         ref = _rescaled_row(V, start, table)
         np.testing.assert_allclose(_symmetric_power_state(V, start, table), ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(_givens_state(V, start, table), ref, rtol=0, atol=1e-12)
@@ -314,7 +341,7 @@ def test_product_form_matches_givens_lift(seed, d, N):
     # from each extreme start the product form and the Givens lift are two
     # independent routes to the same state
     V = _random_unitary(seed, d)
-    table = class_table(directed_ngon(d + 1), N)
+    table = extension_scheme(directed_ngon(d + 1), N)
     for s in range(d + 1):
         start = tuple(N if j == s else 0 for j in range(d + 1))
         product = _symmetric_power_state(V, start, table)
@@ -322,12 +349,12 @@ def test_product_form_matches_givens_lift(seed, d, N):
 
 
 def test_pair_blocks_are_built_lazily_and_partition_the_table():
-    table = class_table(ordered_word_scheme(3), 5)
+    table = extension_scheme(ordered_word_scheme(3), 5)
     assert "_pair_blocks" not in vars(table)
     blocks = table._pair_blocks
     assert list(blocks) == list(itertools.combinations(range(4), 2))
     for (s, t), by_n in blocks.items():
-        assert sorted(np.concatenate([b.ravel() for b in by_n]).tolist()) == list(range(len(table.order)))
+        assert sorted(np.concatenate([b.ravel() for b in by_n]).tolist()) == list(range(len(table.index_set)))
         for n, rows in enumerate(by_n):
             for block in table.index[rows]:
                 assert block[:, s].tolist() == list(range(n + 1))
@@ -340,7 +367,7 @@ def _class_products(table, x, out):
     """out[..., r] times prod over k with beta_k > 0 of x[..., k]^beta_k, one
     class at a time."""
     ref = np.array(out, copy=True)
-    for r, beta in enumerate(table.order):
+    for r, beta in enumerate(table.index_set):
         for k, b in enumerate(beta):
             if b:
                 ref[..., r] = ref[..., r] * x[..., k] ** b
@@ -352,9 +379,9 @@ def _class_products(table, x, out):
        batch=st.sampled_from([(), (1,), (5,)]), is_complex=st.booleans())
 def test_monomials_match_per_class_product(seed, d, N, batch, is_complex):
     rng = np.random.default_rng(seed)
-    table = class_table(directed_ngon(d + 1), N)
+    table = extension_scheme(directed_ngon(d + 1), N)
     x = rng.normal(size=batch + (d + 1,))
-    out = rng.normal(size=batch + (len(table.order),))
+    out = rng.normal(size=batch + (len(table.index_set),))
     if is_complex:
         x = x + 1j * rng.normal(size=x.shape)
         out = out + 1j * rng.normal(size=out.shape)
@@ -368,30 +395,30 @@ def test_monomials_skip_zeroth_powers():
     # N = 0: the one class has beta = 0, so nothing is multiplied, not even
     # nan^0 = 1 or (1 + 0j) on a signed zero
     out = np.array([complex(0.0, -0.0)])
-    class_table(directed_ngon(3), 0).monomials(np.array([np.nan, 1j, -0.0]), out)
+    extension_scheme(directed_ngon(3), 0).monomials(np.array([np.nan, 1j, -0.0]), out)
     assert out.tobytes() == np.array([complex(0.0, -0.0)]).tobytes()
     # (-1) * 1j = -0.0 - 1j; a further (1 + 0j) for the unused slot would
     # turn the real part to +0.0
-    table = class_table(trivial_scheme_2(), 1)
+    table = extension_scheme(trivial_scheme_2(), 1)
     out = table.monomials(np.array([1j, 1j]), np.full(2, -1.0 + 0.0j))
     np.testing.assert_array_equal(out, [-1j, -1j])
     assert np.signbit(out.real).all()
     # real signed zeros: -0.0 in out flips its sign once per factor -0.0
-    table = class_table(directed_ngon(3), 2)
-    out = table.monomials(np.array([0.0, 2.0, -0.0]), np.full(len(table.order), -0.0))
-    for beta, value in zip(table.order, out):
+    table = extension_scheme(directed_ngon(3), 2)
+    out = table.monomials(np.array([0.0, 2.0, -0.0]), np.full(len(table.index_set), -0.0))
+    for beta, value in zip(table.index_set, out):
         assert value == 0.0 and np.signbit(value) == (beta[2] % 2 == 0), beta
 
 
 def test_call_sites_reach_the_class_monomials(monkeypatch):
     calls = []
-    real = extension.ClassTable.monomials
+    real = extension.ExtensionScheme.monomials
 
     def counting(self, x, out):
         calls.append(np.shape(x))
         return real(self, x, out)
 
-    monkeypatch.setattr(extension.ClassTable, "monomials", counting)
+    monkeypatch.setattr(extension.ExtensionScheme, "monomials", counting)
     spec = walk.walk_spec(directed_ngon(3), 4, walk.canonical_ngon_weights(3))
     walk.amplitudes(spec, 0.3)
     assert calls == [(1, 3)]

@@ -335,6 +335,37 @@ def test_compare_amplitudes_hypercube_transfer_class():
     assert np.abs(psi[members]).max() > 1 - 1e-9
 
 
+def _class_loop_errors(spec, times):
+    """The amplitude and within-class errors class by class, one mean per
+    class and time, against the one-time ``amplitudes`` profiles."""
+    amp_err = cls_err = 0.0
+    members = vertex_classes(spec)
+    for t in times:
+        psi = dense_evolution(spec, t, 0)
+        coefficients = amplitudes(spec, t).coefficients
+        for beta, verts in members.items():
+            mean = psi[verts].mean()
+            cls_err = max(cls_err, np.abs(psi[verts] - mean).max())
+            amp_err = max(amp_err, abs(mean - coefficients[beta]))
+    return amp_err, cls_err
+
+
+@pytest.mark.parametrize("spec", [
+    walk_spec(directed_ngon(3), 4, canonical_ngon_weights(3)),
+    walk_spec(ordered_word_scheme(3), 2, [0.7, -0.3, 0.25]),
+    walk_spec(trivial_scheme_2(), 6, [1.0]),
+], ids=["ngon3-N4", "ow3-N2", "trivial2-N6"])
+def test_compare_amplitudes_matches_the_class_loop(spec):
+    # the bincount means sum in another order than a per-class mean, so
+    # the errors may differ by a few ulps of the unit-norm state's entries
+    times = np.random.default_rng(11).uniform(0.0, 8.0, size=6)
+    report = compare_amplitudes(spec, times)
+    amp_err, cls_err = _class_loop_errors(spec, times)
+    tol = 8 * np.finfo(float).eps
+    assert abs(report.max_amplitude_error - amp_err) <= tol
+    assert abs(report.max_within_class_error - cls_err) <= tol
+
+
 def test_compare_amplitudes_within_class_constancy():
     spec = walk_spec(ordered_word_scheme(3), 2, [0.7, -0.3, 0.25])
     rng = np.random.default_rng(5)

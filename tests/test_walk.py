@@ -61,6 +61,10 @@ def test_non_finite_times_rejected(bad):
         amplitudes(spec, bad)
     with pytest.raises(ValueError, match="finite"):
         evolve_projected(projected_matrix(spec), bad, (2, 0, 0))
+    with pytest.raises(ValueError, match="t must be finite"):
+        site_factors(spec, bad)
+    with pytest.raises(ValueError, match="t must be finite"):
+        z_factors(spec, np.float64(bad))
 
 
 def test_non_hermitian_warns():
@@ -316,7 +320,7 @@ def test_amplitude_rows_match_amplitudes_bitwise(scheme, N, times, re, im, hermi
     views = (f, f * np.sqrt(table.valency), table.valency * np.abs(f) ** 2)
     for i, t in enumerate(times):
         prof = amplitudes(spec, t)
-        assert tuple(prof.coefficients) == table.order
+        assert tuple(prof.coefficients) == table.index_set
         for view, expected in zip(views, (prof.coefficients, prof.site_amplitudes,
                                           prof.class_probabilities)):
             assert view[i].tobytes() == np.array(list(expected.values()), dtype=view.dtype).tobytes()
