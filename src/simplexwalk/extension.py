@@ -39,6 +39,7 @@ def enumerate_indices(N: int, d: int) -> list:
     This graded-lexicographic order is the canonical row/column order for
     projected matrices and all serialized output.
     """
+    N, d = _integers((N, d), "N and d")
     if N < 0 or d < 0:
         raise ValueError("N and d must be non-negative")
     prefixes = [()]
@@ -62,21 +63,29 @@ def _integers(values, what: str = "multi-index entries") -> tuple:
     return tuple(out)
 
 
+def _composition(values, N: int, parts: int = None) -> tuple:
+    """``values`` as a tuple of ints when it is a composition of N into
+    ``parts`` parts (any number of parts when None): the one check of a
+    class label, a lattice point of the simplex."""
+    beta = _integers(values)
+    parts = len(beta) if parts is None else parts
+    if len(beta) != parts or min(beta, default=0) < 0 or sum(beta) != N:
+        raise ValueError(f"{beta} is not a valid index: "
+                         f"not a composition of {N} into {parts} parts")
+    return beta
+
+
 def multinomial(N: int, beta) -> int:
     """Exact N! / prod(beta_i!)."""
-    beta = _integers(beta)
-    if any(b < 0 for b in beta):
-        raise ValueError("multi-index entries must be non-negative")
-    if sum(beta) != N:
-        raise ValueError(f"multi-index {beta} does not sum to {N}")
+    beta = _composition(beta, N)
     return math.prod(math.comb(total, b) for total, b in zip(itertools.accumulate(beta), beta))
 
 
 def multiset_arrangements(beta):
     """Distinct arrangements of the multiset {i repeated beta_i times}, in
     lexicographic order."""
-    counts = [int(b) for b in beta]
-    total = sum(counts)
+    total = sum(_integers(beta))
+    counts = list(_composition(beta, total))
     acc = []
 
     def rec():
@@ -91,7 +100,7 @@ def multiset_arrangements(beta):
                 acc.pop()
                 counts[i] += 1
 
-    yield from rec()
+    return rec()
 
 
 def symmetric_power_row(M, beta) -> dict:
@@ -175,6 +184,7 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
     beta_i), r_i the copies left before slot i, and k_beta = multinomial(N;
     beta) * prod_i k_i^beta_i stay exact ints up to their float conversion;
     d = 1 reads one binomial row, since the last slot's is C(r_d, r_d) = 1."""
+    (N,) = _integers((N,), "copies")
     d, valencies = base.d, base.valencies.tolist()
     order = tuple(enumerate_indices(N, d))
     position = types.MappingProxyType({beta: i for i, beta in enumerate(order)})
@@ -243,26 +253,12 @@ def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
     return table.monomials(np.diagonal(V), state)
 
 
-def _check_index(ext: ExtensionScheme, beta) -> tuple:
-    beta = _integers(beta)
-    if beta not in ext.position:
-        raise ValueError(f"{beta} is not a composition of {ext.copies} into {ext.base.d + 1} parts")
-    return beta
-
-
 def class_valency(ext: ExtensionScheme, beta) -> int:
     """k_beta = multinomial(N; beta) * prod_i k_i^beta_i, exact."""
-    beta = _check_index(ext, beta)
+    beta = _composition(beta, ext.copies, ext.base.classes)
     out = multinomial(ext.copies, beta)
     for b, k in zip(beta, ext.base.valencies):
         out *= int(k) ** b
-    return out
-
-
-def _kron_chain(mats, dtype) -> np.ndarray:
-    out = np.eye(1, dtype=dtype)
-    for m in mats:
-        out = np.kron(out, m)
     return out
 
 
@@ -279,7 +275,8 @@ def _materialize(ext: ExtensionScheme, index, factors, dtype) -> np.ndarray:
     rows = _guarded_rows(ext.base, ext.copies)
     total = np.zeros((rows, rows), dtype=dtype)
     for arrangement in multiset_arrangements(index):
-        total += _kron_chain([factors[s] for s in arrangement], dtype)
+        mats = [factors[s] for s in arrangement]
+        total += functools.reduce(np.kron, mats, np.eye(1, dtype=dtype))
     return total
 
 
@@ -308,7 +305,7 @@ def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
     """Dense 0/1 adjacency matrix of the class labelled by beta: (v, w) is
     in it when, for each k with beta_k > 0, exactly beta_k copies s have
     A_k[v_s, w_s] = 1 (the other counts are then 0, as beta sums to N)."""
-    beta = _check_index(ext, beta)
+    beta = _composition(beta, ext.copies, ext.base.classes)
     rows = _guarded_rows(ext.base, ext.copies)
     ks = [k for k, b in enumerate(beta) if b]
     counts = _relation_counts([_relation_table(ext.base.adjacency)] * ext.copies, ks)
@@ -321,15 +318,15 @@ def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
 def materialize_idempotent(ext: ExtensionScheme, alpha) -> np.ndarray:
     """Dense primitive idempotent labelled by alpha (sum of arrangement
     tensor products of the base idempotents)."""
-    alpha = _check_index(ext, alpha)
+    alpha = _composition(alpha, ext.copies, ext.base.classes)
     base_idem = [ext.base.idempotent(j) for j in range(ext.base.classes)]
     return _materialize(ext, alpha, base_idem, complex)
 
 
 def extension_cosine(ext: ExtensionScheme, alpha, beta) -> complex:
     """Cosine of the class beta on the idempotent alpha of the power scheme."""
-    alpha = _check_index(ext, alpha)
-    beta = _check_index(ext, beta)
+    alpha = _composition(alpha, ext.copies, ext.base.classes)
+    beta = _composition(beta, ext.copies, ext.base.classes)
     from . import krawtchouk
 
     return krawtchouk.krawtchouk_series(beta, alpha, ext.copies, ext.base.cosine)

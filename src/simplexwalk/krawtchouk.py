@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .extension import _integers, enumerate_indices, multinomial, symmetric_power_row
+from .extension import _composition, enumerate_indices, multinomial, symmetric_power_row
 from .schemes import AssociationScheme, directed_ngon
 from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
@@ -87,15 +86,6 @@ def params_from_scheme(scheme: AssociationScheme) -> GriffithsParams:
     return griffiths_params(nu, p, p_tilde, scheme.cosine)
 
 
-def _check_weights(n, N, U):
-    n = _integers(n)
-    if len(n) != np.shape(U)[0]:
-        raise ValueError(f"index {n} must have {np.shape(U)[0]} parts, one per row of U")
-    if any(v < 0 for v in n) or sum(n) != N:
-        raise ValueError(f"index weight mismatch: {n} does not sum to {N}")
-    return n
-
-
 def _admissible_matrices(row_budget, col_budget):
     """d x d non-negative integer matrices with row sums <= row_budget and
     column sums <= col_budget."""
@@ -130,8 +120,8 @@ def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
     Pochhammer factors vanish.
     """
     U = np.asarray(U, dtype=complex)
-    n = _check_weights(n, N, U)
-    n_tilde = _check_weights(n_tilde, N, U)
+    n = _composition(n, N, len(U))
+    n_tilde = _composition(n_tilde, N, len(U))
     d = len(n) - 1
     if d == 0:
         return 1.0 + 0.0j
@@ -155,7 +145,7 @@ def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
                 if a:
                     den *= math.factorial(a)
                     wprod *= omega[i + 1, j + 1] ** a
-        total += float(Fraction(num, den)) * wprod
+        total += num / den * wprod
     return total
 
 
@@ -167,7 +157,7 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
     Returns a map from each composition n to the value K(n, n_tilde); the
     exact multinomials are read off one factorial row.
     """
-    n_tilde = _check_weights(n_tilde, N, U)
+    n_tilde = _composition(n_tilde, N, len(U))
     row = symmetric_power_row(U, n_tilde)
     factorial = [math.factorial(k) for k in range(N + 1)]
     return {n: row[n] / (factorial[N] // math.prod(factorial[v] for v in n))

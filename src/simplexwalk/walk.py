@@ -17,7 +17,8 @@ import warnings
 
 import numpy as np
 
-from .extension import ExtensionScheme, _integers, _symmetric_power_state, extension_scheme
+from .extension import (ExtensionScheme, _composition, _integers, _symmetric_power_state,
+                        extension_scheme)
 from .schemes import AssociationScheme, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -88,6 +89,7 @@ def canonical_ngon_weights(n: int) -> np.ndarray:
     The pairing w_{n-j} = conj(w_j) is enforced bitwise so that specs built
     from these weights are Hermitian exactly.
     """
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be positive")
     w = np.zeros(n - 1, dtype=complex)
@@ -107,9 +109,7 @@ def _one_copy_spectrum(spec: WalkSpec) -> np.ndarray:
 
 def eigenvalue_lambda(spec: WalkSpec, alpha) -> complex:
     """Eigenvalue of the Hamiltonian on the idempotent labelled by alpha."""
-    alpha = _integers(alpha)
-    if len(alpha) != spec.base.classes or sum(alpha) != spec.copies or min(alpha) < 0:
-        raise ValueError(f"{alpha} is not a valid index for this walk")
+    alpha = _composition(alpha, spec.copies, spec.base.classes)
     return complex(np.dot(alpha, _one_copy_spectrum(spec)))
 
 
@@ -304,8 +304,6 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
         raise ValueError("projected matrix is not Hermitian")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    start = _integers(start)
-    if start not in pm.table.position:
-        raise ValueError(f"{start} is not an index of this projected matrix")
+    start = _composition(start, pm.table.copies, pm.table.base.classes)
     vals, vecs = np.linalg.eigh(pm.one_body)
     return _symmetric_power_state((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T, start, pm.table)

@@ -298,6 +298,52 @@ def test_krawtchouk_eval_rejects_index_length(tmp_path, capsys, index, index_til
     assert not out.exists()
 
 
+KR = ["krawtchouk", "eval", "--scheme", "ngon", "--n", "3", "--N", "2"]
+AMP = ["walk", "amplitudes", "--scheme", "trivial2", "--N", "1"]
+BM = ["walk", "bmatrix", "--scheme"]
+CONFIG_ERRORS = [
+    (KR + ["--index", "1-x", "--index-tilde", "2-0-0"], None,
+     "bad multi-index '1-x'; expected dash-joined integers"),
+    (["scheme", "info", "--kind", "ngon"], None, "--n is required for kind 'ngon'"),
+    (["scheme", "info", "--kind", "ow"], None, "--d is required for kind 'ow'"),
+    (["scheme", "info"], None, "unknown scheme kind None"),
+    (BM + ["ngon", "--n", "3", "--N", "1", "--solve-targets", "1,1"], None,
+     "--solve-time is required with --solve-targets"),
+    (BM + ["ow", "--d", "2", "--N", "1"], None, "no canonical weights for kind 'ow'"),
+    (BM + ["ngon", "--n", "3", "--N", "1", "--weights", "1,x"], None, "bad weight list '1,x'"),
+    (KR, None, "krawtchouk eval needs --N, --index and --index-tilde"),
+    (AMP + ["--steps", "0"], None, "--steps must be positive"),
+    (AMP + ["--t-max", "inf"], None, "--t-min and --t-max must be finite"),
+    (AMP + ["--t-min", "2", "--t-max", "1"], None, "--t-min must not exceed --t-max"),
+    (["walk", "amplitudes", "--scheme", "trivial2"], None, "--N is required"),
+    (BM + ["trivial2"], None, "--N is required"),
+    (["walk", "detect", "--scenario", "ngon", "--n", "3"], None, "scenario 'ngon' needs --n and --N"),
+    (["walk", "detect", "--scenario", "hypercube"], None, "scenario 'hypercube' needs --N"),
+    (["walk", "detect", "--scenario", "ow", "--d", "3", "--N", "2"], None,
+     "scenario 'ow' needs --d, --N and --k"),
+    (["walk", "detect"], None, "unknown scenario None"),
+    (["walk", "detect", "--scenario", "hypercube", "--N", "1", "--tol", "2"], None,
+     "--tol must be positive and below 1"),
+    ([], {"command": "bogus"}, "unknown command 'bogus'"),
+    (["verify"], ["verify"], "the config file must hold a JSON object"),
+    (["verify"], {"nonsense": 1}, "unknown config field 'nonsense'"),
+    (["scheme", "info"], {"kind": "ngon", "n": "3"}, "config field 'n' must be int, got '3'"),
+    (["scheme", "info"], {"kind": "ngon", "n": 3, "t_max": 10 ** 400},
+     "config field 't_max' is out of range"),
+    ([], {}, "no command given (and none found in the config file)"),
+]
+
+
+@pytest.mark.parametrize("args, payload, message", CONFIG_ERRORS, ids=[m for _, _, m in CONFIG_ERRORS])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, args, payload, message):
+    if payload is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        args = ["--config", str(config)] + args
+    assert run_cli(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_summary_shows_nan_residual(monkeypatch, capsys):
     from simplexwalk import oracle
 

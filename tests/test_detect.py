@@ -142,6 +142,26 @@ def test_cascade_residual_takes_unsorted_times():
     assert cascade_residual(spec, [math.pi / 2, 0.0]) == cascade_residual(spec, [0.0, math.pi / 2]) == 0.0
 
 
+def test_cascade_residual_detects_a_live_tail():
+    # at t = 2 pi / 3 the 3-cycle walk sits on one extreme class: p_1
+    # vanishes while p_2 carries everything
+    spec = walk_spec(directed_ngon(3), 1, canonical_ngon_weights(3))
+    assert cascade_residual(spec, [2 * math.pi / 3]) == pytest.approx(1.0, abs=1e-12)
+    assert cascade_residual(spec, [0.0]) == 0.0
+
+
+def test_face_events_one_site_short_of_a_transfer_is_no_event():
+    # one site holds more than 1 - FR_TOL but less than 1 - tol: no face is named
+    from simplexwalk import detect
+
+    spec = walk_spec(directed_ngon(3), 1, canonical_ngon_weights(3))
+    t = 2 * math.pi / 3 + 3e-4
+    p = site_factors(spec, t)[None, :]
+    assert 1e-8 < 1.0 - detect._site_masses(spec, p).max() < detect.FR_TOL
+    assert detect._face_events(spec, [t], p, 1e-8) == [None]
+    assert detect._face_events(spec, [t], p, 1e-6)[0].kind == "PST"
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 1.0, 1.5])
 @pytest.mark.parametrize("name", ["classify", "scan", "zt_candidates"])
 def test_tol_must_be_positive(name, tol):

@@ -348,6 +348,16 @@ def test_product_form_matches_givens_lift(seed, d, N):
         np.testing.assert_allclose(product, _givens_state(V, start, table), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("start", [(1, 1, 0), (0, 2, 1), (1, 1, 1)])
+def test_givens_state_of_a_diagonal_unitary_is_a_phase(start):
+    # no slot pair needs a rotation: the start class only picks up its monomial
+    phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+    table = extension_scheme(directed_ngon(3), sum(start))
+    expected = np.zeros(table.dimension, dtype=complex)
+    expected[table.position[start]] = np.prod(phases ** np.array(start))
+    np.testing.assert_allclose(_givens_state(np.diag(phases), start, table), expected, rtol=0, atol=1e-15)
+
+
 def test_pair_blocks_are_built_lazily_and_partition_the_table():
     table = extension_scheme(ordered_word_scheme(3), 5)
     assert "_pair_blocks" not in vars(table)
@@ -473,3 +483,20 @@ def test_truncating_examples_are_rejected():
                  lambda: krawtchouk.krawtchouk_series((2.5, 0, 0), (2, 0, 0), 2, directed_ngon(3).cosine)):
         with pytest.raises(ValueError, match="must be integers"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: extension_scheme(trivial_scheme_2(), v).index_set,
+    lambda v: enumerate_indices(v, 1),
+    lambda v: list(multiset_arrangements((v, 1))),
+    lambda v: walk.canonical_ngon_weights(v),
+], ids=["extension_scheme", "enumerate_indices", "multiset_arrangements", "canonical_ngon_weights"])
+def test_counts_are_checked_as_integers(call):
+    for bad in (True, np.True_, 1.5, math.nan, "2", None):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(bad)
+    with pytest.raises(ValueError):
+        call(-1)
+    assert [len(call(good)) for good in (2, 2.0, np.int64(2))] == [len(call(2))] * 3
+    ext = extension_scheme(trivial_scheme_2(), 2.0)
+    assert type(ext.copies) is int and ext.copies == 2

@@ -74,6 +74,13 @@ def test_series_weight_mismatch():
         krawtchouk_series((1, 1), (2, 1), 2, HADAMARD)
 
 
+def test_series_and_genfun_with_one_class():
+    # d = 0: the only index is (N,), and K((N,); (N,)) = 1
+    for N in range(4):
+        assert krawtchouk_series((N,), (N,), N, [[1.0]]) == 1.0
+        assert krawtchouk_genfun((N,), N, [[1.0]]) == {(N,): 1.0}
+
+
 @pytest.mark.parametrize("n, n_tilde", [((1, 1), (1, 1)), ((1, 1, 0), (1, 1)), ((1, 1), (1, 1, 0))])
 def test_index_length_must_match_U(n, n_tilde):
     U = directed_ngon(3).cosine
@@ -195,6 +202,20 @@ def test_bivariate_matches_series():
                         s = krawtchouk_series((N - x - y, x, y), (N - m - n, m, n), N, U)
                         worst = max(worst, abs(g - s))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_bivariate_G_tilde_is_orthonormal(N):
+    # G-tilde = sqrt(3^N multinomial(N; N-m-n, m, n)) G, orthonormal under
+    # the trinomial weight multinomial(N; N-x-y, x, y) / 9^N
+    idx = enumerate_indices(N, 2)
+    G = np.array([[krawtchouk.bivariate_G_tilde(m, n, x, y, N) for _, x, y in idx]
+                  for _, m, n in idx])
+    for (_, m, n), row in zip(idx, G):
+        scale = math.sqrt(3 ** N * multinomial(N, (N - m - n, m, n)))
+        assert list(row) == [scale * bivariate_G(m, n, x, y, N) for _, x, y in idx]
+    w = np.array([multinomial(N, b) for b in idx]) / 9 ** N
+    np.testing.assert_allclose(G.conj() @ (w[:, None] * G.T), np.eye(len(idx)), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("N", range(1, 5))

@@ -433,6 +433,27 @@ def test_run_suite_axioms():
     assert [c["name"] for c in report["checks"]][:2] == ["axioms:trivial2", "axioms:ngon-1"]
 
 
+ALL_CHECKS = (
+    ["axioms:trivial2"] + [f"axioms:ngon-{n}" for n in range(1, 8)]
+    + [f"axioms:ow-{d}" for d in range(1, 5)]
+    + [f"krawtchouk:{kind}:{name}" for name in ("trivial2", "ngon-3", "ow-2")
+       for kind in ("series-vs-genfun", "orthogonality")]
+    + ["krawtchouk:bivariate-orthogonality", "krawtchouk:bivariate-recurrence"]
+    + [f"amplitudes:dense-vs-closed:{name}" for name in
+       [f"ngon-3 N={N}" for N in range(1, 5)] + [f"trivial2 N={N}" for N in range(1, 7)]
+       + [f"ow-3 N={N}" for N in range(1, 3)]]
+    + ["bmatrix:golden-10x10", "bmatrix:evolution-consistency", "bmatrix:integral-spectrum-shift"]
+)
+
+
+def test_run_suite_all_passes():
+    # every closed form against the dense oracle, as ``verify --suite all`` runs it
+    report = run_suite("all")
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert report["passed"] and not failed
+    assert [c["name"] for c in report["checks"]] == ALL_CHECKS and len(ALL_CHECKS) == 35
+
+
 def _suite_check(suite, name):
     return next(c for c in run_suite(suite)["checks"] if c["name"] == name)
 

@@ -124,6 +124,14 @@ def test_max_residual_keeps_nan():
     assert np.isnan(report.max_residual)
 
 
+def test_validation_report_prints_one_line_per_check():
+    report = ValidationReport((CheckResult("a", True, 0.0), CheckResult("b", False, float("nan"))))
+    assert str(report) == "a: pass (residual 0.000e+00)\nb: FAIL (residual nan)"
+    report = validate_scheme(directed_ngon(3))
+    lines = str(report).split("\n")
+    assert len(lines) == len(report.checks) and all(": pass (residual " in line for line in lines)
+
+
 def test_ow_classes_are_symmetric():
     ow = ordered_word_scheme(4)
     assert ow.transpose_map == (0, 1, 2, 3, 4)

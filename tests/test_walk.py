@@ -143,6 +143,13 @@ def test_eigenvalue_rejects_negative_entries(alpha):
         eigenvalue_lambda(spec, alpha)
 
 
+@pytest.mark.parametrize("start", [(2, 1, 0), (1, 1), (3, -1, 0), (1, 1, 0, 0)])
+def test_evolve_projected_rejects_a_start_that_is_not_a_class(start):
+    pm = projected_matrix(walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3)))
+    with pytest.raises(ValueError, match="not a valid index"):
+        evolve_projected(pm, 0.5, start)
+
+
 def test_eigenvalue_differences_integral():
     for n in (2, 3, 5):
         spec = canonical_spec(n, 2)
@@ -407,6 +414,14 @@ def test_solve_weights_rejects_t_zero():
                        (1.0, [0.1, math.inf]), (1.0, [math.nan, 0.1])]:
         with pytest.raises(ValueError):
             solve_weights(directed_ngon(3), t, targets)
+
+
+def test_solve_weights_with_one_class_and_wrong_shapes():
+    sol = solve_weights(directed_ngon(1), 1.0, [])
+    assert sol.weights.shape == (0,) and sol.weights.dtype == complex
+    assert sol.hermiticity_residual == sol.roundtrip_residual == 0.0
+    with pytest.raises(ValueError, match=r"expected 2 target phases, got \(1,\)"):
+        solve_weights(directed_ngon(3), 1.0, [0.5])
 
 
 def test_projected_matrix_golden():
