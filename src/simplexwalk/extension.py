@@ -103,27 +103,45 @@ def multiset_arrangements(beta):
     return rec()
 
 
+def _square_matrix(M) -> np.ndarray:
+    """``M`` as a complex array; ValueError unless a non-empty square matrix."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
+    return M
+
+
 def symmetric_power_row(M, beta) -> dict:
     """Coefficients of prod_i (sum_j M[i,j] x_j)^beta_i, keyed by the
-    exponent composition of each monomial.
+    exponent composition of each monomial, in canonical order.
 
     This is the row beta of the N-th symmetric power of the square matrix M
     in the monomial basis, expanded term by term.  Only the Krawtchouk
     generating function reads it; its sums cancel more as N grows, so the
-    projected evolution runs on ``_symmetric_power_state`` instead.
+    projected evolution runs on ``_symmetric_power_state`` instead.  The
+    expansion keys the monomial x^gamma by sum_j gamma_j (N+1)^j, so that
+    raising gamma_j is one integer add.
     """
-    rows = np.asarray(M, dtype=complex).tolist()
-    nc = len(rows)
-    poly = {(0,) * nc: 1.0 + 0.0j}
+    rows = _square_matrix(M).tolist()
+    N = sum(_integers(beta))
+    beta = _composition(beta, N, len(rows))
+    units = [(N + 1) ** j for j in range(len(rows))]
+    poly = {0: 1.0 + 0.0j}
     for i, b in enumerate(beta):
+        factor = list(zip(units, rows[i]))
         for _ in range(b):
             new = {}
+            get = new.get
             for mono, coeff in poly.items():
-                for j, m in enumerate(rows[i]):
-                    shifted = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                    new[shifted] = new.get(shifted, 0.0 + 0.0j) + coeff * m
+                for unit, m in factor:
+                    shifted = mono + unit
+                    new[shifted] = get(shifted, 0.0 + 0.0j) + coeff * m
             poly = new
-    return poly
+    keyed = [((), N, 0)]  # enumerate_indices, each prefix with its budget and key
+    for unit in units[:-1]:
+        keyed = [(gamma + (v,), left - v, key + v * unit)
+                 for gamma, left, key in keyed for v in range(left, -1, -1)]
+    return {gamma + (left,): poly[key + left * units[-1]] for gamma, left, key in keyed}
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .extension import _composition, enumerate_indices, multinomial, symmetric_power_row
+from .extension import (_composition, _square_matrix, enumerate_indices, multinomial,
+                        symmetric_power_row)
 from .schemes import AssociationScheme, directed_ngon
 from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
@@ -86,67 +87,48 @@ def params_from_scheme(scheme: AssociationScheme) -> GriffithsParams:
     return griffiths_params(nu, p, p_tilde, scheme.cosine)
 
 
-def _admissible_matrices(row_budget, col_budget):
-    """d x d non-negative integer matrices with row sums <= row_budget and
-    column sums <= col_budget."""
-    d = len(row_budget)
-    cells = [(i, j) for i in range(d) for j in range(d)]
-    mat = [[0] * d for _ in range(d)]
-    rows = list(row_budget)
-    cols = list(col_budget)
-
-    def rec(c):
-        if c == len(cells):
-            yield [row[:] for row in mat]
-            return
-        i, j = cells[c]
-        for v in range(min(rows[i], cols[j]) + 1):
-            mat[i][j] = v
-            rows[i] -= v
-            cols[j] -= v
-            yield from rec(c + 1)
-            rows[i] += v
-            cols[j] += v
-        mat[i][j] = 0
-
-    yield from rec(0)
-
-
 def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
     """Hypergeometric-sum evaluation of K(n, n_tilde) for the matrix U.
 
-    The sum runs over d x d non-negative integer matrices; entries whose row
-    sums exceed n_tilde or column sums exceed n are pruned since their
-    Pochhammer factors vanish.
+    The sum runs over d x d non-negative integer matrices A, cells in
+    row-major order, with row sums at most n_tilde[1:] and column sums at
+    most n[1:]: the Pochhammer factors vanish beyond, and a cell with a zero
+    budget is dropped.  The product of the omega_ij^A_ij and the exact
+    denominator are carried down the cells; a row's and a column's
+    Pochhammer factor join the exact numerator at its last cell.
     """
-    U = np.asarray(U, dtype=complex)
+    U = _square_matrix(U)
     n = _composition(n, N, len(U))
     n_tilde = _composition(n_tilde, N, len(U))
-    d = len(n) - 1
-    if d == 0:
+    cells = [(i, j) for i in range(1, len(n)) for j in range(1, len(n)) if n_tilde[i] and n[j]]
+    if not cells:
         return 1.0 + 0.0j
     omega = 1.0 - U
+    factorial = [math.factorial(k) for k in range(N + 1)]
+    falling = {m: [pochhammer(-m, r) for r in range(m + 1)] for m in {N, *n, *n_tilde}}
+    row_end = {i: c for c, (i, _) in enumerate(cells)}
+    col_end, ones = {j: c for c, (_, j) in enumerate(cells)}, [1] * (N + 1)
+    steps = [(i, j, [complex(omega[i, j] ** a) for a in range(min(n_tilde[i], n[j]) + 1)],
+              falling[n_tilde[i]] if row_end[i] == c else ones,
+              falling[n[j]] if col_end[j] == c else ones)
+             for c, (i, j) in enumerate(cells)]
+    used_rows, used_cols = [0] * len(n), [0] * len(n)
 
-    total = 0.0 + 0.0j
-    for A in _admissible_matrices(n_tilde[1:], n[1:]):
-        rsum = [sum(row) for row in A]
-        csum = [sum(A[i][j] for i in range(d)) for j in range(d)]
-        s = sum(rsum)
-        num = 1
-        for j in range(d):
-            num *= pochhammer(-n[j + 1], csum[j])
-        for i in range(d):
-            num *= pochhammer(-n_tilde[i + 1], rsum[i])
-        den = pochhammer(-N, s)
-        wprod = 1.0 + 0.0j
-        for i in range(d):
-            for j in range(d):
-                a = A[i][j]
-                if a:
-                    den *= math.factorial(a)
-                    wprod *= omega[i + 1, j + 1] ** a
-        total += num / den * wprod
-    return total
+    def rec(c, wprod, num, den, s, total):
+        i, j, power, row_factor, col_factor = steps[c]
+        r, k = used_rows[i], used_cols[j]
+        for a in range(min(n_tilde[i] - r, n[j] - k) + 1):
+            w = wprod * power[a] if a else wprod
+            m = num * row_factor[r + a] * col_factor[k + a]
+            if c + 1 == len(steps):
+                total += m / (den * factorial[a] * falling[N][s + a]) * w
+            else:
+                used_rows[i], used_cols[j] = r + a, k + a
+                total = rec(c + 1, w, m, den * factorial[a], s + a, total)
+        used_rows[i], used_cols[j] = r, k
+        return total
+
+    return rec(0, 1.0 + 0.0j, 1, 1, 0, 0.0 + 0.0j)
 
 
 def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
@@ -154,21 +136,20 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
     polynomials of U (first column all ones) and read off every
     K(n, n_tilde) at once.
 
-    Returns a map from each composition n to the value K(n, n_tilde); the
-    exact multinomials are read off one factorial row.
+    Returns a map from each composition n, in canonical order, to the value
+    K(n, n_tilde); the exact multinomials are read off one factorial row.
     """
+    U = _square_matrix(U)
     n_tilde = _composition(n_tilde, N, len(U))
-    row = symmetric_power_row(U, n_tilde)
     factorial = [math.factorial(k) for k in range(N + 1)]
-    return {n: row[n] / (factorial[N] // math.prod(factorial[v] for v in n))
-            for n in enumerate_indices(N, len(n_tilde) - 1)}
+    return {n: c / (factorial[N] // math.prod(map(factorial.__getitem__, n)))
+            for n, c in symmetric_power_row(U, n_tilde).items()}
 
 
 def krawtchouk_table(N: int, U) -> dict:
     """Values K(n, n_tilde) for every pair of compositions, via the
     generating function."""
-    d = np.asarray(U).shape[0] - 1
-    return {nt: krawtchouk_genfun(nt, N, U) for nt in enumerate_indices(N, d)}
+    return {nt: krawtchouk_genfun(nt, N, U) for nt in enumerate_indices(N, len(U) - 1)}
 
 
 def _krawtchouk_matrix(N: int, U):
@@ -222,7 +203,8 @@ def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
 
 
 def bivariate_G_tilde(m: int, n: int, x: int, y: int, N: int) -> complex:
-    """Orthonormalized value: sqrt(3^N multinomial) * G_{m,n}(x,y)."""
+    """sqrt(3^N multinomial) * G_{m,n}(x,y), orthonormal under multinomial(N; x) / 9^N:
+    its squared norm under the trinomial probability weight multinomial(N; x) / 3^N is 3^N."""
     scale = math.sqrt(3 ** N * multinomial(N, (N - m - n, m, n)))
     return scale * bivariate_G(m, n, x, y, N)
 

@@ -429,6 +429,30 @@ def test_walk_detect_golden_json(tmp_path, capsys, name):
     assert out.read_bytes() == text.encode()
 
 
+# sha256 of stdout, taken before the series carried its products down the
+# cells and the expansion keyed monomials by integers
+GOLDEN_KRAWTCHOUK = {
+    "readme": (["krawtchouk", "eval", "--scheme", "ngon", "--n", "3", "--N", "4",
+                "--index", "2-1-1", "--index-tilde", "1-2-1"],
+               "4ddbdd8ddf65ce7dce80eeea4515ba86fb989a53f6a4b98228f9531c1ac2efda"),
+    "ow3": (["krawtchouk", "eval", "--scheme", "ow", "--d", "3", "--N", "4",
+             "--index", "0-1-2-1", "--index-tilde", "1-2-1-0"],
+            "867003e60274dfaeadf9e57b1372ebd8cee76d991153a7c6502de0f9b85fccf8"),
+    "ngon5": (["krawtchouk", "eval", "--scheme", "ngon", "--n", "5", "--N", "4",
+               "--index", "1-0-1-1-1", "--index-tilde", "0-2-1-0-1"],
+              "c8261b791a0941899d7ee483ecad4349047136d97139a31ed22cf6987dc152a6"),
+    "verify": (["verify", "--suite", "krawtchouk"],
+               "a6f07b83e33890492819bf6f829b809b1ebf904bdb5b7ed0f3d8331506c2fded"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_KRAWTCHOUK))
+def test_krawtchouk_golden_json(capsys, name):
+    args, digest = GOLDEN_KRAWTCHOUK[name]
+    assert run_cli(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_walk_amplitudes_opens_no_file_before_rows_are_computed(tmp_path, monkeypatch):
     def fail(spec, times):
         raise OverflowError("amplitudes out of range")

@@ -213,13 +213,27 @@ def test_symmetric_power_row_two_by_two():
     assert symmetric_power_row([[a, b], [c, d]], (0, 0)) == {(0, 0): 1.0}
 
 
+@pytest.mark.parametrize("M, beta", [
+    ([[1, 2], [3, 4]], (-1, 1)),  # used to return {(1, 0): 4, (0, 1): 5}
+    ([[1, 2], [3, 4]], (1, 1, 1)),  # more exponents than rows
+    ([[1, 2], [3, 4]], (1.5, 0.5)),
+    ([[1, 2], [3, 4]], (True, 1)),
+    ([[1, 2, 3], [4, 5, 6]], (1, 1)),  # not square
+    ([1, 2], (1, 1)),  # not a matrix
+    (np.zeros((0, 0)), ()),
+])
+def test_symmetric_power_row_rejects_bad_input(M, beta):
+    with pytest.raises(ValueError):
+        symmetric_power_row(M, beta)
+
+
 def test_symmetric_power_row_sums_to_row_product():
     # evaluating the expansion at x = 1 gives prod_i (sum_j M[i,j])^beta_i
     rng = np.random.default_rng(7)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     beta = (2, 0, 1, 3)
     row = symmetric_power_row(M, beta)
-    assert set(row) == set(enumerate_indices(6, 3))
+    assert list(row) == enumerate_indices(6, 3)
     expected = np.prod(M.sum(axis=1) ** np.array(beta))
     assert abs(sum(row.values()) - expected) < 1e-10 * abs(expected)
 

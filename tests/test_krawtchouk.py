@@ -27,6 +27,7 @@ from simplexwalk import (
     projected_matrix,
     trivial_scheme_2,
 )
+from simplexwalk import extension
 from simplexwalk.krawtchouk import spectral_residual
 from simplexwalk.oracle import _oracle_specs
 
@@ -89,6 +90,15 @@ def test_index_length_must_match_U(n, n_tilde):
     if len(n_tilde) != 3:
         with pytest.raises(ValueError, match="3 parts"):
             krawtchouk_genfun(n_tilde, 2, U)
+
+
+@pytest.mark.parametrize("U", [np.ones((3, 4)), np.ones((3, 2)), np.ones(3), np.ones((3, 3, 1))])
+def test_U_must_be_a_square_matrix(U):
+    # a 3 x 4 U used to give 1+0j from the series and KeyError from genfun
+    with pytest.raises(ValueError, match="square matrix"):
+        krawtchouk_series((1, 1, 0), (1, 0, 1), 2, U)
+    with pytest.raises(ValueError, match="square matrix"):
+        krawtchouk_genfun((1, 0, 1), 2, U)
 
 
 def test_series_univariate_frozen_value():
@@ -337,3 +347,143 @@ def test_genfun_divides_by_exact_multinomials(N, d):
     table = krawtchouk_genfun(n_tilde, N, U)
     assert list(table) == compositions
     assert table == {n: row[n] / multinomial(N, n) for n in compositions}
+
+
+# -- the evaluators against test-local copies of their earlier forms ---------
+
+def _admissible_matrices(row_budget, col_budget):
+    """d x d non-negative integer matrices with row sums <= row_budget and
+    column sums <= col_budget."""
+    d = len(row_budget)
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    mat = [[0] * d for _ in range(d)]
+    rows = list(row_budget)
+    cols = list(col_budget)
+
+    def rec(c):
+        if c == len(cells):
+            yield [row[:] for row in mat]
+            return
+        i, j = cells[c]
+        for v in range(min(rows[i], cols[j]) + 1):
+            mat[i][j] = v
+            rows[i] -= v
+            cols[j] -= v
+            yield from rec(c + 1)
+            rows[i] += v
+            cols[j] += v
+        mat[i][j] = 0
+
+    yield from rec(0)
+
+
+def _reference_series(n, n_tilde, N, U):
+    """The sum over every admissible matrix, with a fresh product per matrix."""
+    U = np.asarray(U, dtype=complex)
+    d = len(n) - 1
+    if d == 0:
+        return 1.0 + 0.0j
+    omega = 1.0 - U
+    total = 0.0 + 0.0j
+    for A in _admissible_matrices(n_tilde[1:], n[1:]):
+        rsum = [sum(row) for row in A]
+        csum = [sum(A[i][j] for i in range(d)) for j in range(d)]
+        num = 1
+        for j in range(d):
+            num *= pochhammer(-n[j + 1], csum[j])
+        for i in range(d):
+            num *= pochhammer(-n_tilde[i + 1], rsum[i])
+        den = pochhammer(-N, sum(rsum))
+        wprod = 1.0 + 0.0j
+        for i in range(d):
+            for j in range(d):
+                a = A[i][j]
+                if a:
+                    den *= math.factorial(a)
+                    wprod *= omega[i + 1, j + 1] ** a
+        total += num / den * wprod
+    return total
+
+
+def _reference_power_row(M, beta):
+    """The expansion on tuple keys, one slice per raised exponent."""
+    rows = np.asarray(M, dtype=complex).tolist()
+    nc = len(rows)
+    poly = {(0,) * nc: 1.0 + 0.0j}
+    for i, b in enumerate(beta):
+        for _ in range(b):
+            new = {}
+            for mono, coeff in poly.items():
+                for j, m in enumerate(rows[i]):
+                    shifted = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                    new[shifted] = new.get(shifted, 0.0 + 0.0j) + coeff * m
+            poly = new
+    return poly
+
+
+def _bits(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+def _assert_same_bits(n, n_tilde, N, U):
+    assert _bits(krawtchouk_series(n, n_tilde, N, U)) == _bits(_reference_series(n, n_tilde, N, U))
+    ref = _reference_power_row(U, n_tilde)
+    row = krawtchouk.symmetric_power_row(U, n_tilde)
+    assert list(row) == enumerate_indices(N, len(n) - 1)
+    assert {g: _bits(v) for g, v in row.items()} == {g: _bits(v) for g, v in ref.items()}
+    table = krawtchouk_genfun(n_tilde, N, U)
+    assert [_bits(v) for v in table.values()] == [_bits(ref[g] / multinomial(N, g)) for g in table]
+
+
+# zeros of either sign in omega = 1 - U and in U itself, where a changed
+# order of operations would flip the sign of a zero
+SIGNED_ZEROS = np.array([[1, 1, 1], [1, 1, complex(-0.0, -0.0)], [1, complex(-0.0, 0.0), 0]])
+BIT_SCHEMES = [trivial_scheme_2(), directed_ngon(3), directed_ngon(4), directed_ngon(5),
+               ordered_word_scheme(2), ordered_word_scheme(3)]
+BIT_MATRICES = [s.cosine for s in BIT_SCHEMES] + [SIGNED_ZEROS]
+
+
+@pytest.mark.parametrize("case", range(len(BIT_MATRICES) + 4))
+def test_evaluators_keep_the_bits_of_their_reference(case):
+    rng = np.random.default_rng(case)
+    if case < len(BIT_MATRICES):
+        U = BIT_MATRICES[case]
+    else:  # seeded random complex U, d = 1..4
+        d = case - len(BIT_MATRICES) + 1
+        U = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+    d = len(U) - 1
+    for N in range(7):
+        compositions = enumerate_indices(N, d)
+        for _ in range(3):
+            n, n_tilde = (compositions[rng.integers(len(compositions))] for _ in range(2))
+            _assert_same_bits(n, n_tilde, N, U)
+
+
+BIT_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(0, 3), N=st.integers(0, 4))
+def test_evaluators_keep_the_bits_of_their_reference_random(data, d, N):
+    entries = st.lists(st.builds(complex, BIT_ENTRIES, BIT_ENTRIES),
+                       min_size=(d + 1) ** 2, max_size=(d + 1) ** 2)
+    U = np.array(data.draw(entries), dtype=complex).reshape(d + 1, d + 1)
+    compositions = st.sampled_from(enumerate_indices(N, d))
+    _assert_same_bits(data.draw(compositions), data.draw(compositions), N, U)
+
+
+def test_evaluators_stay_independent(monkeypatch):
+    # the series never expands the symmetric power, and the generating
+    # function never sums over matrices, so each checks the other
+    def fail(*args):
+        raise AssertionError("one evaluator called the other's kernel")
+
+    U = directed_ngon(4).cosine
+    series = krawtchouk_series((1, 2, 0, 1), (2, 0, 1, 1), 4, U)
+    table = krawtchouk_genfun((2, 0, 1, 1), 4, U)
+    with monkeypatch.context() as m:
+        m.setattr(extension, "symmetric_power_row", fail)
+        m.setattr(krawtchouk, "symmetric_power_row", fail)
+        assert krawtchouk_series((1, 2, 0, 1), (2, 0, 1, 1), 4, U) == series
+    monkeypatch.setattr(krawtchouk, "krawtchouk_series", fail)
+    assert krawtchouk_genfun((2, 0, 1, 1), 4, U) == table
