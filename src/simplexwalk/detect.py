@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .extension import enumerate_indices
-from .schemes import directed_ngon, ordered_word_scheme, trivial_scheme_2
+from .schemes import _integers, directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
     _site_factor_rows,
@@ -127,12 +127,18 @@ def _golden_max(fun, a, b) -> list:
     runs = [_golden_section(lo, hi) for lo, hi in zip(a, b)]
     ts = [next(run) for run in runs]
     for _ in range(_GOLDEN_STEPS + 2):
-        ts = [run.send(f) for run, f in zip(runs, fun(np.array(ts)).tolist())]
+        ts = [run.send(f) for run, f in zip(runs, fun(ts).tolist())]
     return ts
 
 
 def _finite_times(times) -> np.ndarray:
-    grid = np.fromiter(times, dtype=float)
+    """``times`` as a float array; ValueError unless it is a one-dimensional
+    grid of finite real numbers (a complex grid is refused, not truncated)."""
+    grid = np.asarray(times)
+    if grid.ndim != 1 or grid.dtype.kind not in "iuf":
+        raise ValueError(f"time grid must be a one-dimensional sequence of real numbers, "
+                         f"got a {grid.dtype} array of shape {grid.shape}")
+    grid = grid.astype(float)
     if not np.isfinite(grid).all():
         raise ValueError("time grid must be finite")
     return grid
@@ -173,7 +179,7 @@ def _face_events(spec: WalkSpec, times, p: np.ndarray, tol: float) -> list:
     fr_tol = max(tol, FR_TOL)
     q = _site_masses(spec, p)
     ranked = np.argsort(-q, axis=1, kind="stable")
-    helds = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1) ** N
+    helds = np.cumsum(q[np.arange(len(q))[:, None], ranked], axis=1) ** N
     # N theta_0 is the eigenvalue on the trivial idempotent (N, 0, ..., 0)
     lam = eigenvalue_lambda(spec, _extreme_index(d, N, 0))
 
@@ -222,29 +228,31 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
         grid = grid[:1]
     q = _site_masses(spec, _site_factor_rows(spec, grid))
     ranked = np.argsort(-q, axis=1, kind="stable")
-    heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
+    heaviest = np.cumsum(q[np.arange(len(q))[:, None], ranked], axis=1)
 
+    d, classes = spec.base.d, spec.base.classes
+    peak = np.ones((len(grid), d), dtype=bool)  # [i, r - 1]: the mass of r sites peaks at i
+    peak[1:] &= heaviest[1:, :d] >= heaviest[:-1, :d]
+    peak[:-1] &= heaviest[:-1, :d] >= heaviest[1:, :d]
+    rs, at = np.nonzero(peak.T)
+    runs = {r: [] for r in range(1, d + 1)}  # per r, [first, last, sites]
+    for r, i, top in zip((rs + 1).tolist(), at.tolist(), ranked[at].tolist()):
+        sites = sorted(top[:r])
+        same = runs[r]
+        if same and same[-1][1] == i - 1 and same[-1][2] == sites:
+            same[-1][1] = i
+        else:
+            same.append([i, i, sites])
     # per run (first, last); the sites of every run as flat indices into
     # the (runs, d+1) masses, r per run and in order of r; per r, the
     # (start, stop, r) of its runs' indices there
     bounds, gathers, blocks = [], [], []
-    for r in range(1, spec.base.d + 1):
-        mass = heaviest[:, r - 1]
-        peak = np.ones(len(grid), dtype=bool)
-        peak[1:] &= mass[1:] >= mass[:-1]
-        peak[:-1] &= mass[:-1] >= mass[1:]
-        runs = []  # [first, last, sites]
-        for i in np.flatnonzero(peak):
-            sites = sorted(ranked[i, :r].tolist())
-            if runs and runs[-1][1] == i - 1 and runs[-1][2] == sites:
-                runs[-1][1] = i
-            else:
-                runs.append([i, i, sites])
-        if runs:
-            at = np.arange(len(bounds), len(bounds) + len(runs))[:, None] * spec.base.classes
-            gathers += (at + np.array([sites for _, _, sites in runs])).ravel().tolist()
-            blocks.append((len(gathers) - len(runs) * r, len(gathers), r))
-            bounds += [(first, last) for first, last, _ in runs]
+    for r, same in runs.items():
+        if same:
+            gathers += [j * classes + k for j, (_, _, sites) in enumerate(same, len(bounds))
+                        for k in sites]
+            blocks.append((len(gathers) - len(same) * r, len(gathers), r))
+            bounds += [(first, last) for first, last, _ in same]
     if not bounds:
         return []
     first, last = np.array(bounds).T
@@ -252,12 +260,16 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     gathers = np.array(gathers)
     # r = 1 always peaks and comes first: a face of one site holds its mass
     singles = blocks.pop(0)[1]
-    valencies, size2 = spec.base.valencies, float(spec.base.size) ** 2
+    # _site_masses on the gathered sites only, with the valency of each
+    # read once per scan
+    valencies = spec.base.valencies.astype(float)[gathers % classes]
+    size2 = float(spec.base.size) ** 2
 
     def face_mass(ts):
-        # _site_masses, with its scale read once per scan; each larger face
-        # is summed by the same reduction as q[sites].sum()
-        q = (valencies * np.abs(_site_factor_rows(spec, ts)) ** 2 / size2).take(gathers)
+        q = valencies * np.abs(_site_factor_rows(spec, ts).take(gathers)) ** 2 / size2
+        if not blocks:
+            return q
+        # each larger face is summed by the same reduction as q[sites].sum()
         return np.concatenate([q[:singles]] + [np.add.reduce(q[lo:hi].reshape(-1, r), 1)
                                                for lo, hi, r in blocks])
 
@@ -332,6 +344,7 @@ def ngon_mpst_scenario(n: int, N: int) -> Scenario:
     """Canonical-weight walk on the n-cycle power scheme: at each time
     2*pi*k/n the profile sits entirely on one extreme class; over
     k = 1..n the arrivals sweep every extreme class once."""
+    n, N = _integers((n, N), "n and N")
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")
     scheme = directed_ngon(n)
@@ -346,6 +359,7 @@ def ngon_mpst_scenario(n: int, N: int) -> Scenario:
 def hypercube_pst_scenario(N: int) -> Scenario:
     """Unit-weight walk on the binary power scheme: antipodal transfer at
     t = pi/2, and the swap beta -> reversed(beta) for every start class."""
+    (N,) = _integers((N,), "N")
     if N < 1:
         raise ValueError("need N >= 1")
     spec = walk_spec(trivial_scheme_2(), N, [1.0])
@@ -357,6 +371,7 @@ def ow_fr_scenario(d: int, N: int, k: int) -> Scenario:
     """Ordered-word walk with solved couplings whose phases are trivial up
     to position d-k+1 and a quarter turn beyond, so the probability at
     t = pi/2 is confined to the classes with beta_k = ... = beta_d = 0."""
+    d, N, k = _integers((d, N, k), "d, N and k")
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     if N < 1:

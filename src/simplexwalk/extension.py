@@ -18,7 +18,7 @@ import types
 
 import numpy as np
 
-from .schemes import AssociationScheme
+from .schemes import AssociationScheme, _integers
 
 DEFAULT_GUARD = 4096
 
@@ -46,21 +46,6 @@ def enumerate_indices(N: int, d: int) -> list:
     for _ in range(d):
         prefixes = [prefix + (v,) for prefix in prefixes for v in range(N - sum(prefix), -1, -1)]
     return [prefix + (N - sum(prefix),) for prefix in prefixes]
-
-
-def _integers(values, what: str = "multi-index entries") -> tuple:
-    """``values`` as a tuple of ints; ValueError on a bool, a non-integral or
-    a non-finite entry, where int() would truncate or overflow."""
-    out = []
-    for v in values:
-        try:
-            i = int(v)
-        except (OverflowError, TypeError, ValueError):
-            i = None
-        if i is None or i != v or isinstance(v, (bool, np.bool_)):
-            raise ValueError(f"{what} must be integers, got {v!r}")
-        out.append(i)
-    return tuple(out)
 
 
 def _composition(values, N: int, parts: int = None) -> tuple:

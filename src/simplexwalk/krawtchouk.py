@@ -59,19 +59,24 @@ class GriffithsParams:
 
 
 def griffiths_params(nu, p, p_tilde, U) -> GriffithsParams:
+    """Check (nu, p, p_tilde, U) and hold it; ValueError when a relation
+    fails by more than PARAM_TOL or cannot be evaluated (NaN fails too)."""
+    nu = float(nu)
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be finite and positive, got {nu!r}")
     p = np.asarray(p, dtype=float)
     p_tilde = np.asarray(p_tilde, dtype=float)
     U = np.asarray(U, dtype=complex)
     d = U.shape[0] - 1
     if p.shape != (d + 1,) or p_tilde.shape != (d + 1,) or U.shape != (d + 1, d + 1):
         raise ValueError("parameter shapes do not match")
-    if abs(p[0] - 1.0 / nu) > PARAM_TOL or abs(p_tilde[0] - 1.0 / nu) > PARAM_TOL:
+    if not (abs(p[0] - 1.0 / nu) <= PARAM_TOL and abs(p_tilde[0] - 1.0 / nu) <= PARAM_TOL):
         raise ValueError("p_0 and p_tilde_0 must equal 1/nu")
     ones = np.abs(U[0, :] - 1).max() + np.abs(U[:, 0] - 1).max()
-    if ones > PARAM_TOL:
+    if not ones <= PARAM_TOL:
         raise ValueError("first row and column of U must be all ones")
-    gp = GriffithsParams(dimension=d, nu=float(nu), p=p, p_tilde=p_tilde, U=U)
-    if gp.unitarity_residual > PARAM_TOL:
+    gp = GriffithsParams(dimension=d, nu=nu, p=p, p_tilde=p_tilde, U=U)
+    if not gp.unitarity_residual <= PARAM_TOL:
         raise ValueError(
             f"parameters violate the unitarity relation (residual {gp.unitarity_residual:.3e})"
         )

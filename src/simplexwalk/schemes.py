@@ -20,6 +20,21 @@ class SchemeError(ValueError):
     """Matrices fail the association-scheme axioms."""
 
 
+def _integers(values, what: str = "multi-index entries") -> tuple:
+    """``values`` as a tuple of ints; ValueError on a bool, a non-integral or
+    a non-finite entry, where int() would truncate or overflow."""
+    out = []
+    for v in values:
+        try:
+            i = int(v)
+        except (OverflowError, TypeError, ValueError):
+            i = None
+        if i is None or i != v or isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+        out.append(i)
+    return tuple(out)
+
+
 def unit_root(k: int, n: int) -> complex:
     """k-th power of exp(2*pi*i/n); exact on quarter turns."""
     k = k % n
@@ -144,7 +159,7 @@ def _intersection_tensor(adjacency) -> np.ndarray:
     return p
 
 
-def _integers(values, what: str, least: int) -> np.ndarray:
+def _rounded_integers(values, what: str, least: int) -> np.ndarray:
     vals = np.rint(values.real).astype(np.int64)
     if np.abs(vals - values).max() > 1e-9:
         raise SchemeError(f"{what} are not integers: {values}")
@@ -157,7 +172,7 @@ def _spectral_intersection(P, size: int, valencies, multiplicities) -> np.ndarra
     """p_ij^k = (1/(|X| k_k)) sum_l m_l P_li P_lj conj(P_lk) (Bannai & Ito),
     rounded to the exact non-negative integers it must be."""
     raw = np.einsum("l,li,lj,lk->ijk", multiplicities, P, P, np.conj(P), optimize=True)
-    return _integers(raw / (size * valencies), "intersection numbers", 0)
+    return _rounded_integers(raw / (size * valencies), "intersection numbers", 0)
 
 
 def _spectral_transpose(inter) -> tuple:
@@ -184,8 +199,8 @@ def _make_scheme(adjacency, P, Q) -> AssociationScheme:
     if resid > SPECTRAL_TOL * size:
         raise SchemeError(f"PQ != |X| I (residual {resid:.3e})")
 
-    valencies = _integers(P[0], "valencies", 1)
-    multiplicities = _integers(Q[0], "multiplicities", 1)
+    valencies = _rounded_integers(P[0], "valencies", 1)
+    multiplicities = _rounded_integers(Q[0], "multiplicities", 1)
     cosine = P / valencies[np.newaxis, :]
     inter = _spectral_intersection(P, size, valencies, multiplicities)
     tmap = _spectral_transpose(inter)
@@ -218,6 +233,7 @@ def trivial_scheme_2() -> AssociationScheme:
 
 def directed_ngon(n: int) -> AssociationScheme:
     """Cyclic scheme on n points: A_k is the k-th power of the forward shift."""
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     eye = np.eye(n, dtype=np.int64)
@@ -237,6 +253,7 @@ def ordered_word_scheme(d: int) -> AssociationScheme:
     gives the closed form A_j = J_2^(x)(j-1) (x) S (x) I_2^(x)(d-j), with
     J_2 the all-ones and S the swap matrix of the two-point scheme.
     """
+    (d,) = _integers((d,), "d")
     if d < 1:
         raise ValueError("d must be a positive integer")
     eye, swap = trivial_scheme_2().adjacency

@@ -17,9 +17,8 @@ import warnings
 
 import numpy as np
 
-from .extension import (ExtensionScheme, _composition, _integers, _symmetric_power_state,
-                        extension_scheme)
-from .schemes import AssociationScheme, unit_root
+from .extension import ExtensionScheme, _composition, _symmetric_power_state, extension_scheme
+from .schemes import AssociationScheme, _integers, unit_root
 
 HERMITIAN_TOL = 1e-12
 
@@ -53,12 +52,15 @@ class WalkSpec:
 
     @functools.cached_property
     def _site_terms(self) -> tuple:
-        """mu_l = theta_0 - theta_l = sum_i w_i k_i (1 - c_{l,i}), m_l and the
-        columns conj(c_{l,k}), l = 1..d: what p_k(t) reads of the spec.  The
-        rows of P are subtracted before the product: subtracting theta
-        values instead moves every amplitude in the last bits."""
-        P, m = self.base.first_eigenmatrix[:, 1:], self.base.multiplicities.astype(float)
-        return (P[0] - P[1:]) @ self.weights, m[1:], np.conj(self.base.cosine[1:, :]).T
+        """mu_l = theta_0 - theta_l = sum_i w_i k_i (1 - c_{l,i}), i mu_l, m_l
+        as complex and the columns conj(c_{l,k}), l = 1..d: what z_l(t) and
+        p_k(t) read of the spec.  The rows of P are subtracted before the
+        product: subtracting theta values instead moves every amplitude in
+        the last bits."""
+        P = self.base.first_eigenmatrix[:, 1:]
+        mu = (P[0] - P[1:]) @ self.weights
+        m = self.base.multiplicities[1:].astype(complex)
+        return mu, 1j * mu, m, np.conj(self.base.cosine[1:, :]).T
 
     @property
     def hermiticity_residual(self) -> float:
@@ -123,9 +125,11 @@ def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
 def _site_factor_rows(spec: WalkSpec, times) -> np.ndarray:
     """The T x (d+1) array of p_k(times[i]), row i per time: one stacked
     matrix-vector product per time, as one 2-D product over all times
-    moves the last bits of p_k."""
-    mu, m, conj_cosine = spec._site_terms
-    mz = m * np.exp(1j * np.asarray(times, dtype=float)[:, None] * mu)
+    moves the last bits of p_k.  With i mu and m held as complex, the
+    float times are the one operand cast, inside the outer product; the
+    bytes are those of m * exp(1j * t * mu) on float m."""
+    _, i_mu, m, conj_cosine = spec._site_terms
+    mz = m * np.exp(np.multiply.outer(np.asarray(times, dtype=float), i_mu))
     return 1.0 + np.matmul(conj_cosine, mz[:, :, None])[..., 0]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ def test_cascade_residual_rejects_non_finite_times_and_bad_tol(times, tol):
     spec = ow_fr_scenario(3, 2, 1).spec
     with pytest.raises(ValueError):
         cascade_residual(spec, times, tol)
+
+
+@pytest.mark.parametrize("grid", [np.array([0.1, 0.2], dtype=complex), [0.1, 0.2 + 0j], 0.5,
+                                  np.float64(0.5), np.zeros((2, 2)), [[0.0, 0.5], [1.0, 1.5]],
+                                  [True, False], ["0.1"]],
+                         ids=["complex-array", "complex-entry", "scalar", "numpy-scalar", "2-D",
+                              "nested-list", "bool", "str"])
+def test_time_grids_must_be_real_and_one_dimensional(grid):
+    spec = walk_spec(trivial_scheme_2(), 2, [1.0])
+    calls = [lambda: scan(spec, grid), lambda: zt_candidates(spec, grid),
+             lambda: cascade_residual(ow_fr_scenario(3, 2, 1).spec, grid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="one-dimensional sequence of real numbers"):
+                call()
+
+
+def test_time_grids_of_integers_are_taken_as_floats():
+    spec = walk_spec(trivial_scheme_2(), 2, [1.0])
+    for grid in ([0, 1, 2], np.arange(3), np.arange(3, dtype=np.int32), (0, 1.0, 2)):
+        assert _event_bits(scan(spec, grid)) == _event_bits(scan(spec, [0.0, 1.0, 2.0]))
+    assert cascade_residual(ow_fr_scenario(3, 2, 1).spec, (0,)) == 0.0
 
 
 def test_cascade_residual_takes_unsorted_times():

@@ -504,7 +504,17 @@ def test_truncating_examples_are_rejected():
     lambda v: enumerate_indices(v, 1),
     lambda v: list(multiset_arrangements((v, 1))),
     lambda v: walk.canonical_ngon_weights(v),
-], ids=["extension_scheme", "enumerate_indices", "multiset_arrangements", "canonical_ngon_weights"])
+    lambda v: directed_ngon(v).adjacency,
+    lambda v: ordered_word_scheme(v).adjacency,
+    lambda v: detect.ngon_mpst_scenario(v, 2).expected_events,
+    lambda v: detect.ngon_mpst_scenario(3, v).expected_events,
+    lambda v: detect.hypercube_pst_scenario(v).expected_events,
+    lambda v: detect.ow_fr_scenario(v, 2, 2).expected_events,
+    lambda v: detect.ow_fr_scenario(3, v, 2).expected_events,
+    lambda v: detect.ow_fr_scenario(3, 2, v).expected_events,
+], ids=["extension_scheme", "enumerate_indices", "multiset_arrangements", "canonical_ngon_weights",
+        "directed_ngon", "ordered_word_scheme", "ngon_mpst_n", "ngon_mpst_N", "hypercube_pst_N",
+        "ow_fr_d", "ow_fr_N", "ow_fr_k"])
 def test_counts_are_checked_as_integers(call):
     for bad in (True, np.True_, 1.5, math.nan, "2", None):
         with pytest.raises(ValueError, match="must be integers"):

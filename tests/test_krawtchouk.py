@@ -62,6 +62,24 @@ def test_params_reject_bad():
         griffiths_params(3.0, [0.5, 0.5], [0.5, 0.5], HADAMARD)
 
 
+@pytest.mark.parametrize("nu, p, p_tilde, U", [
+    (2.0, [math.nan, 0.5], [0.5, 0.5], HADAMARD),
+    (2.0, [0.5, 0.5], [math.nan, 0.5], HADAMARD),
+    (2.0, [0.5, math.nan], [0.5, 0.5], HADAMARD),
+    (2.0, [0.5, 0.5], [0.5, 0.5], [[1, 1], [1, math.nan]]),
+    (2.0, [0.5, 0.5], [0.5, 0.5], [[1, math.nan], [1, -1]]),
+], ids=["p0", "p_tilde0", "p1", "U11", "U01"])
+def test_params_reject_nan(nu, p, p_tilde, U):
+    with pytest.raises(ValueError):
+        griffiths_params(nu, p, p_tilde, U)
+
+
+@pytest.mark.parametrize("nu", [0, 0.0, -2.0, math.nan, math.inf, -math.inf])
+def test_params_require_finite_positive_nu(nu):
+    with pytest.raises(ValueError, match="nu must be finite and positive"):
+        griffiths_params(nu, [0.5, 0.5], [0.5, 0.5], HADAMARD)
+
+
 def test_series_top_row_is_one():
     U = directed_ngon(3).cosine
     for N in range(4):

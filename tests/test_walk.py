@@ -315,22 +315,24 @@ ROW_SCHEMES = [directed_ngon(n) for n in range(1, 6)] + [ordered_word_scheme(3),
 )
 def test_amplitude_rows_match_amplitudes_bitwise(scheme, N, times, re, im, hermitian):
     # every row of the T x D kernel, in all three views, is the profile at
-    # that time, bit for bit; non-Hermitian couplings included
+    # that time, bit for bit; non-Hermitian couplings included, whose
+    # amplitudes may grow past the float range (inf and nan compared too)
     w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
     if hermitian:
         w = _hermitian_weights(scheme, re, im)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = walk_spec(scheme, N, w)
-    table, f = walk._amplitude_rows(spec, np.array(times))
-    assert f.shape == (len(times), math.comb(N + scheme.d, scheme.d))
-    views = (f, f * np.sqrt(table.valency), table.valency * np.abs(f) ** 2)
-    for i, t in enumerate(times):
-        prof = amplitudes(spec, t)
-        assert tuple(prof.coefficients) == table.index_set
-        for view, expected in zip(views, (prof.coefficients, prof.site_amplitudes,
-                                          prof.class_probabilities)):
-            assert view[i].tobytes() == np.array(list(expected.values()), dtype=view.dtype).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        table, f = walk._amplitude_rows(spec, np.array(times))
+        assert f.shape == (len(times), math.comb(N + scheme.d, scheme.d))
+        views = (f, f * np.sqrt(table.valency), table.valency * np.abs(f) ** 2)
+        for i, t in enumerate(times):
+            prof = amplitudes(spec, t)
+            assert tuple(prof.coefficients) == table.index_set
+            for view, expected in zip(views, (prof.coefficients, prof.site_amplitudes,
+                                              prof.class_probabilities)):
+                assert view[i].tobytes() == np.array(list(expected.values()), dtype=view.dtype).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,6 +351,18 @@ def test_site_factors_is_one_row_of_the_batched_kernel(scheme, times, re, im):
     for t, row in zip(times, rows):
         assert site_factors(spec, t).tobytes() == row.tobytes()
         assert site_factors(spec, np.float64(t)).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("spec", [canonical_spec(3, 2), walk_spec(ordered_word_scheme(3), 2, [0.7, -0.3, 0.25]),
+                                  walk_spec(trivial_scheme_2(), 4, [1.0])])
+def test_site_factor_kernel_takes_its_times_as_floats(spec):
+    # integer times are converted to float before the product with i mu:
+    # 2**70 does not fit int64, so without the conversion it would make an
+    # object array that exp cannot take
+    assert site_factors(spec, 2**70).tobytes() == site_factors(spec, float(2**70)).tobytes()
+    assert walk._site_factor_rows(spec, [3]).tobytes() == walk._site_factor_rows(spec, [3.0]).tobytes()
+    assert (walk._site_factor_rows(spec, [3, 2**70, -1]).tobytes()
+            == walk._site_factor_rows(spec, [3.0, float(2**70), -1.0]).tobytes())
 
 
 def test_vanishing_rule():
