@@ -14,6 +14,7 @@ from .extension import enumerate_indices
 from .schemes import _integers, directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
+    _finite_times,
     _site_factor_rows,
     canonical_ngon_weights,
     eigenvalue_lambda,
@@ -129,19 +130,6 @@ def _golden_max(fun, a, b) -> list:
     for _ in range(_GOLDEN_STEPS + 2):
         ts = [run.send(f) for run, f in zip(runs, fun(ts).tolist())]
     return ts
-
-
-def _finite_times(times) -> np.ndarray:
-    """``times`` as a float array; ValueError unless it is a one-dimensional
-    grid of finite real numbers (a complex grid is refused, not truncated)."""
-    grid = np.asarray(times)
-    if grid.ndim != 1 or grid.dtype.kind not in "iuf":
-        raise ValueError(f"time grid must be a one-dimensional sequence of real numbers, "
-                         f"got a {grid.dtype} array of shape {grid.shape}")
-    grid = grid.astype(float)
-    if not np.isfinite(grid).all():
-        raise ValueError("time grid must be finite")
-    return grid
 
 
 def _time_grid(t_grid) -> np.ndarray:

@@ -8,7 +8,6 @@ powers of two), never from a generic eigensolver.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -117,45 +116,60 @@ def _as_int_matrix(m) -> np.ndarray:
 def _intersection_tensor(adjacency) -> np.ndarray:
     """Structure constants of the products A_i A_j, exact integers.
 
-    The products run in float64 on BLAS; products of 0/1 matrices have
-    integer entries of at most |X| < 2^53, so they are exact.  Raises
+    The products run on BLAS.  For integer entries of magnitude at most M,
+    every partial sum formed here (the products, and the span test that
+    recombines their entries with the relations) is an integer of magnitude
+    at most (d+1) M^3 |X|; up to 2^24 (every 0/1 scheme with (d+1) |X| <=
+    2^24) that is exact in float32, so the products run in float32.  Any
+    other input keeps float64, which is exact below 2^53.  Raises
     SchemeError, for the first failing (i, j, k), if products do not commute
     or a coefficient is not constant across a relation (i.e. the matrices
     are not a scheme).
     """
     nc = len(adjacency)
-    A = np.array(adjacency, dtype=float)
+    A = np.array(adjacency)
+    dtype = float
+    if A.dtype.kind in "biu" and A.size:
+        top = max(int(A.max()), -int(A.min()))
+        if nc * top ** 3 * A.shape[-1] <= 2 ** 24:
+            dtype = np.float32
+    A = A.astype(dtype)
     flat = A.reshape(nc, -1)
     cells = [np.flatnonzero(f) for f in flat]
     empty = [c.size == 0 for c in cells]
-    # flat cells relation by relation, then a sentinel so that every segment
-    # of `starts`, an empty one too, reduces over at least one cell
-    order = np.concatenate(cells + [[0]])
-    starts = np.cumsum([0] + [c.size for c in cells])
+    # the first cell of each relation (cell 0 for an empty one), and each
+    # cell of `order` labelled with its relation
+    order = np.concatenate(cells)
+    first = np.array([c[0] if c.size else 0 for c in cells])
+    label = np.repeat(np.arange(nc), [c.size for c in cells])
+    # a product that 0/1 relations on disjoint cells span is constant on each
+    # of them, so only other input needs the test of constancy
+    partition = bool(((flat == 0) | (flat == 1)).all() and flat.sum(axis=0).max(initial=0) <= 1)
     p = np.zeros((nc, nc, nc), dtype=np.int64)
     for i in range(nc):
         prod = A[i] @ A[i:]
         commute = (prod == A[i:] @ A[i]).all(axis=(1, 2))
         pf = prod.reshape(nc - i, -1)
-        v = pf[:, order[starts[:-1]]]
-        spanned = ~(pf != v @ flat).any(axis=1)
-        on = pf[:, order]
-        constant = np.maximum.reduceat(on, starts, axis=1) == np.minimum.reduceat(on, starts, axis=1)
-        if any(empty) or not (commute.all() and constant.all() and spanned.all()):
-            for j, com, const, span in zip(range(i, nc), commute, constant.tolist(), spanned):
+        v = pf[:, first]
+        spanned = (pf == v @ flat).all(axis=1)
+        ok = commute & spanned
+        if not partition:
+            ok &= (pf[:, order] == v[:, label]).all(axis=1)
+        if any(empty) or not ok.all():
+            for j, row, com, span in zip(range(i, nc), pf, commute, spanned):
                 if not com:
                     raise SchemeError(f"A_{i} and A_{j} do not commute")
                 for k in range(nc):
                     if empty[k]:
                         raise SchemeError(f"relation {k} is empty")
-                    if not const[k]:
+                    if (row[cells[k]] != row[first[k]]).any():
                         raise SchemeError(f"A_{i} A_{j} is not constant on relation {k}: "
                                           "not an association scheme")
                 if not span:
                     raise SchemeError(f"A_{i} A_{j} leaves the adjacency span")
         p[i, i:] = v
         p[i:, i] = v
-        del prod, pf, on  # free this block before the next one is formed
+        del prod, pf  # free this block before the next one is formed
     return p
 
 
@@ -171,8 +185,9 @@ def _rounded_integers(values, what: str, least: int) -> np.ndarray:
 def _spectral_intersection(P, size: int, valencies, multiplicities) -> np.ndarray:
     """p_ij^k = (1/(|X| k_k)) sum_l m_l P_li P_lj conj(P_lk) (Bannai & Ito),
     rounded to the exact non-negative integers it must be."""
-    raw = np.einsum("l,li,lj,lk->ijk", multiplicities, P, P, np.conj(P), optimize=True)
-    return _rounded_integers(raw / (size * valencies), "intersection numbers", 0)
+    nc = len(P)
+    raw = (multiplicities[:, None, None] * P[:, :, None] * P[:, None, :]).reshape(nc, -1).T @ np.conj(P)
+    return _rounded_integers(raw.reshape(nc, nc, nc) / (size * valencies), "intersection numbers", 0)
 
 
 def _spectral_transpose(inter) -> tuple:
@@ -238,7 +253,8 @@ def directed_ngon(n: int) -> AssociationScheme:
         raise ValueError("n must be a positive integer")
     eye = np.eye(n, dtype=np.int64)
     adjacency = [np.roll(eye, k, axis=1) for k in range(n)]
-    P = np.array([[unit_root(k * l, n) for l in range(n)] for k in range(n)])
+    roots = np.array([unit_root(j, n) for j in range(n)])
+    P = roots[np.multiply.outer(np.arange(n), np.arange(n)) % n]
     Q = np.conj(P)
     return _make_scheme(adjacency, P, Q)
 
@@ -256,10 +272,11 @@ def ordered_word_scheme(d: int) -> AssociationScheme:
     (d,) = _integers((d,), "d")
     if d < 1:
         raise ValueError("d must be a positive integer")
-    eye, swap = trivial_scheme_2().adjacency
-    ones = eye + swap
-    adjacency = [functools.reduce(np.kron, [eye] * d)] + [
-        functools.reduce(np.kron, [ones] * (j - 1) + [swap] + [eye] * (d - j)) for j in range(1, d + 1)]
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    adjacency = [np.eye(2 ** d, dtype=np.int64)]
+    for j in range(1, d + 1):
+        ones = np.ones((2 ** (j - 1), 2 ** (j - 1)), dtype=np.int64)
+        adjacency.append(np.kron(np.kron(ones, swap), np.eye(2 ** (d - j), dtype=np.int64)))
 
     k = np.array([1] + [2 ** (j - 1) for j in range(1, d + 1)], dtype=np.int64)
     i, j = np.indices((d + 1, d + 1))
@@ -272,6 +289,13 @@ def ordered_word_scheme(d: int) -> AssociationScheme:
 def intersection_numbers(scheme: AssociationScheme) -> np.ndarray:
     """Recompute the structure-constant tensor from the adjacency matrices."""
     return _intersection_tensor(scheme.adjacency)
+
+
+# the contraction orders that np.einsum's greedy optimiser picks for every
+# class count; passing them skips its planning, which costs more than the
+# contraction itself on a small scheme
+_IDEMPOTENCY_PATH = ["einsum_path", (0, 2), (0, 1)]
+_EIGEN_RELATION_PATH = ["einsum_path", (0, 1)]
 
 
 def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
@@ -334,8 +358,10 @@ def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
     Qn = Q / size  # Qn[m, j]: coefficient of A_m in E_j
     idem = eigrel = np.inf  # the adjacency products are not a scheme
     if p is not None:
-        idem = np.einsum("ki,lj,klm->ijm", Qn, Qn, p, optimize=True) - eye[:, :, None] * Qn.T[:, None, :]
-        eigrel = np.einsum("kj,ikm->ijm", Qn, p, optimize=True) - P.T[:, :, None] * Qn.T[None, :, :]
+        idem = (np.einsum("ki,lj,klm->ijm", Qn, Qn, p, optimize=_IDEMPOTENCY_PATH)
+                - eye[:, :, None] * Qn.T[:, None, :])
+        eigrel = (np.einsum("kj,ikm->ijm", Qn, p, optimize=_EIGEN_RELATION_PATH)
+                  - P.T[:, :, None] * Qn.T[None, :, :])
     approx("idempotency", idem)
     approx("eigen-relation", eigrel)
     approx("valency-row", P[0] - scheme.valencies)

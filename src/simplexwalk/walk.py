@@ -122,6 +122,19 @@ def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
     return np.exp(1j * t * spec._site_terms[0])
 
 
+def _finite_times(times) -> np.ndarray:
+    """``times`` as a float array; ValueError unless it is a one-dimensional
+    grid of finite real numbers (a complex grid is refused, not truncated)."""
+    grid = np.asarray(times)
+    if grid.ndim != 1 or grid.dtype.kind not in "iuf":
+        raise ValueError(f"time grid must be a one-dimensional sequence of real numbers, "
+                         f"got a {grid.dtype} array of shape {grid.shape}")
+    grid = grid.astype(float)
+    if not np.isfinite(grid).all():
+        raise ValueError("time grid must be finite")
+    return grid
+
+
 def _site_factor_rows(spec: WalkSpec, times) -> np.ndarray:
     """The T x (d+1) array of p_k(times[i]), row i per time: one stacked
     matrix-vector product per time, as one 2-D product over all times
@@ -170,10 +183,9 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
 
     The site factors come from one ``_site_factor_rows`` call, and the
     products from one ``ExtensionScheme.monomials`` call over every time.
+    ``times`` must pass ``_finite_times``, the grid rule of ``detect.scan``.
     """
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
-    times = np.asarray(times, dtype=float)
+    times = _finite_times(times)
     table = spec.table
     theta0 = complex(_one_copy_spectrum(spec)[0])
     prefactor = np.exp(-1j * times * spec.copies * theta0) / float(spec.base.size) ** spec.copies

@@ -453,6 +453,31 @@ def test_krawtchouk_golden_json(capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+GOLDEN_SCHEMES = {
+    "trivial2": (["scheme", "info", "--kind", "trivial2"],
+                 "bc0e21f12a21303d3fa2c6b2c581e153214c0d6491aff39d67c4bbef041da81a"),
+    "ngon3": (["scheme", "info", "--kind", "ngon", "--n", "3"],
+              "03a147e2f38b64282a25a1a4f0ba5006ce1c675c8e93501e57f54ccce1379512"),
+    "ngon12": (["scheme", "info", "--kind", "ngon", "--n", "12"],
+               "c12c0299d3421b69514c070efaccb9e80978dbe87f382672cf495d7db6860c7b"),
+    "ngon31": (["scheme", "info", "--kind", "ngon", "--n", "31"],
+               "52675980fb0370d0e929858aafa875587d478208433ce9c0ef02a0ef90b80f9b"),
+    "ow3": (["scheme", "info", "--kind", "ow", "--d", "3"],
+            "d6a7ad98624ef28da3c109cc478fe5179bac4dae5929dd10b933d6ae128ed240"),
+    "ow7": (["scheme", "info", "--kind", "ow", "--d", "7"],
+            "4b9665bbfb0bf484497eddecb8cfcd0db77ac0f7aed7eda96c7da5e4d33e23de"),
+    "verify": (["verify", "--suite", "axioms"],
+               "30a25c763d64da0743ce2fc8efc0da2ac0a23a33e5c00a6345e33454e71c8133"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEMES))
+def test_scheme_golden_json(capsys, name):
+    args, digest = GOLDEN_SCHEMES[name]
+    assert run_cli(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_walk_amplitudes_opens_no_file_before_rows_are_computed(tmp_path, monkeypatch):
     def fail(spec, times):
         raise OverflowError("amplitudes out of range")

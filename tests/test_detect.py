@@ -26,6 +26,7 @@ from simplexwalk import (
     walk_spec,
     zt_candidates,
 )
+from simplexwalk import walk
 
 
 def test_classify_identity():
@@ -146,7 +147,8 @@ def test_cascade_residual_rejects_non_finite_times_and_bad_tol(times, tol):
 def test_time_grids_must_be_real_and_one_dimensional(grid):
     spec = walk_spec(trivial_scheme_2(), 2, [1.0])
     calls = [lambda: scan(spec, grid), lambda: zt_candidates(spec, grid),
-             lambda: cascade_residual(ow_fr_scenario(3, 2, 1).spec, grid)]
+             lambda: cascade_residual(ow_fr_scenario(3, 2, 1).spec, grid),
+             lambda: walk._amplitude_rows(spec, grid)]  # under amplitudes and `walk amplitudes`
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:

@@ -197,6 +197,16 @@ def test_partition_of_ones_needs_zero_one_entries():
     assert intersection_numbers(broken)[1, 1:, 0].tolist() == [4, -2]
 
 
+def test_intersection_numbers_stay_exact_past_float32():
+    # as above, A_0 + A_1 + A_2 = J on two points, now with A_1 = 4097 S and
+    # A_2 = -4096 S; p_11^0 = 4097^2 = 16785409 is odd and above 2^24, so
+    # float32 products cannot hold it
+    eye = np.eye(2, dtype=np.int64)
+    swap = eye[::-1].copy()
+    broken = dataclasses.replace(directed_ngon(3), size=2, adjacency=(eye, 4097 * swap, -4096 * swap))
+    assert intersection_numbers(broken)[1, 1:, 0].tolist() == [16785409, -16781312]
+
+
 def test_intersection_raises_on_non_scheme():
     s = directed_ngon(3)
     broken = [a.copy() for a in s.adjacency]
@@ -234,6 +244,16 @@ def test_intersection_tensor_failure_messages(adjacency, message):
     with pytest.raises(SchemeError) as err:
         schemes._intersection_tensor(adjacency)
     assert str(err.value) == message
+
+
+def test_intersection_tensor_tests_constancy_off_partitions():
+    # A_1 and A_2 share their cells and hold entries other than 0/1; A_0 A_1 =
+    # A_1 = 2 A_1 + 2 A_2 is in their span, yet it is not constant on relation 1
+    eye = np.eye(2, dtype=np.int64)
+    a1 = np.array([[0, 2], [4, 0]], dtype=np.int64)
+    with pytest.raises(SchemeError) as err:
+        schemes._intersection_tensor([eye, a1, -a1 // 2])
+    assert str(err.value) == "A_0 A_1 is not constant on relation 1: not an association scheme"
 
 
 @settings(max_examples=60, deadline=None)
@@ -432,3 +452,81 @@ def test_nan_spectral_entry_fails_validation(build, field, entry):
     report = validate_scheme(dataclasses.replace(s, **{field: M}))
     assert not report.ok
     assert np.isnan(report.max_residual)
+
+
+def _reference_ngon(n):
+    """directed_ngon's relations and eigenmatrices, by n^2 unit-root calls."""
+    adjacency = [np.roll(np.eye(n, dtype=np.int64), k, axis=1) for k in range(n)]
+    P = np.array([[schemes.unit_root(k * l, n) for l in range(n)] for k in range(n)])
+    return adjacency, P, np.conj(P)
+
+
+def _reference_ow(d):
+    """ordered_word_scheme's relations and eigenmatrices, by d-fold Kronecker products."""
+    eye = np.eye(2, dtype=np.int64)
+    swap = eye[::-1].copy()
+    adjacency = [functools.reduce(np.kron, [eye] * d)] + [
+        functools.reduce(np.kron, [eye + swap] * (j - 1) + [swap] + [eye] * (d - j)) for j in range(1, d + 1)]
+    k = np.array([1] + [2 ** (j - 1) for j in range(1, d + 1)], dtype=np.int64)
+    i, j = np.indices((d + 1, d + 1))
+    C = np.where(i + j <= d, 1.0, np.where(i + j == d + 1, -1.0, 0.0))
+    return adjacency, C * k[np.newaxis, :], (C * k[:, np.newaxis]).T
+
+
+def _reference_fields(adjacency, P, Q):
+    """Spectral data, dense structure constants and residuals through float64
+    products and einsums with ``optimize=True``."""
+    size, nc = len(adjacency[0]), len(adjacency)
+    P, Q = np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex)
+    k, m = np.rint(P[0].real).astype(np.int64), np.rint(Q[0].real).astype(np.int64)
+    C = P / k[np.newaxis, :]
+    raw = np.einsum("l,li,lj,lk->ijk", m, P, P, np.conj(P), optimize=True) / (size * k)
+    inter = np.rint(raw.real).astype(np.int64)
+    A = np.array(adjacency, dtype=float)
+    first = [int(np.flatnonzero(a)[0]) for a in A]
+    p = np.array([[(A[i] @ A[j]).flat[first] for j in range(nc)] for i in range(nc)]).astype(np.int64)
+    eye = np.eye(nc)
+    Qn = Q / size
+    idem = np.einsum("ki,lj,klm->ijm", Qn, Qn, p, optimize=True) - eye[:, :, None] * Qn.T[:, None, :]
+    eigrel = np.einsum("kj,ikm->ijm", Qn, p, optimize=True) - P.T[:, :, None] * Qn.T[None, :, :]
+    # the three combinatorial checks read 0 on a scheme
+    residuals = [0.0, 0.0, 0.0, float(np.abs(p - inter).max())] + [float(np.abs(r).max()) for r in (
+        P @ Q - size * eye, eye - Q @ P / size, idem, eigrel, P[0] - k, Q[0] - m,
+        C - np.conj(Q).T / m[:, None], m @ np.conj(C) - size * eye[0])]
+    return {"P": P, "Q": Q, "C": C, "k": k, "m": m, "intersection": inter, "tensor": p,
+            "residuals": np.array(residuals)}
+
+
+def _hex(a):
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return [_hex(a.real), _hex(a.imag)]
+    return [float(x).hex() for x in a.ravel()]
+
+
+BITWISE_BUILDS = ([("trivial2", trivial_scheme_2, lambda: _reference_ow(1))]
+                  + [(f"ngon{n}", functools.partial(directed_ngon, n), functools.partial(_reference_ngon, n))
+                     for n in range(1, 41)]
+                  + [(f"ow{d}", functools.partial(ordered_word_scheme, d), functools.partial(_reference_ow, d))
+                     for d in range(1, 9)])
+
+
+@pytest.mark.parametrize("build, reference", [b[1:] for b in BITWISE_BUILDS],
+                         ids=[b[0] for b in BITWISE_BUILDS])
+def test_scheme_bits_match_float64_reference(build, reference):
+    # float32 products, fixed contraction paths and the gathered roots and
+    # Kronecker factors give every bit of the float64 / optimize=True path
+    s = build()
+    adjacency, P, Q = reference()
+    for a, b in zip(s.adjacency, adjacency):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+    ref = _reference_fields(adjacency, P, Q)
+    report = validate_scheme(s)
+    assert report.ok
+    ours = {"P": s.first_eigenmatrix, "Q": s.second_eigenmatrix, "C": s.cosine, "k": s.valencies,
+            "m": s.multiplicities, "intersection": s.intersection, "tensor": intersection_numbers(s),
+            "residuals": [c.residual for c in report.checks]}
+    for name, value in ours.items():
+        assert np.shape(value) == np.shape(ref[name]), name
+        assert _hex(value) == _hex(ref[name]), name

@@ -67,6 +67,24 @@ def test_non_finite_times_rejected(bad):
         z_factors(spec, np.float64(bad))
 
 
+@pytest.mark.parametrize("t", [0.5 + 0j, 1j, np.complex128(0.5), True, "0.1", [0.1, 0.2], np.zeros(2)],
+                         ids=["complex", "imaginary", "numpy-complex", "bool", "str", "list", "array"])
+def test_amplitudes_take_one_real_time(t):
+    # the rule of scan's time grids, applied to the one time
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="one-dimensional sequence of real numbers"):
+            amplitudes(spec, t)
+
+
+def test_amplitudes_take_integer_times_as_floats():
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    assert amplitudes(spec, 1).coefficients == amplitudes(spec, 1.0).coefficients
+    f_int = walk._amplitude_rows(spec, np.arange(3))[1]
+    assert f_int.tobytes() == walk._amplitude_rows(spec, [0.0, 1.0, 2.0])[1].tobytes()
+
+
 def test_non_hermitian_warns():
     with pytest.warns(UserWarning):
         spec = walk_spec(directed_ngon(3), 1, [1.0, 0.5])
