@@ -31,9 +31,9 @@ NORMALIZATION_TOL = 1e-6
 class TransferEvent:
     """A detected concentration of probability at one time.
 
-    ``support`` is the smallest set of class indices holding at least
-    1 - tol of the probability (for ``scan``, the classes of the smallest
-    such face of the base simplex); ``phase`` is filled for single-site events.
+    ``support`` is the classes of the smallest face of the base simplex
+    holding at least 1 - max(tol, FR_TOL) of the probability; ``phase`` is
+    filled for single-site events.
     """
 
     kind: str  # PST | GME | FR | ZT-candidate | none
@@ -56,12 +56,15 @@ def _check_tol(tol: float) -> None:
 
 
 def classify(profile, tol: float = PST_TOL) -> TransferEvent:
-    """Name the event at ``profile.time`` by its minimal high-probability
-    support: one site is a perfect transfer, two balanced sites a maximal
-    entanglement, any proper subset a revival.
+    """Name the event at ``profile.time`` by the smallest face of the base
+    simplex holding 1 - max(tol, FR_TOL) of the probability, as ``scan``
+    does: one site is a perfect transfer (gated by the stricter ``tol``),
+    two balanced classes a maximal entanglement, any other proper face a
+    revival, and the face of every site no event.
 
-    The support is taken at ``max(tol, FR_TOL)``; the stricter ``tol``
-    gates the single-site perfect-transfer claim.
+    Only the class probabilities are read: site k ranks by
+    sum_beta P(beta) beta_k = N q_k, and a face holds the classes whose
+    support lies in it.
     """
     _check_tol(tol)
     if not profile.hermitian:
@@ -69,30 +72,39 @@ def classify(profile, tol: float = PST_TOL) -> TransferEvent:
     total = profile.total_probability()
     if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise ValueError(f"profile is not normalized (total {total!r})")
+    betas = np.array(list(profile.class_probabilities))
+    probs = np.array(list(profile.class_probabilities.values()))
+    N, d = int(betas[0].sum()), betas.shape[1] - 1
+    means = probs @ betas
+    ranked = np.argsort(-means, kind="stable")
+    # a class lies in the face of the r heaviest sites iff its lowest ranked
+    # site is among them; the one class of N = 0 lies in every face
+    reach = np.where(betas > 0, ranked.argsort(), 0).max(axis=1)
+    held = np.cumsum(np.bincount(reach, weights=probs, minlength=d + 1))
+    kind, sites, fidelity = _named_face(held.tolist(), ranked.tolist(), means.tolist(), N, tol)
+    support = _face_classes(sites, N, d)
+    phase = float(np.angle(profile.site_amplitudes[support[0]])) if kind == "PST" else None
+    return TransferEvent(kind=kind, time=profile.time, support=support, fidelity=fidelity, phase=phase)
+
+
+def _named_face(held, ranked, q, N: int, tol: float) -> tuple:
+    """The event rule of ``classify`` and ``scan``: (kind, sites, fidelity)
+    of the smallest face holding 1 - max(tol, FR_TOL), where ``held[r - 1]``
+    is the mass of the face on the r heaviest sites ``ranked[:r]`` and
+    ``q[k]`` the mass of site k at N = 1."""
     fr_tol = max(tol, FR_TOL)
-
-    ranked = sorted(profile.class_probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
-    cum = 0.0
-    support = []
-    for beta, prob in ranked:
-        support.append((beta, prob))
-        cum += prob
-        if cum >= 1.0 - fr_tol:
-            break
-
-    indices = tuple(sorted(beta for beta, _ in support))
-    if len(support) == 1:
-        beta = support[0][0]
-        if cum < 1.0 - tol:
-            return TransferEvent(kind="none", time=profile.time, support=indices, fidelity=cum)
-        phase = float(np.angle(profile.site_amplitudes[beta]))
-        return TransferEvent(kind="PST", time=profile.time, support=indices, fidelity=cum, phase=phase)
-    if len(support) == 2 and all(abs(p - 0.5) <= fr_tol for _, p in support):
-        return TransferEvent(kind="GME", time=profile.time, support=indices, fidelity=cum)
-    if len(support) == len(ranked):
-        # probability reaches every class: no confinement, hence no event
-        return TransferEvent(kind="none", time=profile.time, support=indices, fidelity=cum)
-    return TransferEvent(kind="FR", time=profile.time, support=indices, fidelity=cum)
+    d = len(ranked) - 1
+    size = next((r for r in range(1, d + 1) if held[r - 1] >= 1.0 - fr_tol), d + 1)
+    sites = sorted(ranked[:size])
+    fidelity = held[size - 1]
+    if size == 1:
+        kind = "none" if fidelity < 1.0 - tol else "PST"
+    elif size == 2 and N == 1 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
+        kind = "GME"
+    else:
+        # the face of every site is unconfined
+        kind = "FR" if size <= d else "none"
+    return kind, sites, fidelity
 
 
 _GOLDEN_STEPS = 60
@@ -147,24 +159,24 @@ def _site_masses(spec: WalkSpec, p: np.ndarray) -> np.ndarray:
 
 
 def _face_classes(sites, N: int, d: int) -> tuple:
-    """The classes beta with beta_k = 0 off ``sites``, in ascending order."""
+    """The classes beta with beta_k = 0 off ``sites``, in ascending order:
+    the compositions come largest first, and scattering them onto the
+    ascending ``sites`` keeps that order."""
     out = []
     for part in enumerate_indices(N, len(sites) - 1):
         beta = [0] * (d + 1)
         for k, b in zip(sites, part):
             beta[k] = b
         out.append(tuple(beta))
-    return tuple(sorted(out))
+    return tuple(reversed(out))
 
 
 def _face_events(spec: WalkSpec, times, p: np.ndarray, tol: float) -> list:
-    """Simplex analogue of ``classify``: the event at each of ``times``,
-    whose site factors are the rows of ``p``, is named by the smallest face
-    holding 1 - max(tol, FR_TOL) of the probability, and its support is the
-    classes of that face; None where there is no event.  The masses, their
-    ranking and the face masses come from one pass over every row."""
+    """The event at each of ``times``, whose site factors are the rows of
+    ``p``, by ``_named_face`` on the face masses (sum_{k in S} q_k)^N;
+    None where there is no event.  The masses, their ranking and the face
+    masses come from one pass over every row."""
     N, d = spec.copies, spec.base.d
-    fr_tol = max(tol, FR_TOL)
     q = _site_masses(spec, p)
     ranked = np.argsort(-q, axis=1, kind="stable")
     helds = np.cumsum(q[np.arange(len(q))[:, None], ranked], axis=1) ** N
@@ -172,25 +184,12 @@ def _face_events(spec: WalkSpec, times, p: np.ndarray, tol: float) -> list:
     lam = eigenvalue_lambda(spec, _extreme_index(d, N, 0))
 
     def named(t, row, q, ranked, held):
-        size = next((r for r in range(1, d + 1) if held[r - 1] >= 1.0 - fr_tol), d + 1)
-        sites = sorted(ranked[:size])
-        fidelity = held[size - 1]
-        count = math.comb(N + size - 1, size - 1)
-        if size == 1:
-            if fidelity < 1.0 - tol:
-                return None
-            phase = float(np.angle(np.exp(-1j * t * lam) * row[sites[0]] ** N))
-            return TransferEvent(kind="PST", time=t, support=_face_classes(sites, N, d),
-                                 fidelity=fidelity, phase=phase)
-        if count == 2 and all(abs(q[k] - 0.5) <= fr_tol for k in sites):
-            kind = "GME"
-        elif size == d + 1:
-            # unconfined: the probability reaches every site
+        kind, sites, fidelity = _named_face(held, ranked, q, N, tol)
+        if kind == "none":
             return None
-        else:
-            kind = "FR"
+        phase = float(np.angle(np.exp(-1j * t * lam) * row[sites[0]] ** N)) if kind == "PST" else None
         return TransferEvent(kind=kind, time=t, support=_face_classes(sites, N, d),
-                             fidelity=fidelity)
+                             fidelity=fidelity, phase=phase)
 
     return list(map(named, times, p, q.tolist(), ranked.tolist(), helds.tolist()))
 

@@ -53,12 +53,23 @@ def test_classify_gme_half_time():
 
 
 def test_classify_fr_binomial_tail():
-    # at half the transfer time the binomial spread leaves the far tail
-    # below tolerance once N is large enough
+    # at half the transfer time both sites hold 0.5: the binomial tail below
+    # tolerance is no face, so there is no event, as scan finds
     spec = walk_spec(trivial_scheme_2(), 30, [1.0])
     ev = classify(amplitudes(spec, math.pi / 4))
-    assert ev.kind == "FR"
-    assert 2 < len(ev.support) < 31
+    assert (ev.kind, ev.support) == ("none", tuple(sorted(spec.table.index_set)))
+    assert len(ev.support) == 31
+    assert scan(spec, np.linspace(0.6, 1.0, 21)) == []
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 10, 20, 50, 200])
+def test_generic_time_is_no_event_at_any_N(N):
+    # the multinomial bulk narrows as N grows, but it fills the face of
+    # every site: an event means the same thing at N = 1 and at N = 200
+    spec = walk_spec(directed_ngon(3), N, canonical_ngon_weights(3))
+    ev = classify(amplitudes(spec, 0.7))
+    assert (ev.kind, ev.support) == ("none", tuple(sorted(spec.table.index_set)))
+    assert scan(spec, np.linspace(0.6, 0.8, 41)) == []
 
 
 def test_classify_spread_is_none():
@@ -261,6 +272,62 @@ def test_scan_events_agree_with_class_level_classify(sc, t_min, t_max, steps, to
     for ev in events:
         ref = classify(amplitudes(sc.spec, ev.time), tol)
         assert (ref.kind, ref.support) == (ev.kind, ev.support)
+        assert abs(ref.fidelity - ev.fidelity) < 1e-12
+        if ev.phase is None:
+            assert ref.phase is None
+        else:
+            assert abs(np.angle(np.exp(1j * (ref.phase - ev.phase)))) < 1e-12
+
+
+def _hermitian_weights(scheme, re, im):
+    # average w with its transpose-paired conjugate: exactly Hermitian
+    w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
+    pair = [scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]
+    return (w + np.conj(w[pair])) / 2
+
+
+def _face_sites(support):
+    return {k for beta in support for k, b in enumerate(beta) if b}
+
+
+AGREE_SCHEMES = ([trivial_scheme_2()] + [directed_ngon(n) for n in range(2, 6)]
+                 + [ordered_word_scheme(d) for d in range(1, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(AGREE_SCHEMES),
+    N=st.integers(0, 12),
+    re=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    im=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    uniform=st.lists(st.floats(0.0, 2 * math.pi), max_size=3),
+    tol=st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]),
+)
+def test_classify_agrees_with_face_events(scheme, N, re, im, uniform, tol):
+    # the class-level and the site-level reading of one event rule; scan's
+    # event times reach the PST and FR branches, and the midpoints between
+    # them the GME of d = 1 at N = 1, where uniform times rarely reach any
+    from simplexwalk import detect
+
+    spec = walk_spec(scheme, N, _hermitian_weights(scheme, re, im))
+    times = [ev.time for ev in scan(spec, np.linspace(0.0, 2 * math.pi, 64), tol=tol)]
+    times += [(a + b) / 2 for a, b in zip(times, times[1:])] + uniform
+    p = walk._site_factor_rows(spec, times)
+    for t, row, ev in zip(times, p, detect._face_events(spec, times, p, tol)):
+        ref = classify(amplitudes(spec, t), tol)
+        assert ref.support == tuple(sorted(ref.support))
+        if ev is None:
+            assert ref.kind == "none"
+            continue
+        assert ref.kind == ev.kind
+        if ref.support != ev.support:
+            # two faces of one size hold the same mass, as under the
+            # reflection of a cycle with real weights: rounding picks one,
+            # and the sites in only one of them pair off with equal masses
+            q = detect._site_masses(spec, row)
+            ours, theirs = _face_sites(ref.support), _face_sites(ev.support)
+            np.testing.assert_allclose(sorted(q[list(ours - theirs)]), sorted(q[list(theirs - ours)]),
+                                       rtol=0, atol=1e-12)
         assert abs(ref.fidelity - ev.fidelity) < 1e-12
         if ev.phase is None:
             assert ref.phase is None
@@ -588,9 +655,12 @@ def test_scan_without_copies_reports_one_transfer(spec, t_max, steps):
     events = scan(spec, grid)
     assert len(events) == 1
     ev = events[0]
-    assert (ev.kind, ev.support, ev.fidelity) == ("PST", ((0,) * spec.base.classes,), 1.0)
+    assert (ev.kind, ev.support, ev.fidelity, ev.phase) == ("PST", ((0,) * spec.base.classes,), 1.0, 0.0)
     assert ev.time in grid
     assert scan(spec, []) == []
+    # no site mass is divided by N = 0: the one class is the whole profile
+    ref = classify(amplitudes(spec, t_max / 3))
+    assert (ref.kind, ref.support, ref.fidelity, ref.phase) == ("PST", ((0,) * spec.base.classes,), 1.0, 0.0)
 
 
 def _zt_by_class(spec, t_grid, tol=1e-8):
