@@ -226,20 +226,15 @@ def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
     the slot pairs s < t, column by column, bring V to the diagonal
     D = G_m ... G_1 V, so the state is lifted through each G_k^+ in turn,
     then through D as prod_j D_jj^gamma_j (``ExtensionScheme.monomials``).
-    Each G_k is in SU(2) with a real diagonal c >= 0, so G_k = exp(iK),
-    K = [[0, conj(kappa)], [kappa, 0]], |kappa| = atan2(|G_ts|, c) <= pi/2.
-    On the classes with n units in slots s and t, G_k^+ acts by
-    exp(-i |kappa| P J_n P^+), P = diag(exp(i a arg kappa)), a = beta_s, and
-    J_n the real lift of [[0, 1], [1, 0]]: its eigh is taken once per n, so
-    every step is unitary to rounding."""
+    On the slot order (t, s), G_k^+ = [[c, -sn], [conj(sn), c]] = P^+ O P,
+    P = diag(1, sn/|sn|), O = [[c, -|sn|], [|sn|, c]].  On the classes with
+    n units in slots s and t, a = beta_s, P lifts to diag((sn/|sn|)^a) and
+    O to the real S_n = (1/n) sum_ij O_ij R_i S_{n-1} R_j^T, R_0[a, a] =
+    sqrt(n-a), R_1[a+1, a] = sqrt(a+1), S_0 = [[1]] (Risbo's D-function
+    recursion).  Each S_n acts once built; only S_{n-1} is kept."""
     V = np.array(V, dtype=complex)
-    N = table.copies
     state = np.zeros(table.dimension, dtype=complex)
     state[table.position[tuple(start)]] = 1.0
-    spins = []
-    for n in range(N + 1):  # J_n[a+1, a] = J_n[a, a+1] = sqrt((a+1)(n-a))
-        off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1))
-        spins.append(np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1)))
     for (s, t), blocks in table._pair_blocks.items():  # column-major pair order
         a, b = V[s, s], V[t, s]
         if b == 0:
@@ -247,12 +242,16 @@ def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
         r = math.hypot(abs(a), abs(b))
         c, sn = abs(a) / r, -b * (np.conj(a) / abs(a) if a else 1.0) / r
         V[[s, t]] = np.array([[c, -np.conj(sn)], [sn, c]]) @ V[[s, t]]
-        angle, arg = math.atan2(abs(sn), c), np.angle(-1j * sn)
-        for n in range(1, N + 1):
-            lam, Q = spins[n]
+        S, sin, arg = np.ones((1, 1)), abs(sn), np.angle(sn)
+        for n in range(1, table.copies + 1):
+            root = np.sqrt(np.arange(n + 1) / n)  # row a of R_0, R_1 over sqrt(n): root[n-a], root[a]
+            padded = np.zeros((n + 2, n + 2))
+            padded[1:-1, 1:-1] = S
+            right0, right1 = padded[:, 1:] * root[::-1], padded[:, :-1] * root
+            S = (root[::-1, None] * (c * right0[1:] - sin * right1[1:])
+                 + root[:, None] * (sin * right0[:-1] + c * right1[:-1]))
             p = np.exp(1j * arg * np.arange(n + 1))
-            step = (p.conj()[:, None] * Q * np.exp(-1j * angle * lam)) @ (Q.T * p)
-            state[blocks[n]] = state[blocks[n]] @ step
+            state[blocks[n]] = (state[blocks[n]] * p.conj() @ S) * p
     return table.monomials(np.diagonal(V), state)
 
 

@@ -66,16 +66,15 @@ def griffiths_params(nu, p, p_tilde, U) -> GriffithsParams:
         raise ValueError(f"nu must be finite and positive, got {nu!r}")
     p = np.asarray(p, dtype=float)
     p_tilde = np.asarray(p_tilde, dtype=float)
-    U = np.asarray(U, dtype=complex)
-    d = U.shape[0] - 1
-    if p.shape != (d + 1,) or p_tilde.shape != (d + 1,) or U.shape != (d + 1, d + 1):
+    U = _square_matrix(U)
+    if p.shape != U.shape[:1] or p_tilde.shape != U.shape[:1]:
         raise ValueError("parameter shapes do not match")
     if not (abs(p[0] - 1.0 / nu) <= PARAM_TOL and abs(p_tilde[0] - 1.0 / nu) <= PARAM_TOL):
         raise ValueError("p_0 and p_tilde_0 must equal 1/nu")
     ones = np.abs(U[0, :] - 1).max() + np.abs(U[:, 0] - 1).max()
     if not ones <= PARAM_TOL:
         raise ValueError("first row and column of U must be all ones")
-    gp = GriffithsParams(dimension=d, nu=nu, p=p, p_tilde=p_tilde, U=U)
+    gp = GriffithsParams(dimension=len(U) - 1, nu=nu, p=p, p_tilde=p_tilde, U=U)
     if not gp.unitarity_residual <= PARAM_TOL:
         raise ValueError(
             f"parameters violate the unitarity relation (residual {gp.unitarity_residual:.3e})"

@@ -107,6 +107,8 @@ class ValidationReport:
 
 def _as_int_matrix(m) -> np.ndarray:
     a = np.asarray(m)
+    if np.can_cast(a.dtype, np.int64):  # int and bool input is exact as it is
+        return a.astype(np.int64)
     out = np.rint(a.real if np.iscomplexobj(a) else a).astype(np.int64)
     if np.abs(out - a).max() > 0:
         raise SchemeError("adjacency matrices must have integer entries")
@@ -331,9 +333,9 @@ def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
         checks.append(CheckResult(name, r <= tol, r))
 
     exact("identity-class", scheme.adjacency[0] - np.eye(size, dtype=np.int64))
-    # the relations sum to J, and every entry lies in {0, 1}
-    exact("partition-of-ones", [sum(scheme.adjacency) - np.ones((size, size), dtype=np.int64)]
-          + [np.minimum(np.abs(a), np.abs(a - 1)) for a in scheme.adjacency])
+    # sum(A) = J, and every entry a has min(|a|, |a - 1|) = (|2a - 1| - 1) / 2 = 0
+    exact("partition-of-ones", [np.abs(sum(scheme.adjacency) - 1).max(initial=0)]
+          + [(np.abs(2 * a - 1).max(initial=1) - 1) // 2 for a in scheme.adjacency])
 
     tr_ok = all(
         np.array_equal(scheme.adjacency[i].T, scheme.adjacency[scheme.transpose_map[i]])

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,75 @@ def test_givens_state_of_a_diagonal_unitary_is_a_phase(start):
     expected = np.zeros(table.dimension, dtype=complex)
     expected[table.position[start]] = np.prod(phases ** np.array(start))
     np.testing.assert_allclose(_givens_state(np.diag(phases), start, table), expected, rtol=0, atol=1e-15)
+
+
+def _eigh_givens_state(V, start, table):
+    # the earlier library lift, kept here as the reference of the recursion:
+    # the same Givens rotations, each G^+ lifted on the classes with n units
+    # in slots s and t as exp(-i |kappa| P J_n P^+), kappa the SU(2) logarithm
+    # of G, P = diag(exp(i a arg kappa)), a = beta_s, and J_n[a+1, a] =
+    # J_n[a, a+1] = sqrt((a+1)(n-a)) exponentiated through its eigh
+    V = np.array(V, dtype=complex)
+    N = table.copies
+    state = np.zeros(table.dimension, dtype=complex)
+    state[table.position[tuple(start)]] = 1.0
+    spins = []
+    for n in range(N + 1):
+        off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1))
+        spins.append(np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1)))
+    for (s, t), blocks in table._pair_blocks.items():
+        a, b = V[s, s], V[t, s]
+        if b == 0:
+            continue
+        r = math.hypot(abs(a), abs(b))
+        c, sn = abs(a) / r, -b * (np.conj(a) / abs(a) if a else 1.0) / r
+        V[[s, t]] = np.array([[c, -np.conj(sn)], [sn, c]]) @ V[[s, t]]
+        angle, arg = math.atan2(abs(sn), c), np.angle(-1j * sn)
+        for n in range(1, N + 1):
+            lam, Q = spins[n]
+            p = np.exp(1j * arg * np.arange(n + 1))
+            step = (p.conj()[:, None] * Q * np.exp(-1j * angle * lam)) @ (Q.T * p)
+            state[blocks[n]] = state[blocks[n]] @ step
+    return table.monomials(np.diagonal(V), state)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), N=st.integers(0, 40))
+def test_givens_state_matches_eigh_lift(seed, d, N):
+    V = _random_unitary(seed, d)
+    table = extension_scheme(directed_ngon(d + 1), N)
+    start = table.index_set[np.random.default_rng(seed).integers(table.dimension)]
+    np.testing.assert_allclose(_givens_state(V, start, table), _eigh_givens_state(V, start, table),
+                               rtol=0, atol=1e-13)
+
+
+def _ngon3_balanced(N, t=0.7):
+    # the walk's one-copy unitary on canonical ngon-3 and the balanced start
+    spec = walk.walk_spec(directed_ngon(3), N, walk.canonical_ngon_weights(3))
+    vals, vecs = np.linalg.eigh(walk.projected_matrix(spec).one_body)
+    V = (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+    return V, (N - 2 * (N // 3), N // 3, N // 3), spec.table
+
+
+@pytest.mark.parametrize("N", [100, 200])
+def test_givens_state_matches_eigh_lift_at_large_N(N):
+    V, start, table = _ngon3_balanced(N)
+    np.testing.assert_allclose(_givens_state(V, start, table), _eigh_givens_state(V, start, table),
+                               rtol=0, atol=1e-13)
+
+
+def test_givens_state_memory_stays_quadratic_in_N():
+    # the recursion holds S_{n-1} and S_n, (N+1)^2 floats each; the eigh lift
+    # held all N+1 eigendecompositions, about 24 MiB here
+    V, start, table = _ngon3_balanced(200)
+    table._pair_blocks  # built once per table, outside the lift
+    tracemalloc.start()
+    try:
+        _givens_state(V, start, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_pair_blocks_are_built_lazily_and_partition_the_table():

@@ -60,6 +60,10 @@ def test_params_reject_bad():
         griffiths_params(2.0, [0.5, 0.5], [0.5, 0.5], [[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         griffiths_params(3.0, [0.5, 0.5], [0.5, 0.5], HADAMARD)
+    # a 0-d, 1-D or 3-D U is refused by the shape rule of both evaluators
+    for U in (5, [1.0, 1.0], [[[1.0]]]):
+        with pytest.raises(ValueError, match="square matrix"):
+            griffiths_params(1.0, [1.0], [1.0], U)
 
 
 @pytest.mark.parametrize("nu, p, p_tilde, U", [

@@ -182,6 +182,24 @@ def test_flipped_entry_fails_validation():
     assert failed & {"transpose-closure", "commuting-integer-products", "partition-of-ones"}
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool, float, complex])
+def test_as_int_matrix_reads_integral_input_of_any_type(dtype):
+    # int and bool input is copied as int64 straight away; float and complex
+    # input is rounded and checked
+    ref = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    src = ref.astype(dtype)
+    out = schemes._as_int_matrix(src)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, ref)
+    assert not np.shares_memory(out, src)
+
+
+@pytest.mark.parametrize("bad", [[[0.5, 1.0], [1.0, 0.0]], [[1 + 0.5j, 0], [0, 1]], [[1.0 + 1e-12, 0], [0, 1]]])
+def test_as_int_matrix_rejects_non_integral_entries(bad):
+    with pytest.raises(SchemeError, match="integer entries"):
+        schemes._as_int_matrix(bad)
+
+
 def test_partition_of_ones_needs_zero_one_entries():
     # on two points A_1 = 2S and A_2 = -S sum with A_0 = I to J, but their
     # products give p_11^0 = 4 and p_12^0 = -2; only 0/1 entries partition X x X

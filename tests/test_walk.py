@@ -579,8 +579,9 @@ def test_evolve_never_expands_the_symmetric_power(monkeypatch):
 
 
 def test_evolve_balanced_start_matches_dense_eigh_at_large_N():
-    # the term-by-term expansion drifted to 5.6e-13 here; the Givens lift
-    # stays unitary to rounding
+    # the term-by-term expansion drifted to 5.6e-13 here; the Givens lift,
+    # each rotation lifted by the symmetric-power recursion, is unitary to
+    # about n * 1e-16 at n units
     pm = projected_matrix(canonical_spec(3, 45))
     start = (15, 15, 15)
     vals, vecs = np.linalg.eigh(pm.entries.T)
