@@ -167,7 +167,7 @@ def _csv_blocks(table, times, f):
     """The CSV header, then one block of rows per time: t, dash-joined beta,
     re f_beta, im f_beta and k_beta |f_beta|^2, one % per row."""
     yield "t,beta,re,im,prob\n"
-    labels = ["-".join(map(str, beta)) for beta in table.index_set]
+    labels = list(map("-".join(["%d"] * table.base.classes).__mod__, table.index_set))
     for t, row in zip(times.tolist(), f):
         template = ("%.17g" % t) + ",%s,%.17g,%.17g,%.17g\n"
         prob = table.valency * np.abs(row) ** 2

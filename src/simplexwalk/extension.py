@@ -133,7 +133,9 @@ def symmetric_power_row(M, beta) -> dict:
 class ExtensionScheme:
     """The N-th symmetric tensor power of ``base``, N = ``copies``, as its
     class table in canonical order: ``index`` row r, ``valency`` and
-    ``multinomial`` hold index_set[r], k_beta and multinomial(N; beta)."""
+    ``multinomial`` hold index_set[r], k_beta and multinomial(N; beta),
+    the last two as the exact integers rounded once to float64.  The
+    arrays are read-only; ``position`` maps each beta back to its row."""
 
     base: AssociationScheme
     copies: int
@@ -173,6 +175,20 @@ class ExtensionScheme:
         return blocks
 
 
+def _index_matrix(N: int, d: int) -> np.ndarray:
+    """``enumerate_indices(N, d)`` as a D x (d+1) intp matrix, slot by slot:
+    a row with ``left`` copies still to place repeats left+1 times, with
+    left, left-1, ..., 0 in the new slot, and the last slot takes the rest."""
+    columns, left = [], np.array([N], dtype=np.intp)
+    for _ in range(d):
+        counts = left + 1
+        runs = np.repeat(np.arange(left.size), counts)
+        rest = np.arange(runs.size) - (np.cumsum(counts) - counts)[runs]
+        columns = [c[runs] for c in columns] + [left[runs] - rest]
+        left = rest
+    return np.stack(columns + [left], axis=1)
+
+
 def _binomial_row(r: int) -> list:
     """[C(r, 0), ..., C(r, r)], exact, by C(r, j+1) = C(r, j) (r - j) / (j + 1)."""
     row = [1]
@@ -181,30 +197,53 @@ def _binomial_row(r: int) -> list:
     return row
 
 
+_BLOCK_ROWS = 4096  # classes per block of exact products
+
+
 def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
     """The N-th power of ``base`` with its class table, uncached: a walk
-    holds its own as ``WalkSpec.table``.  multinomial(N; beta) = prod_i C(r_i,
-    beta_i), r_i the copies left before slot i, and k_beta = multinomial(N;
-    beta) * prod_i k_i^beta_i stay exact ints up to their float conversion;
-    d = 1 reads one binomial row, since the last slot's is C(r_d, r_d) = 1."""
+    holds its own as ``WalkSpec.table``.  The table is read off the index
+    matrix, in blocks of rows: multinomial(N; beta) = prod_{i<d} C(r_i,
+    beta_i), r_i the copies left before slot i, gathered from binomial rows,
+    and k_beta = multinomial(N; beta) * prod_i k_i^beta_i, from one power
+    column per slot with k_i != 1.  Every factor and partial product is at
+    most sum_beta k_beta = |X|^N, so the products are exact in int64 when
+    |X|^N < 2^63, and Python ints otherwise; either rounds once, to
+    nearest, into the float columns.  ValueError when a valency is past the
+    float range."""
     (N,) = _integers((N,), "copies")
+    if N < 0:
+        raise ValueError("copies must be non-negative")
     d, valencies = base.d, base.valencies.tolist()
-    order = tuple(enumerate_indices(N, d))
-    position = types.MappingProxyType({beta: i for i, beta in enumerate(order)})
-    index = np.array(order, dtype=np.intp)
-    rows = {r: _binomial_row(r) for r in (range(N + 1) if d > 1 else (N,))}
-    multinomials, valency = [], []
-    for beta in order:
+    index = _index_matrix(N, d)
+    index_set = tuple(zip(*index.T.tolist()))
+    position = types.MappingProxyType(dict(zip(index_set, range(len(index_set)))))
+    dtype = np.int64 if base.size ** N < 2 ** 63 else object
+    start, binomials = np.zeros(N + 1, dtype=np.intp), []
+    for r in range(N + 1) if d > 1 else (N,):  # d = 1 reads row N only
+        start[r] = len(binomials)
+        binomials += _binomial_row(r)
+    binomials = np.array(binomials, dtype=dtype)
+    powers = [(i, np.array([k ** b for b in range(N + 1)], dtype=dtype))
+              for i, k in enumerate(valencies) if k != 1]
+    multinomials, valency = np.empty(len(index)), np.empty(len(index))
+    for lo in range(0, len(index), _BLOCK_ROWS):
+        block, part = index[lo:lo + _BLOCK_ROWS], slice(lo, lo + _BLOCK_ROWS)
         m, left = 1, N
-        for b in beta[:-1]:
-            m *= rows[left][b]
-            left -= b
-        multinomials.append(float(m))
-        valency.append(float(m * math.prod(k ** b for k, b in zip(valencies, beta))))
-    multinomials, valency = np.array(multinomials), np.array(valency)
+        for b in block[:, :-1].T:
+            m = m * binomials[start[left] + b]
+            left = left - b
+        k = m
+        for i, column in powers:
+            k = k * column[block[:, i]]
+        try:
+            multinomials[part], valency[part] = m, k
+        except OverflowError:
+            raise ValueError(f"class valencies at N = {N} exceed the float range "
+                             f"(largest float {np.finfo(float).max:.6g})") from None
     for a in (index, valency, multinomials):
         a.setflags(write=False)
-    return ExtensionScheme(base=base, copies=N, index_set=order, position=position, index=index,
+    return ExtensionScheme(base=base, copies=N, index_set=index_set, position=position, index=index,
                            valency=valency, multinomial=multinomials)
 
 

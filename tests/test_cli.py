@@ -288,6 +288,16 @@ def test_amplitudes_rejects_bad_time_range(tmp_path, capsys, t_min, t_max):
     assert not out.exists()
 
 
+def test_amplitudes_past_the_float_range_exit_code(tmp_path, capsys):
+    # the ngon-3 class table at N = 700 has valencies past the float range
+    out = tmp_path / "a.csv"
+    rc = run_cli(["walk", "amplitudes", "--scheme", "ngon", "--n", "3", "--N", "700",
+                  "--steps", "1", "--out", str(out)])
+    assert rc == 2
+    assert "N = 700 exceed the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index, index_tilde", [("1-1", "1-1"), ("1-1-0", "1-1")])
 def test_krawtchouk_eval_rejects_index_length(tmp_path, capsys, index, index_tilde):
     out = tmp_path / "value.json"
@@ -372,6 +382,16 @@ GOLDEN_SWEEPS = {
                              "--weights", "0.5+0.1j,0.3+0.2j,0.2-0.4j",
                              "--t-min", "0.25", "--t-max", "5", "--steps", "30"],
                             "ba322724e73f872893ec6b834080e9d06e5899ebb96349b312857f66b117bf6c"),
+    # |X|^N >= 2^63, so the class tables are built in Python ints; these two
+    # were taken before the class table was read off the index matrix
+    "ngon3-40": (["--scheme", "ngon", "--n", "3", "--N", "40", "--weights", "canonical",
+                  "--t-min", "0.1", "--t-max", "3.0", "--steps", "3"],
+                 "24617b7c8d0efba5ce0b2cb03ad862835f78319a4882c33e49a3bb5bd5a5874d"),
+    "ow3-21-solved": (["--scheme", "ow", "--d", "3", "--N", "21", "--solve-targets",
+                       "6.283185307179586,6.283185307179586,1.5707963267948966",
+                       "--solve-time", "1.5707963267948966", "--t-min", "0", "--t-max", "3.2",
+                       "--steps", "3"],
+                      "4939a1ce6453ff5f31d8acc08641c05af1e218c203df2379a59b2e9bc5e5363d"),
 }
 
 

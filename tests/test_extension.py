@@ -244,7 +244,11 @@ def test_symmetric_power_row_sums_to_row_product():
                          # up to the sizes the sweeps reach
                          + [(trivial_scheme_2(), N) for N in (0, 1, 2, 100, 500, 940, 975)]
                          + [(directed_ngon(3), N) for N in range(41)]
-                         + [(ordered_word_scheme(4), N) for N in range(9)])
+                         + [(ordered_word_scheme(4), N) for N in range(9)]
+                         # either side of |X|^N = 2^63, where the exact products leave int64
+                         + [(ordered_word_scheme(3), N) for N in (20, 21)]
+                         + [(ordered_word_scheme(4), N) for N in (15, 16)]
+                         + [(trivial_scheme_2(), N) for N in (1023, 1024)])
 def test_class_table_matches_exact_bookkeeping(base, N):
     table = extension_scheme(base, N)
     assert table.index_set == tuple(enumerate_indices(N, base.d))
@@ -311,6 +315,14 @@ def test_amplitudes_compute_valencies_once_per_table(monkeypatch):
     for t in (0.1, 0.2, 0.3):
         walk.amplitudes(spec, t)
     assert spec.table is walk.projected_matrix(spec).table
+
+
+def test_class_table_past_the_float_range_raises_value_error():
+    # multinomial(700; 233, 233, 234) is about 1.1e331; trivial2 at N = 1024
+    # still fits, C(1024, 512) being about 4.5e306
+    with pytest.raises(ValueError, match=r"N = 700 exceed the float range"):
+        extension_scheme(directed_ngon(3), 700)
+    assert extension_scheme(trivial_scheme_2(), 1024).valency.max() == float(math.comb(1024, 512))
 
 
 def test_class_table_build_leaves_no_garbage_cycles():
@@ -440,6 +452,19 @@ def test_givens_state_memory_stays_quadratic_in_N():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_class_table_build_memory_is_bounded():
+    # the exact products run in blocks of rows, so the peak is the table
+    # itself (index, index_set, position), the binomial rows and one block
+    # of Python ints
+    tracemalloc.start()
+    try:
+        extension_scheme(directed_ngon(3), 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_pair_blocks_are_built_lazily_and_partition_the_table():
