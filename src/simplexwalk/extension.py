@@ -206,11 +206,9 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
     matrix, in blocks of rows: multinomial(N; beta) = prod_{i<d} C(r_i,
     beta_i), r_i the copies left before slot i, gathered from binomial rows,
     and k_beta = multinomial(N; beta) * prod_i k_i^beta_i, from one power
-    column per slot with k_i != 1.  Every factor and partial product is at
-    most sum_beta k_beta = |X|^N, so the products are exact in int64 when
-    |X|^N < 2^63, and Python ints otherwise; either rounds once, to
-    nearest, into the float columns.  ValueError when a valency is past the
-    float range."""
+    column per slot with k_i != 1.  The products are exact Python ints in
+    object arrays, each rounded once, to nearest, into the float columns.
+    ValueError when a valency is past the float range."""
     (N,) = _integers((N,), "copies")
     if N < 0:
         raise ValueError("copies must be non-negative")
@@ -218,13 +216,12 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
     index = _index_matrix(N, d)
     index_set = tuple(zip(*index.T.tolist()))
     position = types.MappingProxyType(dict(zip(index_set, range(len(index_set)))))
-    dtype = np.int64 if base.size ** N < 2 ** 63 else object
     start, binomials = np.zeros(N + 1, dtype=np.intp), []
-    for r in range(N + 1) if d > 1 else (N,):  # d = 1 reads row N only
+    for r in range(N + 1) if d > 1 else (N,) * d:  # d = 1 reads row N only, d = 0 none
         start[r] = len(binomials)
         binomials += _binomial_row(r)
-    binomials = np.array(binomials, dtype=dtype)
-    powers = [(i, np.array([k ** b for b in range(N + 1)], dtype=dtype))
+    binomials = np.array(binomials, dtype=object)
+    powers = [(i, np.array([k ** b for b in range(N + 1)], dtype=object))
               for i, k in enumerate(valencies) if k != 1]
     multinomials, valency = np.empty(len(index)), np.empty(len(index))
     for lo in range(0, len(index), _BLOCK_ROWS):

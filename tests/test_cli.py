@@ -382,8 +382,8 @@ GOLDEN_SWEEPS = {
                              "--weights", "0.5+0.1j,0.3+0.2j,0.2-0.4j",
                              "--t-min", "0.25", "--t-max", "5", "--steps", "30"],
                             "ba322724e73f872893ec6b834080e9d06e5899ebb96349b312857f66b117bf6c"),
-    # |X|^N >= 2^63, so the class tables are built in Python ints; these two
-    # were taken before the class table was read off the index matrix
+    # d >= 2 and class counts past the other sweeps; both were taken before
+    # the class table was read off the index matrix
     "ngon3-40": (["--scheme", "ngon", "--n", "3", "--N", "40", "--weights", "canonical",
                   "--t-min", "0.1", "--t-max", "3.0", "--steps", "3"],
                  "24617b7c8d0efba5ce0b2cb03ad862835f78319a4882c33e49a3bb5bd5a5874d"),
