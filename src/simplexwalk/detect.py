@@ -111,17 +111,18 @@ _GOLDEN_STEPS = 60
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section(a: float, b: float):
-    """Golden-section maximization on [a, b], _GOLDEN_STEPS steps, as a
-    generator: it yields the _GOLDEN_STEPS + 2 times to evaluate, takes the
-    value at each by ``send``, then yields the maximizer.  A zero-width
+def _golden_section(a: float, b: float, steps: int):
+    """Golden-section maximization on [a, b] in ``steps`` steps, as a
+    generator: it yields the steps + 2 times to evaluate, takes the value at
+    each by ``send``, then yields the maximizer for ever after, so that a
+    finished run can wait in lockstep with longer ones.  A zero-width
     bracket keeps t = a."""
     lo, hi = a, b
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1 = yield x1
     f2 = yield x2
-    for _ in range(_GOLDEN_STEPS):
+    for _ in range(steps):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -130,16 +131,24 @@ def _golden_section(a: float, b: float):
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
             f1 = yield x1
-    yield (a + b) / 2.0 if hi > lo else lo
+    t = (a + b) / 2.0 if hi > lo else lo
+    while True:
+        yield t
 
 
-def _golden_max(fun, a, b) -> list:
-    """``_golden_section`` on every bracket [a_i, b_i] in lockstep: ``fun``
-    maps one time per bracket to one value per bracket and is called once
-    per step, _GOLDEN_STEPS + 2 times in all."""
-    runs = [_golden_section(lo, hi) for lo, hi in zip(a, b)]
+def _golden_max(fun, a, b, tau: float) -> list:
+    """``_golden_section`` on every bracket [a_i, b_i] in lockstep, each in
+    its own step count: the smallest n <= _GOLDEN_STEPS with
+    (b_i - a_i) phi^n <= tau, phi = _INVPHI, past which a smooth maximum
+    no longer moves by more than rounding.  ``fun`` maps one time per
+    bracket to one value per bracket and is called max(n) + 2 times; a
+    finished bracket is evaluated at its answer and ignores the value, so
+    each answer depends on its own bracket alone."""
+    widths = np.subtract(b, a)
+    steps = (np.multiply.outer(widths, _INVPHI ** np.arange(_GOLDEN_STEPS)) > tau).sum(axis=1)
+    runs = [_golden_section(lo, hi, n) for lo, hi, n in zip(a, b, steps.tolist())]
     ts = [next(run) for run in runs]
-    for _ in range(_GOLDEN_STEPS + 2):
+    for _ in range(int(steps.max()) + 2):
         ts = [run.send(f) for run, f in zip(runs, fun(ts).tolist())]
     return ts
 
@@ -205,6 +214,13 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     event (PST, GME or FR; the face of every site is unconfined and names no
     event).  Adjacent duplicates are merged on the best fidelity.  The runs
     are refined in lockstep: one ``_site_factor_rows`` call per step.
+
+    Event times are resolved to about sqrt(eps) / max(1, max_l |mu_l|): a
+    smooth maximum is flat to rounding over about sqrt(eps) of the fastest
+    time scale 1 / max_l |mu_l| of the site factors z_l(t) = exp(i t mu_l),
+    so each bracket stops once it is that narrow, and a scan makes
+    4 + max(steps) kernel calls in all.  On slower walks (max_l |mu_l| < 1)
+    the flat stretch, not the bracket, bounds the error.
     """
     _check_tol(tol)
     grid = _time_grid(t_grid)
@@ -260,7 +276,8 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
         return np.concatenate([q[:singles]] + [np.add.reduce(q[lo:hi].reshape(-1, r), 1)
                                                for lo, hi, r in blocks])
 
-    times = _golden_max(face_mass, a.tolist(), b.tolist())
+    tau = math.sqrt(np.finfo(float).eps) / max(1.0, float(np.abs(spec._site_terms[0]).max()))
+    times = _golden_max(face_mass, a.tolist(), b.tolist(), tau)
     events = [ev for ev in _face_events(spec, times, _site_factor_rows(spec, times), tol)
               if ev is not None]
     events.sort(key=lambda ev: ev.time)

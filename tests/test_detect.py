@@ -347,12 +347,23 @@ def test_scan_names_revival_by_its_face_at_any_N(d, N, k):
                and ev.fidelity > 1 - 1e-6 for ev in events)
 
 
-def _golden_max_scalar(fun, a, b):
+def _resolution(spec):
+    # sqrt(eps) over the fastest rate of the site factors, at most sqrt(eps)
+    return math.sqrt(np.finfo(float).eps) / max([1.0, *np.abs(spec._site_terms[0])])
+
+
+def _golden_steps(a, b, tau):
+    # stop once the bracket would be no wider than tau, after 60 steps at most
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    return next((n for n in range(60) if (b - a) * invphi ** n <= tau), 60)
+
+
+def _golden_max_scalar(fun, a, b, tau):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(60):
+    for _ in range(_golden_steps(a, b, tau)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -377,6 +388,7 @@ def _scan_one_run_at_a_time(spec, grid, tol):
     q = np.array([masses(t) for t in grid]).reshape(len(grid), spec.base.classes)
     ranked = np.argsort(-q, axis=1, kind="stable")
     heaviest = np.cumsum(np.take_along_axis(q, ranked, axis=1), axis=1)
+    tau = _resolution(spec)
     events = []
     for r in range(1, spec.base.d + 1):
         mass = heaviest[:, r - 1]
@@ -392,7 +404,7 @@ def _scan_one_run_at_a_time(spec, grid, tol):
                 runs.append([i, i, sites])
         for first, last, sites in runs:
             a, b = grid[max(first - 1, 0)], grid[min(last + 1, len(grid) - 1)]
-            t = _golden_max_scalar(lambda s: masses(s)[sites].sum(), a, b) if b > a else a
+            t = _golden_max_scalar(lambda s: masses(s)[sites].sum(), a, b, tau) if b > a else a
             ev = detect._face_events(spec, [float(t)], site_factors(spec, t)[None, :], tol)[0]
             if ev is not None:
                 events.append(ev)
@@ -476,21 +488,72 @@ def test_scan_reads_the_trivial_eigenvalue_at_most_once(monkeypatch, sc):
 @pytest.mark.parametrize("sc", [hypercube_pst_scenario(12), ow_fr_scenario(3, 2, 2)],
                          ids=lambda sc: sc.label)
 def test_scan_kernel_calls_do_not_grow_with_peak_runs(monkeypatch, sc):
-    # one call for the grid, two to open the brackets, one per golden step
-    # (60) and one for the events: 64, however many runs peak
+    # one call for the grid, two to open the brackets, one per golden step of
+    # the bracket that takes the most and one for the events, however many
+    # runs peak
+    calls, steps = _kernel_calls(monkeypatch, sc.spec, np.linspace(0.0, 4 * math.pi, 400))
+    assert len(calls) == 4 + steps <= 45
+    runs = calls[1]
+    assert runs >= 8 and set(calls[1:-1]) == {runs}  # every run in every step
+
+
+def _kernel_calls(monkeypatch, spec, grid):
+    # the batch size of each kernel call of a scan that finds events, and the
+    # most golden steps any of its brackets takes by the stop rule above
     from simplexwalk import detect, walk
 
-    calls = []
+    calls, brackets, section = [], [], detect._golden_section
 
     def counting(spec, times):
         calls.append(len(times))
         return walk._site_factor_rows(spec, times)
 
-    monkeypatch.setattr(detect, "_site_factor_rows", counting)
-    assert scan(sc.spec, np.linspace(0.0, 4 * math.pi, 400))
-    assert len(calls) <= 64
-    runs = calls[1]
-    assert runs >= 8 and set(calls[1:-1]) == {runs}  # every run in every step
+    def spying(a, b, steps):
+        brackets.append((a, b))
+        return section(a, b, steps)
+
+    with monkeypatch.context() as m:
+        m.setattr(detect, "_site_factor_rows", counting)
+        m.setattr(detect, "_golden_section", spying)
+        assert scan(spec, grid)
+    return calls, max(_golden_steps(a, b, _resolution(spec)) for a, b in brackets)
+
+
+SHIPPED_SCENARIOS = (
+    [ngon_mpst_scenario(n, N) for n in (2, 3, 4, 5) for N in (1, 2, 3)]
+    + [hypercube_pst_scenario(N) for N in (1, 4, 12)]
+    + [ow_fr_scenario(*args) for args in [(3, 2, 2), (3, 5, 2), (3, 2, 3)]]
+)
+
+
+@pytest.mark.parametrize("sc", SHIPPED_SCENARIOS, ids=lambda sc: sc.label)
+def test_scan_stops_each_bracket_at_the_time_resolution(monkeypatch, sc):
+    # 60 fixed golden steps would take 64 calls
+    last = max(t for t, _, _ in sc.expected_events)
+    calls, steps = _kernel_calls(monkeypatch, sc.spec, np.linspace(0.0, 1.1 * last, 400))
+    assert len(calls) == 4 + steps <= 45
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_scan_on_one_class_base_finds_nothing(N):
+    # d = 0: no face below the whole simplex and no site-factor rate
+    spec = walk_spec(directed_ngon(1), N, [])
+    assert spec._site_terms[0].size == 0
+    assert scan(spec, np.linspace(0.0, 2 * math.pi, 50)) == []
+
+
+@pytest.mark.parametrize("factor, bound", [(1.0, 5e-8), (50.0, 1e-6), (0.02, 1e-6)])
+@pytest.mark.parametrize("steps", [40, 97, 400])
+@pytest.mark.parametrize("sc", SHIPPED_SCENARIOS, ids=lambda sc: sc.label)
+def test_scan_finds_every_expected_event_near_its_exact_time(sc, steps, factor, bound):
+    # scaling the weights by f scales every rate by f and every event time
+    # by 1/f; the grid runs a little past the last event
+    spec = walk_spec(sc.spec.base, sc.spec.copies, np.asarray(sc.spec.weights) * factor)
+    last = max(t for t, _, _ in sc.expected_events) / factor
+    events = scan(spec, np.linspace(0.0, 1.1 * last, steps))
+    for t, kind, support in sc.expected_events:
+        assert any(ev.kind == kind and set(ev.support) == set(support)
+                   and abs(ev.time - t / factor) <= bound for ev in events), (t / factor, kind, events)
 
 
 def test_scan_never_evaluates_class_profiles(monkeypatch):
