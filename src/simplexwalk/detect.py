@@ -15,6 +15,7 @@ from .schemes import _integers, directed_ngon, ordered_word_scheme, trivial_sche
 from .walk import (
     WalkSpec,
     _finite_times,
+    _site_factor_jets,
     _site_factor_rows,
     canonical_ngon_weights,
     eigenvalue_lambda,
@@ -107,50 +108,83 @@ def _named_face(held, ranked, q, N: int, tol: float) -> tuple:
     return kind, sites, fidelity
 
 
-_GOLDEN_STEPS = 60
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SEEDS = 9
+_NEWTON_STEPS = 60
+_EPS = float(np.finfo(float).eps)
 
 
-def _golden_section(a: float, b: float, steps: int):
-    """Golden-section maximization on [a, b] in ``steps`` steps, as a
-    generator: it yields the steps + 2 times to evaluate, takes the value at
-    each by ``send``, then yields the maximizer for ever after, so that a
-    finished run can wait in lockstep with longer ones.  A zero-width
-    bracket keeps t = a."""
-    lo, hi = a, b
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = yield x1
-    f2 = yield x2
-    for _ in range(steps):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = yield x2
+def _face_jets(spec: WalkSpec, weights: np.ndarray, times) -> tuple:
+    """For row i of ``weights`` (k_k on the sites k of a face S, 0 elsewhere)
+    at ``times[i]``: the face mass F = sum_k w_k |p_k|^2, its derivatives
+    F' = sum_k w_k Re(conj(p_k) p_k') and
+    F'' = sum_k w_k (|p_k'|^2 + Re(conj(p_k) p_k'')), and the scale
+    sum_k w_k |p_k| |p_k'| of the rounding in F', each without the common
+    factor 1 / |X|^2 (2 / |X|^2 for the derivatives), which moves no sign,
+    no argmax and no ratio."""
+    jets = _site_factor_jets(spec, times)
+    # [i, a, b, k] = conj(p_k^(a)) p_k^(b) at times[i], for a < 2
+    products = np.conj(jets[:, :2, None]) * jets[:, None]
+    sums = (products.real * weights[:, None, None]).sum(-1)
+    noise = (np.abs(products[:, 0, 1]) * weights).sum(-1)
+    return sums[:, 0, 0], sums[:, 0, 1], sums[:, 1, 1] + sums[:, 0, 2], noise
+
+
+def _newton_max(spec: WalkSpec, weights: np.ndarray, a, b) -> list:
+    """The time at which the face mass of row i of ``weights`` peaks in
+    [a[i], b[i]], every bracket refined in lockstep.
+
+    Each bracket is sampled at _SEEDS equally spaced times, ends included,
+    in one kernel call for all brackets.  Where F' falls from + to - between
+    the best sample (the largest F) and a neighbour, those two samples
+    bracket the maximum; otherwise the best sample is the answer (a
+    zero-width bracket keeps t = a).  Inside [lo, hi] each step takes the
+    Newton step t - F'/F'' when F'' < 0 and it lands within xtol of the
+    bracket, clipped into it, and bisects otherwise (the rtsafe scheme of
+    Press et al., Numerical Recipes, section 9.4); the sign of F' at the
+    new t moves lo or hi to it.  A bracket stops when |F'| is at rounding
+    level (8 eps (d+1) times its rounding scale), when
+    hi - lo <= xtol = 4 eps max(1, |a|, |b|) or when the Newton step is at
+    most xtol, and answers its last Newton step, or t where it took none;
+    after _NEWTON_STEPS evaluations it answers t.  Each step is one kernel
+    call over the brackets still live, so each answer depends on its own
+    bracket alone.
+    """
+    rounding = 8.0 * _EPS * weights.shape[1]
+    samples = [[lo + j * ((hi - lo) / (_SEEDS - 1)) for j in range(_SEEDS - 1)] + [hi]
+               for lo, hi in zip(a, b)]
+    mass, slope, curvature, noise = (x.reshape(-1, _SEEDS) for x in _face_jets(
+        spec, np.repeat(weights, _SEEDS, axis=0), np.ravel(samples)))
+    times, live = [], []  # live: (bracket, t, lo, hi, F'(t), F''(t), rounding scale, xtol)
+    for i, (s, m, f1) in enumerate(zip(samples, mass.argmax(axis=1).tolist(), slope.tolist())):
+        times.append(s[m])
+        if m < _SEEDS - 1 and f1[m] > 0 > f1[m + 1]:
+            lo, hi = s[m], s[m + 1]
+        elif m > 0 and f1[m - 1] > 0 > f1[m]:
+            lo, hi = s[m - 1], s[m]
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = yield x1
-    t = (a + b) / 2.0 if hi > lo else lo
-    while True:
-        yield t
-
-
-def _golden_max(fun, a, b, tau: float) -> list:
-    """``_golden_section`` on every bracket [a_i, b_i] in lockstep, each in
-    its own step count: the smallest n <= _GOLDEN_STEPS with
-    (b_i - a_i) phi^n <= tau, phi = _INVPHI, past which a smooth maximum
-    no longer moves by more than rounding.  ``fun`` maps one time per
-    bracket to one value per bracket and is called max(n) + 2 times; a
-    finished bracket is evaluated at its answer and ignores the value, so
-    each answer depends on its own bracket alone."""
-    widths = np.subtract(b, a)
-    steps = (np.multiply.outer(widths, _INVPHI ** np.arange(_GOLDEN_STEPS)) > tau).sum(axis=1)
-    runs = [_golden_section(lo, hi, n) for lo, hi, n in zip(a, b, steps.tolist())]
-    ts = [next(run) for run in runs]
-    for _ in range(int(steps.max()) + 2):
-        ts = [run.send(f) for run, f in zip(runs, fun(ts).tolist())]
-    return ts
+            continue
+        live.append((i, s[m], lo, hi, f1[m], float(curvature[i, m]), float(noise[i, m]),
+                     4.0 * _EPS * max(1.0, abs(s[0]), abs(s[-1]))))
+    for _ in range(_NEWTON_STEPS):
+        moved = []
+        for i, t, lo, hi, f1, f2, scale, xtol in live:
+            newton = f2 < 0 and lo - xtol <= t - f1 / f2 <= hi + xtol
+            new = min(max(t - f1 / f2, lo), hi) if newton else 0.5 * (lo + hi)
+            if abs(f1) <= rounding * scale or hi - lo <= xtol or newton and abs(new - t) <= xtol:
+                times[i] = new if newton else t
+            else:
+                moved.append((i, new, lo, hi, xtol))
+        if not moved:
+            break
+        _, slope, curvature, noise = _face_jets(spec, weights[[i for i, *_ in moved]],
+                                                [t for _, t, *_ in moved])
+        live = [(i, t, t if f1 > 0 else lo, t if f1 < 0 else hi, f1, f2, scale, xtol)
+                for (i, t, lo, hi, xtol), f1, f2, scale
+                in zip(moved, slope.tolist(), curvature.tolist(), noise.tolist())]
+    else:
+        for i, t, *_ in live:
+            times[i] = t
+    return times
 
 
 def _time_grid(t_grid) -> np.ndarray:
@@ -209,18 +243,20 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     Every event lives on a face of the base simplex and is fixed by the d+1
     site masses q(t).  For r = 1..d, each run of grid points where the mass
     of the r heaviest sites peaks on one site set S is bracketed by its
-    neighbouring grid points, the mass of S is maximized there by golden
-    section, and the face holding the probability at that time names the
-    event (PST, GME or FR; the face of every site is unconfined and names no
-    event).  Adjacent duplicates are merged on the best fidelity.  The runs
-    are refined in lockstep: one ``_site_factor_rows`` call per step.
+    neighbouring grid points, the mass of S is maximized there by a
+    safeguarded Newton iteration on its closed-form derivative
+    (``_newton_max``), and the face holding the probability at that time
+    names the event (PST, GME or FR; the face of every site is unconfined
+    and names no event).  Adjacent duplicates are merged on the best
+    fidelity.  The runs are refined in lockstep: one ``_site_factor_jets``
+    call seeds every bracket and one more serves each step, so a scan
+    makes 3 + max(steps) kernel calls in all.
 
-    Event times are resolved to about sqrt(eps) / max(1, max_l |mu_l|): a
-    smooth maximum is flat to rounding over about sqrt(eps) of the fastest
-    time scale 1 / max_l |mu_l| of the site factors z_l(t) = exp(i t mu_l),
-    so each bracket stops once it is that narrow, and a scan makes
-    4 + max(steps) kernel calls in all.  On slower walks (max_l |mu_l| < 1)
-    the flat stretch, not the bracket, bounds the error.
+    Event times are resolved to rounding: each bracket stops once the
+    Newton step or the bracket is a few ulps of t wide, or once F' is no
+    larger than its own rounding error.  A flat (higher-order) maximum
+    stops at that F' noise level, where the face mass no longer tells the
+    times apart.
     """
     _check_tol(tol)
     grid = _time_grid(t_grid)
@@ -233,51 +269,30 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     ranked = np.argsort(-q, axis=1, kind="stable")
     heaviest = np.cumsum(q[np.arange(len(q))[:, None], ranked], axis=1)
 
-    d, classes = spec.base.d, spec.base.classes
+    d = spec.base.d
     peak = np.ones((len(grid), d), dtype=bool)  # [i, r - 1]: the mass of r sites peaks at i
     peak[1:] &= heaviest[1:, :d] >= heaviest[:-1, :d]
     peak[:-1] &= heaviest[:-1, :d] >= heaviest[1:, :d]
     rs, at = np.nonzero(peak.T)
-    runs = {r: [] for r in range(1, d + 1)}  # per r, [first, last, sites]
+    runs = []  # [first, last, sites], by r and then by time
     for r, i, top in zip((rs + 1).tolist(), at.tolist(), ranked[at].tolist()):
         sites = sorted(top[:r])
-        same = runs[r]
-        if same and same[-1][1] == i - 1 and same[-1][2] == sites:
-            same[-1][1] = i
+        # a run of another r has another number of sites
+        if runs and runs[-1][1] == i - 1 and runs[-1][2] == sites:
+            runs[-1][1] = i
         else:
-            same.append([i, i, sites])
-    # per run (first, last); the sites of every run as flat indices into
-    # the (runs, d+1) masses, r per run and in order of r; per r, the
-    # (start, stop, r) of its runs' indices there
-    bounds, gathers, blocks = [], [], []
-    for r, same in runs.items():
-        if same:
-            gathers += [j * classes + k for j, (_, _, sites) in enumerate(same, len(bounds))
-                        for k in sites]
-            blocks.append((len(gathers) - len(same) * r, len(gathers), r))
-            bounds += [(first, last) for first, last, _ in same]
-    if not bounds:
+            runs.append([i, i, sites])
+    if not runs:
         return []
-    first, last = np.array(bounds).T
-    a, b = grid[np.maximum(first - 1, 0)], grid[np.minimum(last + 1, len(grid) - 1)]
-    gathers = np.array(gathers)
-    # r = 1 always peaks and comes first: a face of one site holds its mass
-    singles = blocks.pop(0)[1]
-    # _site_masses on the gathered sites only, with the valency of each
-    # read once per scan
-    valencies = spec.base.valencies.astype(float)[gathers % classes]
-    size2 = float(spec.base.size) ** 2
-
-    def face_mass(ts):
-        q = valencies * np.abs(_site_factor_rows(spec, ts).take(gathers)) ** 2 / size2
-        if not blocks:
-            return q
-        # each larger face is summed by the same reduction as q[sites].sum()
-        return np.concatenate([q[:singles]] + [np.add.reduce(q[lo:hi].reshape(-1, r), 1)
-                                               for lo, hi, r in blocks])
-
-    tau = math.sqrt(np.finfo(float).eps) / max(1.0, float(np.abs(spec._site_terms[0]).max()))
-    times = _golden_max(face_mass, a.tolist(), b.tolist(), tau)
+    first, last, sites = zip(*runs)
+    a = grid[np.maximum(np.array(first) - 1, 0)]
+    b = grid[np.minimum(np.array(last) + 1, len(grid) - 1)]
+    # row j weighs the sites of run j by their valencies
+    weights = np.zeros((len(runs), d + 1))
+    rows = np.repeat(np.arange(len(runs)), [len(s) for s in sites])
+    cols = np.concatenate(sites)
+    weights[rows, cols] = spec.base.valencies[cols]
+    times = _newton_max(spec, weights, a.tolist(), b.tolist())
     events = [ev for ev in _face_events(spec, times, _site_factor_rows(spec, times), tol)
               if ev is not None]
     events.sort(key=lambda ev: ev.time)

@@ -62,6 +62,14 @@ class WalkSpec:
         m = self.base.multiplicities[1:].astype(complex)
         return mu, 1j * mu, m, np.conj(self.base.cosine[1:, :]).T
 
+    @functools.cached_property
+    def _jet_terms(self) -> np.ndarray:
+        """The columns conj(c_{l,k}) scaled by m_l (i mu_l)^j for j = 0, 1, 2,
+        stacked into 3(d+1) rows: what p_k(t) and its first two derivatives
+        read of the spec."""
+        _, i_mu, m, conj_cosine = self._site_terms
+        return np.vstack([conj_cosine * m, conj_cosine * (i_mu * m), conj_cosine * (i_mu * i_mu * m)])
+
     @property
     def hermiticity_residual(self) -> float:
         w = self.weights
@@ -144,6 +152,18 @@ def _site_factor_rows(spec: WalkSpec, times) -> np.ndarray:
     _, i_mu, m, conj_cosine = spec._site_terms
     mz = m * np.exp(np.multiply.outer(np.asarray(times, dtype=float), i_mu))
     return 1.0 + np.matmul(conj_cosine, mz[:, :, None])[..., 0]
+
+
+def _site_factor_jets(spec: WalkSpec, times) -> np.ndarray:
+    """The T x 3 x (d+1) array of p_k, p_k' and p_k'' at each of ``times``:
+    the j-th derivative of p_k(t) = 1 + sum_l conj(c_{l,k}) m_l z_l(t) takes
+    the factor (i mu_l)^j into each term, and all three come from one
+    stacked matrix-vector product per time, so no row depends on the other
+    times."""
+    z = np.exp(np.multiply.outer(np.asarray(times, dtype=float), spec._site_terms[1]))
+    jets = np.matmul(spec._jet_terms, z[:, :, None]).reshape(len(z), 3, spec.base.classes)
+    jets[:, 0] += 1.0
+    return jets
 
 
 def site_factors(spec: WalkSpec, t: float) -> np.ndarray:

@@ -409,26 +409,26 @@ def test_walk_amplitudes_golden_csv(tmp_path, capsys, name):
     assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
 
 
-# sha256 of stdout, taken after each golden-section bracket began to stop at
-# the site factors' time resolution; the zero-width brackets of the two
-# degenerate grids keep their earlier digests
+# sha256 of stdout, taken after each peak began to be refined by safeguarded
+# Newton steps on the closed-form derivative of its face mass; the
+# zero-width brackets of the two degenerate grids keep their earlier digests
 GOLDEN_DETECTS = {
     "readme-ngon": (["--scenario", "ngon", "--n", "3", "--N", "2", "--t-min", "0",
                      "--t-max", "6.2832", "--steps", "400"],
-                    "7c99c5e75b671ab12986c0d8d1311debda4083ddaf424cc47775f0ffbbd25e1a"),
+                    "cdc50e91d2553f09122cb3f4d753c90add6b39e188bc75604c1029aae5395a98"),
     "readme-ow": (["--scenario", "ow", "--d", "3", "--N", "5", "--k", "2", "--t-min", "0",
                    "--t-max", "3.1416", "--steps", "200", "--tol", "1e-6"],
-                  "579495696eb04331ecb892cb01e41094e043568fed4510ebd68ebddeb0fee0de"),
+                  "1154e72ccc12c8e8c4552bc9bfc8a076cf04591d046b99c3af8d4e20a81ce002"),
     "hypercube-12": (["--scenario", "hypercube", "--N", "12", "--t-min", "0",
                       "--t-max", "3.141592653589793", "--steps", "120"],
-                     "a88c7ed8e76d50f1ce10d61efa5eaf2761036da6e8011d37bb91796931321772"),
+                     "8c39cbb690d98360f66cfe67d7289e6be4fbe8c2027bec1cfff88c25c6ca1deb"),
     # FR revivals at pi/2 and pi
     "ow3-k3": (["--scenario", "ow", "--d", "3", "--N", "2", "--k", "3", "--t-min", "0",
                 "--t-max", "3.141592653589793", "--steps", "200"],
-               "ead4972d3516de456afed8c3ffd276015466bc62b32dbdd736ca1a0bee8a8c69"),
+               "7e8cd2401388bea28f49ab5c611bde195c4183419213af87ec3434001950671b"),
     "ngon5-57": (["--scenario", "ngon", "--n", "5", "--N", "3", "--t-min", "0",
                   "--t-max", "6.283185307179586", "--steps", "57"],
-                 "d356eee3e887c34e7e4b908595c75ca67bdf0ae719b19dd337eabb6ae250d6f2"),
+                 "ae0b6a758c544ec7a22310c7847438ee161089d0a751f10b6a3dec1d8db15373"),
     # one repeated time: every bracket has zero width
     "degenerate": (["--scenario", "hypercube", "--N", "3", "--t-min", "1", "--t-max", "1",
                     "--steps", "5"],

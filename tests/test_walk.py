@@ -703,3 +703,25 @@ def test_site_terms_are_formed_once_and_keep_every_bit(spec):
     assert rows.tobytes() == expected.tobytes()
     for t in times:
         assert z_factors(spec, t).tobytes() == np.exp(1j * t * mu).tobytes()
+
+
+@pytest.mark.parametrize("spec", [canonical_spec(3, 2), canonical_spec(5, 1),
+                                  walk_spec(ordered_word_scheme(3), 2, [0.7, -0.3, 0.25]),
+                                  walk_spec(trivial_scheme_2(), 4, [1.0])])
+def test_site_factor_jets_are_the_site_factors_and_their_derivatives(spec):
+    times = np.array([0.0, 0.4, math.pi, 7.25])
+    jets = walk._site_factor_jets(spec, times)
+    assert jets.shape == (len(times), 3, spec.base.classes)
+    scale = float(spec.base.size)  # |p_k| <= |X|
+    np.testing.assert_allclose(jets[:, 0], walk._site_factor_rows(spec, times), rtol=0, atol=1e-13 * scale)
+    # fourth-order central differences of the row above it
+    h = 1e-3
+    for row, deriv in ((0, 1), (1, 2)):
+        def f(t):
+            return walk._site_factor_jets(spec, times + t)[:, row]
+        diff = (8 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12 * h)
+        rate = max(1.0, float(np.abs(spec._site_terms[0]).max()))
+        np.testing.assert_allclose(jets[:, deriv], diff, rtol=0, atol=1e-8 * scale * rate ** (deriv + 4))
+    # each row is its own reduction: no row depends on the other times
+    for i, t in enumerate(times):
+        assert walk._site_factor_jets(spec, [t]).tobytes() == jets[i:i + 1].tobytes()
