@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import os
-import types
 
 import numpy as np
 
@@ -135,12 +134,11 @@ class ExtensionScheme:
     class table in canonical order: ``index`` row r, ``valency`` and
     ``multinomial`` hold index_set[r], k_beta and multinomial(N; beta),
     the last two as the exact integers rounded once to float64.  The
-    arrays are read-only; ``position`` maps each beta back to its row."""
+    arrays are read-only; ``_rank`` maps each beta back to its row."""
 
     base: AssociationScheme
     copies: int
     index_set: tuple
-    position: types.MappingProxyType
     index: np.ndarray
     valency: np.ndarray
     multinomial: np.ndarray
@@ -189,6 +187,25 @@ def _index_matrix(N: int, d: int) -> np.ndarray:
     return np.stack(columns + [left], axis=1)
 
 
+def _rank(index, N: int) -> np.ndarray:
+    """The table row of each composition of N on the last axis of ``index``,
+    which must hold valid compositions: the canonical order is the
+    combinatorial number system with the first slot descending, so beta is
+    row sum_{i<d} C(l_i + d - i - 1, d - i), l_i the copies left after slot
+    i.  Each C(l + k - 1, k) is built by the exact integer steps C(l + j,
+    j + 1) = C(l + j - 1, j) (l + j) / (j + 1), which reach 0 at l = 0 and
+    never pass the rank.  All zeros when d = 0."""
+    index = np.asarray(index, dtype=np.intp)
+    d, left = index.shape[-1] - 1, N - np.cumsum(index[..., :-1], axis=-1)
+    rank = np.zeros(index.shape[:-1], dtype=np.intp)
+    for i in range(d):
+        c = np.ones_like(rank)
+        for j in range(d - i):
+            c = c * (left[..., i] + j) // (j + 1)
+        rank += c
+    return rank
+
+
 def _binomial_row(r: int) -> list:
     """[C(r, 0), ..., C(r, r)], exact, by C(r, j+1) = C(r, j) (r - j) / (j + 1)."""
     row = [1]
@@ -215,7 +232,6 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
     d, valencies = base.d, base.valencies.tolist()
     index = _index_matrix(N, d)
     index_set = tuple(zip(*index.T.tolist()))
-    position = types.MappingProxyType(dict(zip(index_set, range(len(index_set)))))
     start, binomials = np.zeros(N + 1, dtype=np.intp), []
     for r in range(N + 1) if d > 1 else (N,) * d:  # d = 1 reads row N only, d = 0 none
         start[r] = len(binomials)
@@ -240,8 +256,8 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
                              f"(largest float {np.finfo(float).max:.6g})") from None
     for a in (index, valency, multinomials):
         a.setflags(write=False)
-    return ExtensionScheme(base=base, copies=N, index_set=index_set, position=position, index=index,
-                           valency=valency, multinomial=multinomials)
+    return ExtensionScheme(base=base, copies=N, index_set=index_set, index=index, valency=valency,
+                           multinomial=multinomials)
 
 
 def _symmetric_power_state(V, start, table: ExtensionScheme) -> np.ndarray:
@@ -270,7 +286,7 @@ def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
     recursion).  Each S_n acts once built; only S_{n-1} is kept."""
     V = np.array(V, dtype=complex)
     state = np.zeros(table.dimension, dtype=complex)
-    state[table.position[tuple(start)]] = 1.0
+    state[_rank(start, table.copies)] = 1.0
     for (s, t), blocks in table._pair_blocks.items():  # column-major pair order
         a, b = V[s, s], V[t, s]
         if b == 0:

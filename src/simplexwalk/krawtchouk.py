@@ -158,10 +158,10 @@ def krawtchouk_table(N: int, U) -> dict:
 
 def _krawtchouk_matrix(N: int, U):
     """The compositions of N in canonical order and the matrix
-    K[n_tilde, n] = K(n; n_tilde) over them."""
-    table = krawtchouk_table(N, U)
-    idx = list(table)
-    return idx, np.array([[table[nt][n] for n in idx] for nt in idx], dtype=complex)
+    K[n_tilde, n] = K(n; n_tilde) over them, one generating-function row
+    per n_tilde."""
+    idx = enumerate_indices(N, len(U) - 1)
+    return idx, np.array([list(krawtchouk_genfun(nt, N, U).values()) for nt in idx], dtype=complex)
 
 
 def orthogonality_residual(gp: GriffithsParams, N: int) -> float:

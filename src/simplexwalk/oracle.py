@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import krawtchouk
-from .extension import _guarded_rows, _relation_counts, _relation_table, enumerate_indices
+from .extension import _guarded_rows, _rank, _relation_counts, _relation_table, enumerate_indices
 from .schemes import (
     SPECTRAL_TOL,
     directed_ngon,
@@ -115,15 +115,13 @@ def _class_positions(spec: WalkSpec, start) -> np.ndarray:
     """pos[v] = the table position of the class holding vertex v: v is in
     class beta when beta_k of its copies s have A_k[v_s, u_s] = 1, u the
     start vertex.  The per-copy relation counts are read from the start
-    column alone, never from a class matrix, and each distinct count row
-    is looked up once."""
+    column alone, never from a class matrix, and ranked all at once
+    (``extension._rank``)."""
     u = _start_index(spec, start)
     R = _relation_table(spec.base.adjacency)
     digits = np.unravel_index(u, (spec.base.size,) * spec.copies)
     counts = _relation_counts([R[:, [x]] for x in digits], range(spec.base.classes))[:, :, 0].T
-    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
-    found = np.array([spec.table.position[c] for c in map(tuple, rows.tolist())], dtype=np.intp)
-    return found[inverse.reshape(-1)]
+    return _rank(counts, spec.copies)
 
 
 def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:

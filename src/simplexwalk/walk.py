@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import warnings
 
 import numpy as np
 
-from .extension import ExtensionScheme, _composition, _symmetric_power_state, extension_scheme
+from .extension import ExtensionScheme, _composition, _rank, _symmetric_power_state, extension_scheme
 from .schemes import AssociationScheme, _integers, unit_root
 
 HERMITIAN_TOL = 1e-12
@@ -285,18 +284,16 @@ class ProjectedMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        """Diagonal sum_j beta_j h[j,j]; for a move of one unit from slot s
-        to slot t, sqrt(beta_s (beta_t + 1)) h[s,t]."""
-        h, pos = self.one_body, self.table.position
-        B = np.diag(np.array([sum(b * h[j, j] for j, b in enumerate(beta)) for beta in self.order],
-                             dtype=complex))
-        for r, beta in enumerate(self.order):
-            for s, t in itertools.permutations(range(len(beta)), 2):
-                if beta[s]:
-                    gamma = list(beta)
-                    gamma[s] -= 1
-                    gamma[t] += 1
-                    B[r, pos[tuple(gamma)]] = math.sqrt(beta[s] * (beta[t] + 1)) * h[s, t]
+        """Diagonal sum_j beta_j h[j,j], added slot by slot (a numpy row sum
+        adds in blocks from 9 slots on, which rounds differently); for a
+        move of one unit from slot s to slot t, sqrt(beta_s (beta_t + 1))
+        h[s,t] at the column of beta - e_s + e_t, every class and ordered
+        slot pair scattered at once."""
+        h, index, slots = self.one_body, self.table.index, np.arange(len(self.one_body))
+        B = np.diag(sum(index[:, j] * h[j, j] for j in slots))
+        r, s, t = np.nonzero(index[:, :, None] * (slots[:, None] != slots))
+        gamma = index[r] - (slots == s[:, None]) + (slots == t[:, None])
+        B[r, _rank(gamma, self.table.copies)] = np.sqrt(index[r, s] * (index[r, t] + 1)) * h[s, t]
         return B
 
     @property

@@ -500,6 +500,37 @@ def test_scheme_golden_json(capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, taken while the projected matrix was still filled by a
+# per-class loop over a dict of class positions
+GOLDEN_BMATRICES = {
+    "ngon3-3": (["walk", "bmatrix", "--scheme", "ngon", "--n", "3", "--N", "3",
+                 "--weights", "canonical"],
+                "5dabbe0a536fbd6636a9bb5d0493ea260d5bbcbad0d7a8889fc7d5bf985ed25c"),
+    "ngon5-6": (["walk", "bmatrix", "--scheme", "ngon", "--n", "5", "--N", "6",
+                 "--weights", "canonical"],
+                "78791b60bb9c2c9f1d463a62f774979a270563785db7d53c9c90a24b7af58b65"),
+    "ow3-5": (["walk", "bmatrix", "--scheme", "ow", "--d", "3", "--N", "5",
+               "--weights", "0.7,-0.3,0.25"],
+              "4baa1cc6a7c590d95ee39fc646b4f23147d1898412c212cc026cc75fb8e6ba75"),
+    "trivial2-9": (["walk", "bmatrix", "--scheme", "trivial2", "--N", "9"],
+                   "acd1f623077c7749873506ec91fbd3341a5d85f0cd2534b722b4444b77e6efdc"),
+    # d = 0: one class, no move
+    "ngon1-4": (["walk", "bmatrix", "--scheme", "ngon", "--n", "1", "--N", "4"],
+                "1eca92e19936fa851343ace028e1eb14222824bb384a6455578ab7772df03290"),
+    "verify-bmatrix": (["verify", "--suite", "bmatrix"],
+                       "1d1b739f7e53694ab0a4f644e62e49eeaa9be7c60053255f53a500aefd03b229"),
+    "verify-amplitudes": (["verify", "--suite", "amplitudes"],
+                          "c821a9f652338c95027e1ce10d7c89a63f13affd4a0e82c28a36e547ee11f7aa"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BMATRICES))
+def test_bmatrix_golden_json(capsys, name):
+    args, digest = GOLDEN_BMATRICES[name]
+    assert run_cli(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_walk_amplitudes_opens_no_file_before_rows_are_computed(tmp_path, monkeypatch):
     def fail(spec, times):
         raise OverflowError("amplitudes out of range")

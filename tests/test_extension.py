@@ -28,6 +28,8 @@ from simplexwalk import (
 from simplexwalk import detect, extension, krawtchouk, walk
 from simplexwalk.extension import (
     _givens_state,
+    _index_matrix,
+    _rank,
     _symmetric_power_state,
     symmetric_power_row,
 )
@@ -252,10 +254,19 @@ def test_symmetric_power_row_sums_to_row_product():
 def test_class_table_matches_exact_bookkeeping(base, N):
     table = extension_scheme(base, N)
     assert table.index_set == tuple(enumerate_indices(N, base.d))
-    assert table.position == {beta: i for i, beta in enumerate(table.index_set)}
     np.testing.assert_array_equal(table.index, np.array(table.index_set))
+    np.testing.assert_array_equal(_rank(table.index, N), np.arange(table.dimension))
     assert table.valency.tolist() == [float(class_valency(table, b)) for b in table.index_set]
     assert table.multinomial.tolist() == [float(multinomial(N, b)) for b in table.index_set]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 5), N=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_is_the_row_of_each_composition(d, N, seed):
+    index = _index_matrix(N, d)
+    np.testing.assert_array_equal(_rank(index, N), np.arange(len(index)))
+    rows = np.random.default_rng(seed).integers(len(index), size=(3, 4))
+    np.testing.assert_array_equal(_rank(index[rows], N), rows)
 
 
 @pytest.mark.parametrize("spec", [
@@ -347,7 +358,7 @@ def _random_unitary(seed, d):
 def _rescaled_row(V, start, table):
     # the expansion reference: row ``start`` of Sym^N(V) on the normalised states
     row = symmetric_power_row(V, start)
-    scale = np.sqrt(table.multinomial[table.position[start]] / table.multinomial)
+    scale = np.sqrt(table.multinomial[_rank(start, table.copies)] / table.multinomial)
     return np.array([row[g] for g in table.index_set]) * scale
 
 
@@ -381,7 +392,7 @@ def test_givens_state_of_a_diagonal_unitary_is_a_phase(start):
     phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
     table = extension_scheme(directed_ngon(3), sum(start))
     expected = np.zeros(table.dimension, dtype=complex)
-    expected[table.position[start]] = np.prod(phases ** np.array(start))
+    expected[_rank(start, table.copies)] = np.prod(phases ** np.array(start))
     np.testing.assert_allclose(_givens_state(np.diag(phases), start, table), expected, rtol=0, atol=1e-15)
 
 
@@ -394,7 +405,7 @@ def _eigh_givens_state(V, start, table):
     V = np.array(V, dtype=complex)
     N = table.copies
     state = np.zeros(table.dimension, dtype=complex)
-    state[table.position[tuple(start)]] = 1.0
+    state[_rank(start, N)] = 1.0
     spins = []
     for n in range(N + 1):
         off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1))
@@ -456,15 +467,15 @@ def test_givens_state_memory_stays_quadratic_in_N():
 
 def test_class_table_build_memory_is_bounded():
     # the exact products run in blocks of rows, so the peak is the table
-    # itself (index, index_set, position), the binomial rows and one block
-    # of Python ints
+    # itself (index, index_set), the binomial rows and one block of Python
+    # ints: about 8.3 MiB
     tracemalloc.start()
     try:
         extension_scheme(directed_ngon(3), 300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20
+    assert peak <= 10 * 2 ** 20
 
 
 def test_pair_blocks_are_built_lazily_and_partition_the_table():

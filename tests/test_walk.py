@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -486,6 +487,54 @@ def test_projected_matrix_ngon_entries():
     np.testing.assert_allclose(np.diag(pm.entries), np.zeros(len(pm.order)), atol=1e-12)
 
 
+def _entries_loop(pm):
+    # the earlier per-class fill, kept as the bitwise reference of the scatter
+    h, pos = pm.one_body, {beta: i for i, beta in enumerate(pm.order)}
+    B = np.diag(np.array([sum(b * h[j, j] for j, b in enumerate(beta)) for beta in pm.order],
+                         dtype=complex))
+    for r, beta in enumerate(pm.order):
+        for s, t in itertools.permutations(range(len(beta)), 2):
+            if beta[s]:
+                gamma = list(beta)
+                gamma[s] -= 1
+                gamma[t] += 1
+                B[r, pos[tuple(gamma)]] = math.sqrt(beta[s] * (beta[t] + 1)) * h[s, t]
+    return B
+
+
+def _assert_entries_match_loop(pm):
+    # the float views compared as raw words, so that signed zeros count
+    np.testing.assert_array_equal(pm.entries.view(np.uint64), _entries_loop(pm).view(np.uint64))
+
+
+def _random_weights(d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+
+# d + 1 >= 9 is where a numpy row sum of the diagonal would switch to
+# blocked summation and move bits
+@pytest.mark.parametrize("spec", [canonical_spec(5, 7),
+                                  WalkSpec(base=ordered_word_scheme(8), copies=5, weights=_random_weights(8, 8)),
+                                  WalkSpec(base=ordered_word_scheme(9), copies=4, weights=_random_weights(9, 9))],
+                         ids=["ngon5-N7", "ow8-N5", "ow9-N4"])
+def test_projected_matrix_entries_match_loop_bitwise(spec):
+    _assert_entries_match_loop(projected_matrix(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(0, 4), N=st.integers(0, 8))
+def test_projected_matrix_entries_of_random_hermitian_h_match_loop_bitwise(seed, d, N):
+    # zeros of either sign in h, where a changed order of operations would
+    # flip the sign of a zero entry
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+    zeros = rng.random(a.shape) < 0.3
+    a.real[zeros], a.imag[zeros] = rng.choice([-0.0, 0.0], size=(2, zeros.sum()))
+    h = a + a.conj().T
+    _assert_entries_match_loop(walk.ProjectedMatrix(table=extension_scheme(directed_ngon(d + 1), N), one_body=h))
+
+
 def test_projected_matrix_single_copy():
     spec = canonical_spec(3, 1)
     w = spec.weights
@@ -585,7 +634,7 @@ def test_evolve_balanced_start_matches_dense_eigh_at_large_N():
     pm = projected_matrix(canonical_spec(3, 45))
     start = (15, 15, 15)
     vals, vecs = np.linalg.eigh(pm.entries.T)
-    coeffs = np.conj(vecs[pm.table.position[start], :])
+    coeffs = np.conj(vecs[extension._rank(start, pm.table.copies), :])
     for t in (0.7, 2.3):
         ref = vecs @ (np.exp(-1j * t * vals) * coeffs)
         np.testing.assert_allclose(evolve_projected(pm, t, start), ref, rtol=0, atol=1e-13)
