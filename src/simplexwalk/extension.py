@@ -103,29 +103,61 @@ def symmetric_power_row(M, beta) -> dict:
     in the monomial basis, expanded term by term.  Only the Krawtchouk
     generating function reads it; its sums cancel more as N grows, so the
     projected evolution runs on ``_symmetric_power_state`` instead.  The
-    expansion keys the monomial x^gamma by sum_j gamma_j (N+1)^j, so that
-    raising gamma_j is one integer add.
+    expansion runs layer by layer on the cached ``_power_plan`` of (N, d)
+    (``_expand``), in plain Python complex arithmetic.
     """
     rows = _square_matrix(M).tolist()
     N = sum(_integers(beta))
     beta = _composition(beta, N, len(rows))
-    units = [(N + 1) ** j for j in range(len(rows))]
-    poly = {0: 1.0 + 0.0j}
-    for i, b in enumerate(beta):
-        factor = list(zip(units, rows[i]))
-        for _ in range(b):
-            new = {}
-            get = new.get
-            for mono, coeff in poly.items():
-                for unit, m in factor:
-                    shifted = mono + unit
-                    new[shifted] = get(shifted, 0.0 + 0.0j) + coeff * m
-            poly = new
-    keyed = [((), N, 0)]  # enumerate_indices, each prefix with its budget and key
-    for unit in units[:-1]:
-        keyed = [(gamma + (v,), left - v, key + v * unit)
-                 for gamma, left, key in keyed for v in range(left, -1, -1)]
-    return {gamma + (left,): poly[key + left * units[-1]] for gamma, left, key in keyed}
+    layers, labels, _ = _power_plan(N, len(rows) - 1)
+    return dict(zip(labels, _expand(rows, beta, layers)))
+
+
+@functools.lru_cache(maxsize=32)
+def _power_plan(N: int, d: int) -> tuple:
+    """(layers, labels, multinomials) for expanding products of N linear
+    forms in d+1 variables.  Layer n - 1 lists, for each composition gamma
+    of n in canonical order, the pairs (row of gamma - e_j among the
+    compositions of n - 1, j) for j = d, ..., 0 with gamma_j > 0: the order
+    in which multiplying out the factors one by one, monomials in canonical
+    order and slots ascending, adds the terms of x^gamma.  Each (row, j)
+    pair is one shared tuple.  ``labels`` are the compositions of N in
+    canonical order and ``multinomials`` their exact multinomial(N; gamma)."""
+    slots = np.arange(d + 1)
+    pairs = [(s, j) for s in range(math.comb(N - 1 + d, d) if N else 0) for j in slots.tolist()]
+    layers = []
+    for n in range(1, N + 1):
+        index = _index_matrix(n, d)
+        r, c = np.nonzero(index[:, ::-1])  # per row, slots descending
+        j = d - c
+        source = _rank(index[r] - (slots == j[:, None]), n - 1)
+        flat = list(map(pairs.__getitem__, (source * (d + 1) + j).tolist()))
+        ends = np.cumsum(np.count_nonzero(index, axis=1)).tolist()
+        layers.append(tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)))
+    labels = tuple(zip(*_index_matrix(N, d).T.tolist()))
+    factorial = [math.factorial(k) for k in range(N + 1)]
+    multinomials = tuple(factorial[N] // math.prod(map(factorial.__getitem__, g)) for g in labels)
+    return tuple(layers), labels, multinomials
+
+
+def _expand(rows, beta, layers) -> list:
+    """The coefficients of prod_i (sum_j rows[i][j] x_j)^beta_i in canonical
+    order, one layer of ``_power_plan`` per factor: each coefficient starts
+    at 0j and adds its terms in the plan's order, so its bits are those of
+    multiplying the factors out one at a time on a dict of monomials.  The
+    products stay Python complex ones: numpy's vectorised complex multiply
+    rounds differently."""
+    poly = [1.0 + 0.0j]
+    factors = (row for row, b in zip(rows, beta) for _ in range(b))
+    for row, layer in zip(factors, layers):
+        new = []
+        for terms in layer:
+            acc = 0j
+            for s, j in terms:
+                acc = acc + poly[s] * row[j]
+            new.append(acc)
+        poly = new
+    return poly
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import truediv
 
 import numpy as np
 
-from .extension import (_composition, _square_matrix, enumerate_indices, multinomial,
-                        symmetric_power_row)
-from .schemes import AssociationScheme, directed_ngon
+from .extension import (_composition, _expand, _power_plan, _square_matrix, enumerate_indices,
+                        multinomial, symmetric_power_row)
+from .schemes import AssociationScheme, _integers, directed_ngon
 from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
 PARAM_TOL = 1e-8
@@ -141,13 +142,13 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
     K(n, n_tilde) at once.
 
     Returns a map from each composition n, in canonical order, to the value
-    K(n, n_tilde); the exact multinomials are read off one factorial row.
+    K(n, n_tilde); the exact multinomials are the cached plan's.
     """
     U = _square_matrix(U)
     n_tilde = _composition(n_tilde, N, len(U))
-    factorial = [math.factorial(k) for k in range(N + 1)]
-    return {n: c / (factorial[N] // math.prod(map(factorial.__getitem__, n)))
-            for n, c in symmetric_power_row(U, n_tilde).items()}
+    row = symmetric_power_row(U, n_tilde)
+    _, _, multinomials = _power_plan(sum(n_tilde), len(U) - 1)
+    return dict(zip(row, map(truediv, row.values(), multinomials)))
 
 
 def krawtchouk_table(N: int, U) -> dict:
@@ -159,9 +160,15 @@ def krawtchouk_table(N: int, U) -> dict:
 def _krawtchouk_matrix(N: int, U):
     """The compositions of N in canonical order and the matrix
     K[n_tilde, n] = K(n; n_tilde) over them, one generating-function row
-    per n_tilde."""
-    idx = enumerate_indices(N, len(U) - 1)
-    return idx, np.array([list(krawtchouk_genfun(nt, N, U).values()) for nt in idx], dtype=complex)
+    per n_tilde, all expanded on one plan and divided by its multinomials."""
+    (N,) = _integers((N,), "N")
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    U = _square_matrix(U)
+    layers, labels, multinomials = _power_plan(N, len(U) - 1)
+    rows = U.tolist()
+    K = [list(map(truediv, _expand(rows, nt, layers), multinomials)) for nt in labels]
+    return labels, np.array(K, dtype=complex)
 
 
 def orthogonality_residual(gp: GriffithsParams, N: int) -> float:

@@ -50,6 +50,18 @@ class WalkSpec:
         return extension_scheme(self.base, self.copies)
 
     @functools.cached_property
+    def _one_body(self) -> np.ndarray:
+        """h[s,t] = sqrt(k_t / k_s) sum_i w_i p[i,s,t], summed once and held
+        read-only: what ``projected_matrix`` reads of the spec."""
+        kv = self.base.valencies.astype(float)
+        ratio = np.sqrt(kv[np.newaxis, :] / kv[:, np.newaxis])
+        h = np.zeros((self.base.classes,) * 2, dtype=complex)
+        for w, p in zip(self.weights, self.base.intersection[1:]):
+            h += w * p * ratio
+        h.setflags(write=False)
+        return h
+
+    @functools.cached_property
     def _site_terms(self) -> tuple:
         """mu_l = theta_0 - theta_l = sum_i w_i k_i (1 - c_{l,i}), i mu_l, m_l
         as complex and the columns conj(c_{l,k}), l = 1..d: what z_l(t) and
@@ -309,18 +321,14 @@ class ProjectedMatrix:
 
 def projected_matrix(spec: WalkSpec) -> ProjectedMatrix:
     """The projected matrix of ``spec``, held as the one-copy matrix
-    h[s,t] = sqrt(k_t / k_s) sum_i w_i p[i,s,t] and lifted on demand.
+    h[s,t] = sqrt(k_t / k_s) sum_i w_i p[i,s,t] and lifted on demand; h is
+    summed once per spec and shared read-only (``WalkSpec._one_body``).
 
     The valency ratio drops out when all base valencies are equal; in
     general it is forced by the normalization of the class states, and with
     it Hermitian couplings yield a Hermitian matrix.
     """
-    kv = spec.base.valencies.astype(float)
-    ratio = np.sqrt(kv[np.newaxis, :] / kv[:, np.newaxis])
-    h = np.zeros((spec.base.classes,) * 2, dtype=complex)
-    for w, p in zip(spec.weights, spec.base.intersection[1:]):
-        h += w * p * ratio
-    return ProjectedMatrix(table=spec.table, one_body=h)
+    return ProjectedMatrix(table=spec.table, one_body=spec._one_body)
 
 
 def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +482,28 @@ def test_evaluators_keep_the_bits_of_their_reference(case):
             _assert_same_bits(n, n_tilde, N, U)
 
 
+WIDE_MATRICES = [ordered_word_scheme(6).cosine, directed_ngon(7).cosine, directed_ngon(8).cosine,
+                 SIGNED_ZEROS]
+
+
+@pytest.mark.parametrize("case", range(len(WIDE_MATRICES) + 3))
+def test_evaluators_keep_the_bits_of_their_reference_at_larger_d_and_N(case):
+    # d = 5..7 and N = 7, 8: every layer of the expansion plan adds the terms
+    # of each monomial in the order the reference's dict does
+    rng = np.random.default_rng(100 + case)
+    if case < len(WIDE_MATRICES):
+        U = WIDE_MATRICES[case]
+    else:  # seeded random complex U, d = 5..7
+        d = case - len(WIDE_MATRICES) + 5
+        U = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+    d = len(U) - 1
+    for N in (7, 8):
+        compositions = enumerate_indices(N, d)
+        for _ in range(3):
+            n, n_tilde = (compositions[rng.integers(len(compositions))] for _ in range(2))
+            _assert_same_bits(n, n_tilde, N, U)
+
+
 BIT_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0)
 
 
@@ -492,6 +515,34 @@ def test_evaluators_keep_the_bits_of_their_reference_random(data, d, N):
     U = np.array(data.draw(entries), dtype=complex).reshape(d + 1, d + 1)
     compositions = st.sampled_from(enumerate_indices(N, d))
     _assert_same_bits(data.draw(compositions), data.draw(compositions), N, U)
+
+
+def test_krawtchouk_matrix_builds_one_bounded_plan():
+    # every row of the matrix is expanded on one shared plan, and the plan
+    # cache holds a bounded number of (N, d) keys
+    extension._power_plan.cache_clear()
+    labels, K = krawtchouk._krawtchouk_matrix(6, directed_ngon(4).cosine)
+    info = extension._power_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.maxsize is not None and 0 < info.maxsize < math.inf
+    assert list(labels) == enumerate_indices(6, 3) and K.shape == (len(labels),) * 2
+
+
+def test_cold_genfun_memory_is_bounded():
+    # a cold call builds and caches the (20, 4) plan: one shared (row, slot)
+    # tuple per term and one tuple of them per composition of n <= 20, about
+    # 8 MiB, plus one layer's index arrays at the peak: 12.7 MiB measured
+    # (a plan of one fresh pair tuple per term held about 25 MiB)
+    U = directed_ngon(5).cosine
+    extension._power_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        table = krawtchouk_genfun((4, 4, 4, 4, 4), 20, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == math.comb(24, 4)
+    assert peak <= 15 * 2 ** 20
 
 
 def test_evaluators_stay_independent(monkeypatch):

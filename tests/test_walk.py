@@ -544,6 +544,16 @@ def test_projected_matrix_single_copy():
     np.testing.assert_allclose(projected_matrix(spec).entries, expected, atol=1e-14)
 
 
+def test_projected_matrix_shares_one_read_only_h_per_spec():
+    # h is summed once per spec; every projected matrix reads the same array
+    spec = walk_spec(ordered_word_scheme(3), 2, [0.3, 0.7, -0.2])
+    first, second = projected_matrix(spec), projected_matrix(spec)
+    assert first is not second and first.one_body is second.one_body
+    assert not first.one_body.flags.writeable
+    with pytest.raises(ValueError):
+        first.one_body[0, 0] = 1.0
+
+
 def test_projected_matrix_hermitian():
     for spec in (canonical_spec(5, 2), walk_spec(ordered_word_scheme(3), 2, [0.3, 0.7, -0.2])):
         assert projected_matrix(spec).hermiticity_residual < 1e-12
