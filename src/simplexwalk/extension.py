@@ -100,11 +100,12 @@ def symmetric_power_row(M, beta) -> dict:
     exponent composition of each monomial, in canonical order.
 
     This is the row beta of the N-th symmetric power of the square matrix M
-    in the monomial basis, expanded term by term.  Only the Krawtchouk
-    generating function reads it; its sums cancel more as N grows, so the
-    projected evolution runs on ``_symmetric_power_state`` instead.  The
-    expansion runs layer by layer on the cached ``_power_plan`` of (N, d)
-    (``_expand``), in plain Python complex arithmetic.
+    in the monomial basis, expanded term by term, checked and keyed: the
+    Krawtchouk generating function expands the same ``_expand`` on the same
+    cached ``_power_plan`` of (N, d) directly, so its values are these
+    divided by the multinomials, bit for bit.  The sums cancel more as N
+    grows, so the projected evolution runs on ``_symmetric_power_state``
+    instead.  The arithmetic is plain Python complex.
     """
     rows = _square_matrix(M).tolist()
     N = sum(_integers(beta))

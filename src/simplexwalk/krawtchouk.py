@@ -22,7 +22,9 @@ from operator import truediv
 import numpy as np
 
 from .extension import (_composition, _expand, _power_plan, _square_matrix, enumerate_indices,
-                        multinomial, symmetric_power_row)
+                        multinomial)
+# re-exported: the keyed row that krawtchouk_genfun divides by the multinomials
+from .extension import symmetric_power_row  # noqa: F401
 from .schemes import AssociationScheme, _integers, directed_ngon
 from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
@@ -142,13 +144,13 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
     K(n, n_tilde) at once.
 
     Returns a map from each composition n, in canonical order, to the value
-    K(n, n_tilde); the exact multinomials are the cached plan's.
+    K(n, n_tilde): the row n_tilde of the symmetric power of U, expanded on
+    the cached (N, d) plan and divided by the plan's exact multinomials.
     """
     U = _square_matrix(U)
     n_tilde = _composition(n_tilde, N, len(U))
-    row = symmetric_power_row(U, n_tilde)
-    _, _, multinomials = _power_plan(sum(n_tilde), len(U) - 1)
-    return dict(zip(row, map(truediv, row.values(), multinomials)))
+    layers, labels, multinomials = _power_plan(sum(n_tilde), len(U) - 1)
+    return dict(zip(labels, map(truediv, _expand(U.tolist(), n_tilde, layers), multinomials)))
 
 
 def krawtchouk_table(N: int, U) -> dict:

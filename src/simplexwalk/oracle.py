@@ -1,9 +1,10 @@
 """Dense brute-force verification of every closed form.
 
 The Hamiltonian is materialized on all |X|^N vertices and evolved exactly,
-once through the factorized idempotent phases and once through a dense
-Hermitian eigendecomposition; the two must agree, and both must match the
-product-formula amplitudes class by class.  Class membership is read from
+once through the factorized idempotent phases and once by Lanczos on the
+materialized matrix from the start vertex, with one eigendecomposition of
+the small tridiagonal it leaves; the two must agree, and both must match
+the product-formula amplitudes class by class.  Class membership is read from
 per-copy relation counts: (v, w) lies in class beta when beta_k copies s
 have A_k[v_s, w_s] = 1.
 """
@@ -89,8 +90,9 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     """exp(-i t M) applied to the vertex indicator.
 
     method "projector" phases the factorized idempotents slot by slot;
-    method "eig" diagonalizes the materialized Hamiltonian.  Both are exact
-    up to roundoff and must agree.
+    method "eig" diagonalizes the materialized Hamiltonian on the Krylov
+    space of the vertex indicator (``_dense_eigh``).  Both are exact up to
+    roundoff and must agree.
     """
     start_vertex = _start_index(spec, start_vertex)
     if not np.isfinite(t):
@@ -98,17 +100,52 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     if method == "projector":
         return _projector_evolution(spec, t, start_vertex, _base_idempotents(spec))
     if method == "eig":
-        vals, vecs = _dense_eigh(spec)
-        return vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[start_vertex, :]))
+        vals, vecs, overlaps = _dense_eigh(spec, start_vertex)
+        return vecs @ (np.exp(-1j * t * vals) * overlaps)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _dense_eigh(spec: WalkSpec):
-    """Eigenpairs of the materialized Hamiltonian, checked Hermitian."""
+_KRYLOV_STOP = 64  # Lanczos stops once beta <= _KRYLOV_STOP eps ||H||
+
+
+def _dense_eigh(spec: WalkSpec, start: int):
+    """Eigenpairs of the materialized Hamiltonian H, checked Hermitian, on
+    the Krylov space of the start vertex's indicator e_u.
+
+    Lanczos from e_u, every new vector re-orthogonalized against all the
+    earlier ones by two classical Gram-Schmidt passes, stops once the next
+    beta is at most _KRYLOV_STOP eps ||H||_inf or the basis V fills all
+    rows; one eigh of the k x k real tridiagonal T = S diag(theta) S^T
+    follows.  Returns theta, the Ritz vectors V S and the first row of S
+    (real, so its own conjugate): exp(-i t H) e_u = V S (exp(-i t theta) *
+    S[0]).  Stopping at beta leaks at most beta t of the state by time t.
+    In exact arithmetic k is the number of distinct eigenvalues that e_u
+    touches, at most the class count D, since the Krylov space lies in the
+    span of the class columns; the evaluator reads H and u alone, and on a
+    matrix with no such structure it runs to full dimension, still exact.
+    """
     H = dense_hamiltonian(spec)
     if np.abs(H - H.conj().T).max() > 1e-9:
         raise ValueError("materialized Hamiltonian is not Hermitian")
-    return np.linalg.eigh(H)
+    rows = len(H)
+    stop = _KRYLOV_STOP * np.finfo(float).eps * np.linalg.norm(H, np.inf)
+    basis = np.empty((rows, rows), dtype=complex)  # row j holds q_j; rows past k stay untouched
+    basis[0] = 0.0
+    basis[0, start] = 1.0
+    alpha, beta = [], []
+    for k in range(1, rows + 1):
+        q = basis[:k]
+        w = H @ q[-1]
+        alpha.append(np.vdot(q[-1], w).real)
+        w -= (q.conj() @ w) @ q
+        w -= (q.conj() @ w) @ q
+        b = np.linalg.norm(w)
+        if b <= stop or k == rows:
+            break
+        beta.append(b)
+        basis[k] = w / b
+    theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    return theta, basis[:k].T @ S, S[0]
 
 
 def _class_positions(spec: WalkSpec, start) -> np.ndarray:
@@ -152,8 +189,9 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     For each time, checks that the dense state is constant on every class
     (membership taken relative to the start vertex), equals f_beta there,
     agrees between the two dense methods, and stays normalized.  One
-    eigendecomposition of the dense Hamiltonian, and one set of dense base
-    idempotents, serves every time.
+    Krylov-space eigendecomposition of the dense Hamiltonian from the start
+    vertex (``_dense_eigh``), and one set of dense base idempotents, serves
+    every time.
     """
     times = np.fromiter(times, dtype=float)
     if times.size == 0:
@@ -163,13 +201,13 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     _guarded_rows(spec.base, spec.copies, SWEEP_GUARD)
     pos = _class_positions(spec, 0)
     sizes = np.bincount(pos)
-    vals, vecs = _dense_eigh(spec)
+    vals, vecs, overlaps = _dense_eigh(spec, 0)
     idempotents = _base_idempotents(spec)
     _, f = _amplitude_rows(spec, times)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0
     amp_err = cls_err = mth_err = nrm_err = 0.0
     for t, f_t in zip(times, f):
-        psi = vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[0, :]))
+        psi = vecs @ (np.exp(-1j * t * vals) * overlaps)
         psi_proj = _projector_evolution(spec, t, 0, idempotents)
         mth_err = np.maximum(mth_err, np.abs(psi - psi_proj).max())
         nrm_err = np.maximum(nrm_err, abs(np.linalg.norm(psi) - 1.0))

@@ -269,6 +269,8 @@ def test_dense_oracle_forms_no_arrangements(monkeypatch):
 
 
 def test_compare_amplitudes_diagonalizes_once(monkeypatch):
+    # one eigh per comparison, of the k x k Lanczos tridiagonal, never of
+    # the 27 x 27 dense H: k is at most the D = 10 classes of ngon-3 at N = 3
     calls = []
     eigh = np.linalg.eigh
 
@@ -279,8 +281,95 @@ def test_compare_amplitudes_diagonalizes_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     spec = walk_spec(directed_ngon(3), 3, canonical_ngon_weights(3))
     report = compare_amplitudes(spec, [0.0, 0.4, 1.1, 2.0, 3.7])
-    assert calls == [(27, 27)]
+    assert len(calls) == 1
+    [(k, k_cols)] = calls
+    assert k == k_cols <= spec.table.dimension == 10
     assert report.max_error < 1e-9
+
+
+def _eigh_evolution(H, t, u):
+    """exp(-i t H) e_u by one eigh of the whole dense H, as the "eig" method
+    evolved before it moved to the start vertex's Krylov space."""
+    vals, vecs = np.linalg.eigh(H)
+    return vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[u, :]))
+
+
+def _touched_eigenvalues(H, u):
+    """The number of distinct eigenvalues of H (1e-8 apart) whose
+    eigenspace e_u has weight in."""
+    vals, vecs = np.linalg.eigh(H)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(vals) > 1e-8)])
+    return int(np.count_nonzero(np.bincount(cluster, np.abs(vecs[u]) ** 2) > 1e-12))
+
+
+ORACLE_SPECS = dict(oracle._oracle_specs())
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS)
+def test_krylov_evolution_matches_the_full_eigh(spec):
+    H = dense_hamiltonian(spec)
+    rng = np.random.default_rng(len(H))
+    for u in {0, len(H) // 2, len(H) - 1}:
+        for t in rng.uniform(0.0, 8.0, size=4):
+            psi = dense_evolution(spec, t, u)
+            assert np.abs(psi - _eigh_evolution(H, t, u)).max() <= 1e-12
+
+
+_HERMITIAN_SCHEMES = ([trivial_scheme_2()] + [directed_ngon(n) for n in (2, 3, 4)]
+                      + [ordered_word_scheme(d) for d in (1, 2, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(_HERMITIAN_SCHEMES),
+       re=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       im=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       t=st.floats(0.0, 8.0))
+def test_krylov_evolution_matches_the_full_eigh_on_hermitian_weights(data, scheme, re, im, t):
+    # w averaged with its transpose-paired conjugate is exactly Hermitian
+    w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
+    w = (w + np.conj(w[[scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]])) / 2
+    N = data.draw(st.integers(0, max(n for n in range(9) if scheme.size ** n <= 256)))
+    spec = walk_spec(scheme, N, w)
+    H = dense_hamiltonian(spec)
+    u = data.draw(st.integers(0, len(H) - 1))
+    assert np.abs(dense_evolution(spec, t, u) - _eigh_evolution(H, t, u)).max() <= 1e-12
+
+
+# the suite's specs, the larger compares of the benchmark and the two specs
+# at the 1024-row guard
+SHIPPED_SPECS = {
+    **ORACLE_SPECS,
+    "ngon-3 N=5": walk_spec(directed_ngon(3), 5, canonical_ngon_weights(3)),
+    "ngon-4 N=4": walk_spec(directed_ngon(4), 4, canonical_ngon_weights(4)),
+    "ngon-4 N=5": walk_spec(directed_ngon(4), 5, canonical_ngon_weights(4)),
+    "trivial2 N=10": walk_spec(trivial_scheme_2(), 10, [1.0]),
+}
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS.values(), ids=SHIPPED_SPECS)
+def test_krylov_dimension_stays_within_the_class_count(spec):
+    # the Lanczos run breaks down at rounding level once the eigenvalues that
+    # e_0 touches are spanned, never running on toward all rows
+    vals, vecs, overlaps = oracle._dense_eigh(spec, 0)
+    k = len(vals)
+    assert vecs.shape == (spec.base.size ** spec.copies, k) and overlaps.shape == (k,)
+    assert k <= spec.table.dimension
+    if len(vecs) <= 256:
+        assert k == _touched_eigenvalues(dense_hamiltonian(spec), 0)
+
+
+def test_krylov_evolution_runs_to_full_dimension_on_an_unstructured_matrix(monkeypatch):
+    # the evaluator reads H and the start vertex alone: a random dense
+    # Hermitian H touches every eigenvalue from any vertex
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    H = (A + A.conj().T) / 16
+    spec = walk_spec(trivial_scheme_2(), 6, [1.0])
+    monkeypatch.setattr(oracle, "dense_hamiltonian", lambda s: H.copy())
+    for u in (0, 17, 63):
+        assert len(oracle._dense_eigh(spec, u)[0]) == 64
+        for t in (0.4, 3.3, 7.9):
+            assert np.abs(dense_evolution(spec, t, u) - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
 def test_compare_amplitudes_builds_the_base_idempotents_once(monkeypatch):
