@@ -519,10 +519,11 @@ GOLDEN_BMATRICES = {
                 "1eca92e19936fa851343ace028e1eb14222824bb384a6455578ab7772df03290"),
     "verify-bmatrix": (["verify", "--suite", "bmatrix"],
                        "1d1b739f7e53694ab0a4f644e62e49eeaa9be7c60053255f53a500aefd03b229"),
-    # taken after the "eig" oracle moved to the start vertex's Krylov space:
-    # every residual moved at rounding level, every tolerance stayed 1e-9
+    # taken after both oracle methods became matrix-free (per-copy H v in
+    # the Lanczos run, one-copy columns in the projector): every residual
+    # moved at rounding level, every tolerance stayed 1e-9
     "verify-amplitudes": (["verify", "--suite", "amplitudes"],
-                          "6f281a3d353a6203bc9a00f18545b3b8b6e93d20d3ff9d384efb3378af0f760f"),
+                          "9fb8516e3312943837b8ec3c296b93550004903ef6a918371640bc5e425223bd"),
 }
 
 

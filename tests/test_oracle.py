@@ -140,6 +140,39 @@ def test_compare_amplitudes_rejects_empty_times():
         compare_amplitudes(spec, [])
 
 
+def test_compare_amplitudes_refuses_a_string_of_times():
+    # a string is not read character by character as the times 1.0 and 2.0
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="one-dimensional sequence of real numbers"):
+        compare_amplitudes(spec, "12")
+
+
+def test_compare_amplitudes_refuses_a_2d_grid():
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="one-dimensional sequence of real numbers"):
+        compare_amplitudes(spec, [[0.5, 1.0], [1.5, 2.0]])
+
+
+def test_compare_amplitudes_refuses_a_complex_grid():
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="one-dimensional sequence of real numbers"):
+        compare_amplitudes(spec, [0.5, 1.0 + 0.5j])
+
+
+@pytest.mark.parametrize("method", ["eig", "projector"])
+def test_dense_evolution_refuses_a_complex_time(method):
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="t must be a finite real number"):
+        dense_evolution(spec, 0.5 + 1j, 0, method=method)
+
+
+@pytest.mark.parametrize("method", ["eig", "projector"])
+def test_dense_evolution_refuses_a_string_time(method):
+    spec = walk_spec(directed_ngon(3), 2, canonical_ngon_weights(3))
+    with pytest.raises(ValueError, match="t must be a finite real number"):
+        dense_evolution(spec, "0.5", 0, method=method)
+
+
 def test_vertex_classes_partition():
     spec = walk_spec(ordered_word_scheme(2), 2, [0.5, 0.5])
     members = vertex_classes(spec)
@@ -268,9 +301,10 @@ def test_dense_oracle_forms_no_arrangements(monkeypatch):
     assert calls == []
 
 
-def test_compare_amplitudes_diagonalizes_once(monkeypatch):
-    # one eigh per comparison, of the k x k Lanczos tridiagonal, never of
-    # the 27 x 27 dense H: k is at most the D = 10 classes of ngon-3 at N = 3
+def test_compare_amplitudes_diagonalizes_on_the_doubling_schedule(monkeypatch):
+    # one eigh of the k x k Lanczos tridiagonal at k = 2, 4, ... to test
+    # the error bound, and one at the breakdown, never of the 27 x 27
+    # dense H: k is at most the D = 10 classes of ngon-3 at N = 3
     calls = []
     eigh = np.linalg.eigh
 
@@ -281,9 +315,9 @@ def test_compare_amplitudes_diagonalizes_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     spec = walk_spec(directed_ngon(3), 3, canonical_ngon_weights(3))
     report = compare_amplitudes(spec, [0.0, 0.4, 1.1, 2.0, 3.7])
-    assert len(calls) == 1
-    [(k, k_cols)] = calls
-    assert k == k_cols <= spec.table.dimension == 10
+    k = calls[-1][0]
+    assert calls == [(2, 2), (4, 4), (k, k)]
+    assert 4 < k <= spec.table.dimension == 10
     assert report.max_error < 1e-9
 
 
@@ -335,8 +369,58 @@ def test_krylov_evolution_matches_the_full_eigh_on_hermitian_weights(data, schem
     assert np.abs(dense_evolution(spec, t, u) - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
-# the suite's specs, the larger compares of the benchmark and the two specs
-# at the 1024-row guard
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(_HERMITIAN_SCHEMES),
+       re=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       im=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_per_copy_matvec_matches_the_dense_hamiltonian(data, scheme, re, im):
+    w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
+    w = (w + np.conj(w[[scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]])) / 2
+    N = data.draw(st.integers(0, max(n for n in range(9) if scheme.size ** n <= 256)))
+    spec = walk_spec(scheme, N, w)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    v = rng.normal(size=scheme.size ** N) + 1j * rng.normal(size=scheme.size ** N)
+    Hv = oracle._hamiltonian_matvec(oracle._one_copy_hamiltonian(spec), N, v)
+    assert np.abs(Hv - dense_hamiltonian(spec) @ v).max() <= 1e-13 * np.linalg.norm(v)
+
+
+def test_generic_weights_stop_on_the_error_estimate():
+    # OW(3) at N = 4 (4096 rows, D = 35): these real weights never break
+    # down, and ran 3218 Lanczos vectors without the error stop
+    spec = walk_spec(ordered_word_scheme(3), 4, [0.7, -0.3, 0.25])
+    for t in (0.4, 2.9, 7.6):
+        assert len(oracle._dense_eigh(spec, 0, [t])[0]) <= 64
+        eig = dense_evolution(spec, t, 0, method="eig")
+        assert np.abs(eig - dense_evolution(spec, t, 0, method="projector")).max() <= 1e-12
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(),
+       re=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       im=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_hermitian_weights_at_1024_rows_match_the_full_eigh(data, re, im):
+    # ngon-4 at N = 5 (D = 56): generic weights ran 917-1024 vectors without
+    # the error stop; one full eigh per draw serves every start and time
+    scheme = directed_ngon(4)
+    w = np.array(re) + 1j * np.array(im)
+    w = (w + np.conj(w[[scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]])) / 2
+    spec = walk_spec(scheme, 5, w)
+    vals, vecs = np.linalg.eigh(dense_hamiltonian(spec))
+    for _ in range(3):
+        u, t = data.draw(st.integers(0, 1023)), data.draw(st.floats(0.0, 8.0))
+        assert len(oracle._dense_eigh(spec, u, [t])[0]) <= 128
+        expected = vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[u, :]))
+        assert np.abs(dense_evolution(spec, t, u) - expected).max() <= 1e-12
+
+
+def test_non_hermitian_weights_are_refused():
+    spec = WalkSpec(directed_ngon(3), 2, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dense_evolution(spec, 0.5, 0)
+
+
+# the suite's specs, the larger compares of the benchmark and the two
+# 1024-row specs that the CI compare runs in a fresh process
 SHIPPED_SPECS = {
     **ORACLE_SPECS,
     "ngon-3 N=5": walk_spec(directed_ngon(3), 5, canonical_ngon_weights(3)),
@@ -349,8 +433,9 @@ SHIPPED_SPECS = {
 @pytest.mark.parametrize("spec", SHIPPED_SPECS.values(), ids=SHIPPED_SPECS)
 def test_krylov_dimension_stays_within_the_class_count(spec):
     # the Lanczos run breaks down at rounding level once the eigenvalues that
-    # e_0 touches are spanned, never running on toward all rows
-    vals, vecs, overlaps = oracle._dense_eigh(spec, 0)
+    # e_0 touches are spanned, before its error bound over the times fires,
+    # never running on toward all rows
+    vals, vecs, overlaps = oracle._dense_eigh(spec, 0, [0.3, 1.7, 4.2, 7.9])
     k = len(vals)
     assert vecs.shape == (spec.base.size ** spec.copies, k) and overlaps.shape == (k,)
     assert k <= spec.table.dimension
@@ -358,18 +443,20 @@ def test_krylov_dimension_stays_within_the_class_count(spec):
         assert k == _touched_eigenvalues(dense_hamiltonian(spec), 0)
 
 
-def test_krylov_evolution_runs_to_full_dimension_on_an_unstructured_matrix(monkeypatch):
-    # the evaluator reads H and the start vertex alone: a random dense
-    # Hermitian H touches every eigenvalue from any vertex
+def test_krylov_evolution_runs_to_full_dimension_on_an_unstructured_matrix():
+    # the Lanczos run reads H v and the start vertex alone: a random dense
+    # Hermitian H touches every eigenvalue from any vertex, and at t = 7.9
+    # the error bound stays above rounding level until the basis is full
     rng = np.random.default_rng(3)
     A = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     H = (A + A.conj().T) / 16
-    spec = walk_spec(trivial_scheme_2(), 6, [1.0])
-    monkeypatch.setattr(oracle, "dense_hamiltonian", lambda s: H.copy())
+    times = (0.4, 3.3, 7.9)
     for u in (0, 17, 63):
-        assert len(oracle._dense_eigh(spec, u)[0]) == 64
-        for t in (0.4, 3.3, 7.9):
-            assert np.abs(dense_evolution(spec, t, u) - _eigh_evolution(H, t, u)).max() <= 1e-12
+        vals, vecs, overlaps = oracle._lanczos(lambda v: H @ v, u, 64, np.linalg.norm(H, np.inf), times)
+        assert len(vals) == 64
+        for t in times:
+            psi = vecs @ (np.exp(-1j * t * vals) * overlaps)
+            assert np.abs(psi - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
 def test_compare_amplitudes_builds_the_base_idempotents_once(monkeypatch):
@@ -413,6 +500,53 @@ def test_guard_env_override(monkeypatch):
         dense_hamiltonian(spec)
     monkeypatch.setenv("SIMPLEXWALK_GUARD", "16")
     dense_hamiltonian(spec)
+
+
+@pytest.mark.parametrize("N", [4, 16])
+@pytest.mark.parametrize("t", [math.pi / 2, math.pi])
+def test_hypercube_transfer_times_do_not_stop_the_krylov_run_early(N, t):
+    # at k = 2 the tridiagonal is [[0, 2], [2, 0]] and its entry e_2^T
+    # exp(-i t T_2) e_1 vanishes at these times: a test at the times alone
+    # stopped the run there and returned -e_0 for the transferred e_(2^N - 1)
+    spec = walk_spec(trivial_scheme_2(), N, [1.0])
+    eig = dense_evolution(spec, t, 0, method="eig")
+    assert np.abs(eig - dense_evolution(spec, t, 0, method="projector")).max() <= 1e-12
+
+
+def test_compare_amplitudes_at_the_hypercube_transfer_time():
+    assert compare_amplitudes(walk_spec(trivial_scheme_2(), 4, [1.0]), [math.pi / 2]).max_error < 1e-9
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_15():
+    nodes, weights = oracle._GAUSS_NODES, oracle._GAUSS_WEIGHTS
+    for m in range(16):
+        assert abs(weights @ nodes ** m - (2 / (m + 1) if m % 2 == 0 else 0.0)) <= 1e-14
+
+
+def test_leak_test_agrees_with_a_fine_trapezoid_rule():
+    # int_0^tau |sum_j c_j exp(-i s theta_j)| ds on Ritz data of random
+    # tridiagonals: the closed-form lower bounds never pass it, and the
+    # panel quadrature lands within 10% of 20001 trapezoid points
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        k = int(rng.integers(1, 13))
+        a, b = rng.normal(size=k) * 3, np.abs(rng.normal(size=k - 1)) * 3
+        theta, S = np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+        c, tau = S[-1] * S[0], rng.uniform(0.0, 8.0)
+        g = np.abs(np.exp(-1j * np.outer(np.linspace(0.0, tau, 20001), theta)) @ c)
+        mass = (g.sum() - (g[0] + g[-1]) / 2) * tau / 20000
+        assert oracle._leaks(theta, c, tau, 0.9 * mass) == (mass > 0)
+        assert not oracle._leaks(theta, c, tau, 1.1 * mass + 1e-15)
+
+
+def test_guard_env_only_raises_the_oracle_guard(monkeypatch):
+    spec = walk_spec(trivial_scheme_2(), 4, [1.0])
+    monkeypatch.setenv("SIMPLEXWALK_GUARD", "8")
+    assert compare_amplitudes(spec, [0.5]).max_error < 1e-9
+    assert len(vertex_classes(spec)[(4, 0)]) == 1
+    monkeypatch.delenv("SIMPLEXWALK_GUARD")
+    with pytest.raises(ValueError, match=r"131072 rows exceed the dense oracle's guard \(65536\)"):
+        dense_evolution(walk_spec(trivial_scheme_2(), 17, [1.0]), 0.5, 0)
 
 
 def test_compare_amplitudes_hypercube_transfer_class():
