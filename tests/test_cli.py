@@ -298,6 +298,21 @@ def test_amplitudes_past_the_float_range_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    # an allocation past the machine's memory, as the ow scenario's support
+    # list at N = 400, is reported without a traceback
+    def fail(d, copies, k):
+        raise MemoryError("Unable to allocate 8.15 GiB for an array")
+
+    monkeypatch.setattr(cli, "ow_fr_scenario", fail)
+    out = tmp_path / "events.json"
+    rc = run_cli(["walk", "detect", "--scenario", "ow", "--d", "4", "--N", "400", "--k", "4",
+                  "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 8.15 GiB for an array\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index, index_tilde", [("1-1", "1-1"), ("1-1-0", "1-1")])
 def test_krawtchouk_eval_rejects_index_length(tmp_path, capsys, index, index_tilde):
     out = tmp_path / "value.json"
@@ -519,11 +534,11 @@ GOLDEN_BMATRICES = {
                 "1eca92e19936fa851343ace028e1eb14222824bb384a6455578ab7772df03290"),
     "verify-bmatrix": (["verify", "--suite", "bmatrix"],
                        "1d1b739f7e53694ab0a4f644e62e49eeaa9be7c60053255f53a500aefd03b229"),
-    # taken after both oracle methods became matrix-free (per-copy H v in
-    # the Lanczos run, one-copy columns in the projector): every residual
-    # moved at rounding level, every tolerance stayed 1e-9
+    # taken after the "eig" method became the Kronecker product of one-copy
+    # eigh columns: every residual moved at rounding level (all <= 6e-15),
+    # every tolerance stayed 1e-9
     "verify-amplitudes": (["verify", "--suite", "amplitudes"],
-                          "9fb8516e3312943837b8ec3c296b93550004903ef6a918371640bc5e425223bd"),
+                          "fc50e3d4fa89907fe90946e5e61158b741b7622cbc7e0496fa72064ae5af684d"),
 }
 
 

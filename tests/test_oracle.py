@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -301,10 +302,9 @@ def test_dense_oracle_forms_no_arrangements(monkeypatch):
     assert calls == []
 
 
-def test_compare_amplitudes_diagonalizes_on_the_doubling_schedule(monkeypatch):
-    # one eigh of the k x k Lanczos tridiagonal at k = 2, 4, ... to test
-    # the error bound, and one at the breakdown, never of the 27 x 27
-    # dense H: k is at most the D = 10 classes of ngon-3 at N = 3
+def test_compare_amplitudes_makes_one_one_copy_eigh(monkeypatch):
+    # one eigh of the 3 x 3 one-copy h serves every time, never one of
+    # the 27 x 27 dense H
     calls = []
     eigh = np.linalg.eigh
 
@@ -315,10 +315,21 @@ def test_compare_amplitudes_diagonalizes_on_the_doubling_schedule(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     spec = walk_spec(directed_ngon(3), 3, canonical_ngon_weights(3))
     report = compare_amplitudes(spec, [0.0, 0.4, 1.1, 2.0, 3.7])
-    k = calls[-1][0]
-    assert calls == [(2, 2), (4, 4), (k, k)]
-    assert 4 < k <= spec.table.dimension == 10
+    assert calls == [(3, 3)]
     assert report.max_error < 1e-9
+
+
+def test_eig_method_reads_no_spectral_data():
+    # zeroed P and Q leave the relation table and the weights, which are
+    # all that the "eig" method reads
+    base = ordered_word_scheme(3)
+    blank = dataclasses.replace(base, first_eigenmatrix=np.zeros_like(base.first_eigenmatrix),
+                                second_eigenmatrix=np.zeros_like(base.second_eigenmatrix))
+    spec = walk_spec(blank, 2, [0.7, -0.3, 0.25])
+    H = dense_hamiltonian(spec)
+    for u in (0, 17, 63):
+        for t in (0.4, 2.9, 7.6):
+            assert np.abs(dense_evolution(spec, t, u, method="eig") - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
 def _eigh_evolution(H, t, u):
@@ -326,14 +337,6 @@ def _eigh_evolution(H, t, u):
     evolved before it moved to the start vertex's Krylov space."""
     vals, vecs = np.linalg.eigh(H)
     return vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[u, :]))
-
-
-def _touched_eigenvalues(H, u):
-    """The number of distinct eigenvalues of H (1e-8 apart) whose
-    eigenspace e_u has weight in."""
-    vals, vecs = np.linalg.eigh(H)
-    cluster = np.concatenate([[0], np.cumsum(np.diff(vals) > 1e-8)])
-    return int(np.count_nonzero(np.bincount(cluster, np.abs(vecs[u]) ** 2) > 1e-12))
 
 
 ORACLE_SPECS = dict(oracle._oracle_specs())
@@ -369,27 +372,11 @@ def test_krylov_evolution_matches_the_full_eigh_on_hermitian_weights(data, schem
     assert np.abs(dense_evolution(spec, t, u) - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), scheme=st.sampled_from(_HERMITIAN_SCHEMES),
-       re=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-       im=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
-def test_per_copy_matvec_matches_the_dense_hamiltonian(data, scheme, re, im):
-    w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
-    w = (w + np.conj(w[[scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]])) / 2
-    N = data.draw(st.integers(0, max(n for n in range(9) if scheme.size ** n <= 256)))
-    spec = walk_spec(scheme, N, w)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    v = rng.normal(size=scheme.size ** N) + 1j * rng.normal(size=scheme.size ** N)
-    Hv = oracle._hamiltonian_matvec(oracle._one_copy_hamiltonian(spec), N, v)
-    assert np.abs(Hv - dense_hamiltonian(spec) @ v).max() <= 1e-13 * np.linalg.norm(v)
-
-
 def test_generic_weights_stop_on_the_error_estimate():
-    # OW(3) at N = 4 (4096 rows, D = 35): these real weights never break
-    # down, and ran 3218 Lanczos vectors without the error stop
+    # OW(3) at N = 4 (4096 rows, D = 35), under the default guard: on these
+    # generic real weights a Krylov run from e_0 never breaks down
     spec = walk_spec(ordered_word_scheme(3), 4, [0.7, -0.3, 0.25])
     for t in (0.4, 2.9, 7.6):
-        assert len(oracle._dense_eigh(spec, 0, [t])[0]) <= 64
         eig = dense_evolution(spec, t, 0, method="eig")
         assert np.abs(eig - dense_evolution(spec, t, 0, method="projector")).max() <= 1e-12
 
@@ -399,8 +386,8 @@ def test_generic_weights_stop_on_the_error_estimate():
        re=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
        im=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 def test_hermitian_weights_at_1024_rows_match_the_full_eigh(data, re, im):
-    # ngon-4 at N = 5 (D = 56): generic weights ran 917-1024 vectors without
-    # the error stop; one full eigh per draw serves every start and time
+    # ngon-4 at N = 5 (D = 56) on generic Hermitian weights; one full eigh
+    # per draw serves every start and time
     scheme = directed_ngon(4)
     w = np.array(re) + 1j * np.array(im)
     w = (w + np.conj(w[[scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]])) / 2
@@ -408,7 +395,6 @@ def test_hermitian_weights_at_1024_rows_match_the_full_eigh(data, re, im):
     vals, vecs = np.linalg.eigh(dense_hamiltonian(spec))
     for _ in range(3):
         u, t = data.draw(st.integers(0, 1023)), data.draw(st.floats(0.0, 8.0))
-        assert len(oracle._dense_eigh(spec, u, [t])[0]) <= 128
         expected = vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[u, :]))
         assert np.abs(dense_evolution(spec, t, u) - expected).max() <= 1e-12
 
@@ -431,32 +417,46 @@ SHIPPED_SPECS = {
 
 
 @pytest.mark.parametrize("spec", SHIPPED_SPECS.values(), ids=SHIPPED_SPECS)
-def test_krylov_dimension_stays_within_the_class_count(spec):
-    # the Lanczos run breaks down at rounding level once the eigenvalues that
-    # e_0 touches are spanned, before its error bound over the times fires,
-    # never running on toward all rows
-    vals, vecs, overlaps = oracle._dense_eigh(spec, 0, [0.3, 1.7, 4.2, 7.9])
-    k = len(vals)
-    assert vecs.shape == (spec.base.size ** spec.copies, k) and overlaps.shape == (k,)
-    assert k <= spec.table.dimension
-    if len(vecs) <= 256:
-        assert k == _touched_eigenvalues(dense_hamiltonian(spec), 0)
+def test_eig_method_makes_one_one_copy_eigh_per_evolution(spec, monkeypatch):
+    # each "eig" evolution diagonalizes the |X| x |X| one-copy h once,
+    # never an |X|^N x |X|^N matrix, and its unit state agrees with the
+    # projector method at the first, middle and last start vertex
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rows = spec.base.size ** spec.copies
+    evolutions = 0
+    for u in {0, rows // 2, rows - 1}:
+        for t in (0.3, 1.7, 4.2, 7.9):
+            psi = dense_evolution(spec, t, u, method="eig")
+            evolutions += 1
+            assert psi.shape == (rows,)
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+            assert np.abs(psi - dense_evolution(spec, t, u, method="projector")).max() <= 1e-12
+    assert calls == [(spec.base.size, spec.base.size)] * evolutions
 
 
-def test_krylov_evolution_runs_to_full_dimension_on_an_unstructured_matrix():
-    # the Lanczos run reads H v and the start vertex alone: a random dense
-    # Hermitian H touches every eigenvalue from any vertex, and at t = 7.9
-    # the error bound stays above rounding level until the basis is full
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    H = (A + A.conj().T) / 16
-    times = (0.4, 3.3, 7.9)
-    for u in (0, 17, 63):
-        vals, vecs, overlaps = oracle._lanczos(lambda v: H @ v, u, 64, np.linalg.norm(H, np.inf), times)
-        assert len(vals) == 64
-        for t in times:
-            psi = vecs @ (np.exp(-1j * t * vals) * overlaps)
-            assert np.abs(psi - _eigh_evolution(H, t, u)).max() <= 1e-12
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_product_state_is_the_kronecker_sum_evolution_of_an_unstructured_h(copies):
+    # the product loop reads F = exp(-i t h) and the start vertex alone: a
+    # random 4 x 4 Hermitian h, from no scheme, evolves as the dense
+    # Kronecker sum of its copies does
+    rng = np.random.default_rng(copies)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (A + A.conj().T) / 4
+    H = np.zeros((1, 1), dtype=complex)
+    for _ in range(copies):
+        H = np.kron(np.eye(4), H) + np.kron(h, np.eye(len(H)))
+    vals, vecs = np.linalg.eigh(h)
+    for t in (0.4, 3.3, 7.9):
+        F = oracle._eigh_propagator(t, vals, vecs)
+        for u in {0, len(H) // 2, len(H) - 1}:
+            assert np.abs(oracle._product_state(F, u, copies) - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
 def test_compare_amplitudes_builds_the_base_idempotents_once(monkeypatch):
@@ -515,28 +515,6 @@ def test_hypercube_transfer_times_do_not_stop_the_krylov_run_early(N, t):
 
 def test_compare_amplitudes_at_the_hypercube_transfer_time():
     assert compare_amplitudes(walk_spec(trivial_scheme_2(), 4, [1.0]), [math.pi / 2]).max_error < 1e-9
-
-
-def test_gauss_legendre_rule_is_exact_to_degree_15():
-    nodes, weights = oracle._GAUSS_NODES, oracle._GAUSS_WEIGHTS
-    for m in range(16):
-        assert abs(weights @ nodes ** m - (2 / (m + 1) if m % 2 == 0 else 0.0)) <= 1e-14
-
-
-def test_leak_test_agrees_with_a_fine_trapezoid_rule():
-    # int_0^tau |sum_j c_j exp(-i s theta_j)| ds on Ritz data of random
-    # tridiagonals: the closed-form lower bounds never pass it, and the
-    # panel quadrature lands within 10% of 20001 trapezoid points
-    rng = np.random.default_rng(5)
-    for _ in range(60):
-        k = int(rng.integers(1, 13))
-        a, b = rng.normal(size=k) * 3, np.abs(rng.normal(size=k - 1)) * 3
-        theta, S = np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
-        c, tau = S[-1] * S[0], rng.uniform(0.0, 8.0)
-        g = np.abs(np.exp(-1j * np.outer(np.linspace(0.0, tau, 20001), theta)) @ c)
-        mass = (g.sum() - (g[0] + g[-1]) / 2) * tau / 20000
-        assert oracle._leaks(theta, c, tau, 0.9 * mass) == (mass > 0)
-        assert not oracle._leaks(theta, c, tau, 1.1 * mass + 1e-15)
 
 
 def test_guard_env_only_raises_the_oracle_guard(monkeypatch):
