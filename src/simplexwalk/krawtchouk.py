@@ -4,7 +4,10 @@ Two independent evaluators are provided: a hypergeometric sum over small
 integer matrices and an exact generating-function expansion.  They must
 agree; tests and the verification suites cross-check them.  Integer parts
 (Pochhammer symbols, factorials) are kept exact and only combined with the
-complex weight factors at the last moment.
+complex weight factors at the last moment.  The sum is one module-level
+recursion with two entry points: the single value ``krawtchouk_series``
+and the table ``_series_table`` over every pair of compositions of N,
+which builds its factorial, falling-factorial and omega-power tables once.
 
 The table K[n_tilde, n] = K(n; n_tilde) is one D x D matrix: both
 orthogonality relations (``orthogonality_residual``) and the spectral
@@ -94,6 +97,45 @@ def params_from_scheme(scheme: AssociationScheme) -> GriffithsParams:
     return griffiths_params(nu, p, p_tilde, scheme.cosine)
 
 
+def _matrix_sum(steps, used_rows, used_cols, factorial, falling_N, c, wprod, num, den, s, total):
+    """The recursion of the hypergeometric sum from cell c on: total plus the
+    terms of every admissible choice of A at cells c, c+1, ...  A step is
+    (i, j, row budget, column budget, omega_ij powers, row factor, column
+    factor, last cell?); ``used_rows`` and ``used_cols`` hold the sums of A
+    so far.  It closes over nothing, so a call leaves no reference cycle."""
+    i, j, row_budget, col_budget, power, row_factor, col_factor, last = steps[c]
+    r, k = used_rows[i], used_cols[j]
+    for a in range(min(row_budget - r, col_budget - k) + 1):
+        w = wprod * power[a] if a else wprod
+        m = num * row_factor[r + a] * col_factor[k + a]
+        if last:
+            total += m / (den * factorial[a] * falling_N[s + a]) * w
+        else:
+            used_rows[i], used_cols[j] = r + a, k + a
+            total = _matrix_sum(steps, used_rows, used_cols, factorial, falling_N,
+                                c + 1, w, m, den * factorial[a], s + a, total)
+    used_rows[i], used_cols[j] = r, k
+    return total
+
+
+def _series_value(n, n_tilde, powers, falling, factorial) -> complex:
+    """K(n, n_tilde) from the pair-free tables: ``powers[i, j][a]`` is
+    complex(omega_ij ** a), ``falling[m][r]`` is (-m)_r and ``factorial[a]``
+    is a!, each for every index the pair reads."""
+    cells = [(i, j) for i in range(1, len(n)) for j in range(1, len(n)) if n_tilde[i] and n[j]]
+    if not cells:
+        return 1.0 + 0.0j
+    N = len(factorial) - 1
+    row_end = {i: c for c, (i, _) in enumerate(cells)}
+    col_end, ones = {j: c for c, (_, j) in enumerate(cells)}, [1] * (N + 1)
+    steps = [(i, j, n_tilde[i], n[j], powers[i, j],
+              falling[n_tilde[i]] if row_end[i] == c else ones,
+              falling[n[j]] if col_end[j] == c else ones, c + 1 == len(cells))
+             for c, (i, j) in enumerate(cells)]
+    return _matrix_sum(steps, [0] * len(n), [0] * len(n), factorial, falling[N],
+                       0, 1.0 + 0.0j, 1, 1, 0, 0.0 + 0.0j)
+
+
 def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
     """Hypergeometric-sum evaluation of K(n, n_tilde) for the matrix U.
 
@@ -103,39 +145,38 @@ def krawtchouk_series(n, n_tilde, N: int, U) -> complex:
     budget is dropped.  The product of the omega_ij^A_ij and the exact
     denominator are carried down the cells; a row's and a column's
     Pochhammer factor join the exact numerator at its last cell.
+
+    One module-level recursion, ``_matrix_sum``, runs the sum for both
+    entry points: this one builds only the omega powers and falling
+    factorials that the pair reads, and ``_series_table`` builds them once
+    for every pair of compositions of N.
     """
     U = _square_matrix(U)
     n = _composition(n, N, len(U))
     n_tilde = _composition(n_tilde, N, len(U))
-    cells = [(i, j) for i in range(1, len(n)) for j in range(1, len(n)) if n_tilde[i] and n[j]]
-    if not cells:
-        return 1.0 + 0.0j
     omega = 1.0 - U
-    factorial = [math.factorial(k) for k in range(N + 1)]
+    powers = {(i, j): [complex(omega[i, j] ** a) for a in range(min(n_tilde[i], n[j]) + 1)]
+              for i in range(1, len(n)) for j in range(1, len(n)) if n_tilde[i] and n[j]}
     falling = {m: [pochhammer(-m, r) for r in range(m + 1)] for m in {N, *n, *n_tilde}}
-    row_end = {i: c for c, (i, _) in enumerate(cells)}
-    col_end, ones = {j: c for c, (_, j) in enumerate(cells)}, [1] * (N + 1)
-    steps = [(i, j, [complex(omega[i, j] ** a) for a in range(min(n_tilde[i], n[j]) + 1)],
-              falling[n_tilde[i]] if row_end[i] == c else ones,
-              falling[n[j]] if col_end[j] == c else ones)
-             for c, (i, j) in enumerate(cells)]
-    used_rows, used_cols = [0] * len(n), [0] * len(n)
+    return _series_value(n, n_tilde, powers, falling, [math.factorial(k) for k in range(N + 1)])
 
-    def rec(c, wprod, num, den, s, total):
-        i, j, power, row_factor, col_factor = steps[c]
-        r, k = used_rows[i], used_cols[j]
-        for a in range(min(n_tilde[i] - r, n[j] - k) + 1):
-            w = wprod * power[a] if a else wprod
-            m = num * row_factor[r + a] * col_factor[k + a]
-            if c + 1 == len(steps):
-                total += m / (den * factorial[a] * falling[N][s + a]) * w
-            else:
-                used_rows[i], used_cols[j] = r + a, k + a
-                total = rec(c + 1, w, m, den * factorial[a], s + a, total)
-        used_rows[i], used_cols[j] = r, k
-        return total
 
-    return rec(0, 1.0 + 0.0j, 1, 1, 0, 0.0 + 0.0j)
+def _series_table(N: int, U) -> np.ndarray:
+    """The matrix S[n_tilde, n] = krawtchouk_series(n, n_tilde, N, U) over
+    the compositions of N in canonical order, bit for bit: N and U are
+    checked once, the factorials, the falling factorials (-m)_r for m <= N
+    and the omega powers are built once, and each pair runs the same steps
+    as the single value."""
+    (N,) = _integers((N,), "N")
+    U = _square_matrix(U)
+    labels = enumerate_indices(N, len(U) - 1)
+    omega = 1.0 - U
+    powers = {(i, j): [complex(omega[i, j] ** a) for a in range(N + 1)]
+              for i in range(1, len(U)) for j in range(1, len(U))}
+    falling = [[pochhammer(-m, r) for r in range(m + 1)] for m in range(N + 1)]
+    factorial = [math.factorial(k) for k in range(N + 1)]
+    return np.array([[_series_value(n, nt, powers, falling, factorial) for n in labels]
+                     for nt in labels], dtype=complex)
 
 
 def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
@@ -177,9 +218,10 @@ def orthogonality_residual(gp: GriffithsParams, N: int) -> float:
     """Max deviation from the two sesquilinear orthogonality relations:
     conj(K) diag(w_tilde) K^T = diag(1 / (nu^N w)), and the same on K^T with
     w and w_tilde exchanged, where w_n = multinomial(N; n) prod_i p_i^n_i and
-    w_tilde is w with p_tilde in place of p."""
+    w_tilde is w with p_tilde in place of p.  The exact multinomials are
+    those of the (N, d) plan that the matrix was expanded on."""
     idx, K = _krawtchouk_matrix(N, gp.U)
-    multi = np.array([multinomial(N, n) for n in idx], dtype=float)
+    multi = np.array(_power_plan(int(N), len(gp.U) - 1)[2], dtype=float)
     w, w_tilde = (multi * np.prod(q ** np.array(idx), axis=1) for q in (gp.p, gp.p_tilde))
 
     def relation(M, weight, dual):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -28,7 +29,7 @@ from simplexwalk import (
     projected_matrix,
     trivial_scheme_2,
 )
-from simplexwalk import extension
+from simplexwalk import extension, oracle
 from simplexwalk.krawtchouk import spectral_residual
 from simplexwalk.oracle import _oracle_specs
 
@@ -517,6 +518,63 @@ def test_evaluators_keep_the_bits_of_their_reference_random(data, d, N):
     _assert_same_bits(data.draw(compositions), data.draw(compositions), N, U)
 
 
+def _assert_table_keeps_the_bits(N, U):
+    # every pair of the table is the single value and the reference, bit for bit
+    compositions = enumerate_indices(N, len(U) - 1)
+    S = krawtchouk._series_table(N, U)
+    assert S.shape == (len(compositions),) * 2
+    for row, n_tilde in zip(S.tolist(), compositions):
+        bits = [_bits(v) for v in row]
+        assert bits == [_bits(krawtchouk_series(n, n_tilde, N, U)) for n in compositions]
+        assert bits == [_bits(_reference_series(n, n_tilde, N, U)) for n in compositions]
+
+
+@pytest.mark.parametrize("case", range(len(BIT_MATRICES)))
+def test_series_table_keeps_the_bits_of_the_single_value(case):
+    U = BIT_MATRICES[case]
+    for N in range(5 if len(U) <= 4 else 4):
+        _assert_table_keeps_the_bits(N, U)
+
+
+@pytest.mark.parametrize("case", range(len(WIDE_MATRICES)))
+def test_series_table_keeps_the_bits_at_larger_d(case):
+    U = WIDE_MATRICES[case]
+    for N in (2, 3) if len(U) <= 4 else (2,):
+        _assert_table_keeps_the_bits(N, U)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), d=st.integers(0, 3), N=st.integers(0, 4))
+def test_series_table_keeps_the_bits_random(data, d, N):
+    entries = st.lists(st.builds(complex, BIT_ENTRIES, BIT_ENTRIES),
+                       min_size=(d + 1) ** 2, max_size=(d + 1) ** 2)
+    _assert_table_keeps_the_bits(N, np.array(data.draw(entries), dtype=complex).reshape(d + 1, d + 1))
+
+
+@pytest.mark.parametrize("N, U", [(-1, HADAMARD), (1.5, HADAMARD), (2, np.ones((2, 3)))])
+def test_series_table_rejects_bad_input(N, U):
+    with pytest.raises(ValueError):
+        krawtchouk._series_table(N, U)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: krawtchouk_series((1, 2, 0, 1), (2, 0, 1, 1), 4, directed_ngon(4).cosine),
+    lambda: krawtchouk._series_table(3, ordered_word_scheme(3).cosine),
+    lambda: oracle.run_suite("krawtchouk"),
+], ids=["series", "table", "suite"])
+def test_series_leaves_no_reference_cycle(evaluate):
+    # a recursion that closes over nothing leaves nothing for the cycle
+    # collector: a self-calling closure left 30 objects per series call
+    evaluate()  # warm the caches that outlive the call
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_krawtchouk_matrix_builds_one_bounded_plan():
     # every row of the matrix is expanded on one shared plan, and the plan
     # cache holds a bounded number of (N, d) keys
@@ -554,9 +612,13 @@ def test_evaluators_stay_independent(monkeypatch):
     U = directed_ngon(4).cosine
     series = krawtchouk_series((1, 2, 0, 1), (2, 0, 1, 1), 4, U)
     table = krawtchouk_genfun((2, 0, 1, 1), 4, U)
+    series_table = krawtchouk._series_table(4, U)
     with monkeypatch.context() as m:
         m.setattr(extension, "symmetric_power_row", fail)
         m.setattr(krawtchouk, "symmetric_power_row", fail)
+        m.setattr(extension, "_expand", fail)
+        m.setattr(krawtchouk, "_expand", fail)
         assert krawtchouk_series((1, 2, 0, 1), (2, 0, 1, 1), 4, U) == series
+        assert np.array_equal(krawtchouk._series_table(4, U), series_table)
     monkeypatch.setattr(krawtchouk, "krawtchouk_series", fail)
     assert krawtchouk_genfun((2, 0, 1, 1), 4, U) == table

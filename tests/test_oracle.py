@@ -333,8 +333,8 @@ def test_eig_method_reads_no_spectral_data():
 
 
 def _eigh_evolution(H, t, u):
-    """exp(-i t H) e_u by one eigh of the whole dense H, as the "eig" method
-    evolved before it moved to the start vertex's Krylov space."""
+    """exp(-i t H) e_u by one eigh of the whole dense H: the reference that
+    the Kronecker product of one-copy columns must match."""
     vals, vecs = np.linalg.eigh(H)
     return vecs @ (np.exp(-1j * t * vals) * np.conj(vecs[u, :]))
 
@@ -343,7 +343,7 @@ ORACLE_SPECS = dict(oracle._oracle_specs())
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS)
-def test_krylov_evolution_matches_the_full_eigh(spec):
+def test_eig_evolution_matches_the_full_eigh(spec):
     H = dense_hamiltonian(spec)
     rng = np.random.default_rng(len(H))
     for u in {0, len(H) // 2, len(H) - 1}:
@@ -361,7 +361,7 @@ _HERMITIAN_SCHEMES = ([trivial_scheme_2()] + [directed_ngon(n) for n in (2, 3, 4
        re=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
        im=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
        t=st.floats(0.0, 8.0))
-def test_krylov_evolution_matches_the_full_eigh_on_hermitian_weights(data, scheme, re, im, t):
+def test_eig_evolution_matches_the_full_eigh_on_hermitian_weights(data, scheme, re, im, t):
     # w averaged with its transpose-paired conjugate is exactly Hermitian
     w = np.array(re[: scheme.d]) + 1j * np.array(im[: scheme.d])
     w = (w + np.conj(w[[scheme.transpose_map[i + 1] - 1 for i in range(scheme.d)]])) / 2
@@ -372,9 +372,9 @@ def test_krylov_evolution_matches_the_full_eigh_on_hermitian_weights(data, schem
     assert np.abs(dense_evolution(spec, t, u) - _eigh_evolution(H, t, u)).max() <= 1e-12
 
 
-def test_generic_weights_stop_on_the_error_estimate():
-    # OW(3) at N = 4 (4096 rows, D = 35), under the default guard: on these
-    # generic real weights a Krylov run from e_0 never breaks down
+def test_eig_method_matches_the_projector_on_generic_weights():
+    # OW(3) at N = 4 (4096 rows, D = 35), under the default guard, on
+    # generic real weights, whose one-copy h has no special spectrum
     spec = walk_spec(ordered_word_scheme(3), 4, [0.7, -0.3, 0.25])
     for t in (0.4, 2.9, 7.6):
         eig = dense_evolution(spec, t, 0, method="eig")
@@ -504,10 +504,9 @@ def test_guard_env_override(monkeypatch):
 
 @pytest.mark.parametrize("N", [4, 16])
 @pytest.mark.parametrize("t", [math.pi / 2, math.pi])
-def test_hypercube_transfer_times_do_not_stop_the_krylov_run_early(N, t):
-    # at k = 2 the tridiagonal is [[0, 2], [2, 0]] and its entry e_2^T
-    # exp(-i t T_2) e_1 vanishes at these times: a test at the times alone
-    # stopped the run there and returned -e_0 for the transferred e_(2^N - 1)
+def test_eig_method_at_the_hypercube_transfer_times(N, t):
+    # the one-copy propagator is -i X at t = pi/2, so e_0 moves to e_(2^N - 1),
+    # and -I at t = pi: each digit's column is one basis vector up to a phase
     spec = walk_spec(trivial_scheme_2(), N, [1.0])
     eig = dense_evolution(spec, t, 0, method="eig")
     assert np.abs(eig - dense_evolution(spec, t, 0, method="projector")).max() <= 1e-12
@@ -660,14 +659,16 @@ def _suite_check(suite, name):
 
 
 def test_krawtchouk_suite_keeps_nan(monkeypatch):
-    series = krawtchouk.krawtchouk_series
-    calls = []
+    # one NaN pair among the finite ones, as the fifth pair of trivial2
+    table = krawtchouk._series_table
 
-    def fifth_is_nan(*args):
-        calls.append(args)
-        return math.nan if len(calls) == 5 else series(*args)
+    def last_pair_at_N1_is_nan(N, U):
+        S = table(N, U)
+        if N == 1:
+            S[-1, -1] = math.nan
+        return S
 
-    monkeypatch.setattr(krawtchouk, "krawtchouk_series", fifth_is_nan)
+    monkeypatch.setattr(krawtchouk, "_series_table", last_pair_at_N1_is_nan)
     check = _suite_check("krawtchouk", "krawtchouk:series-vs-genfun:trivial2")
     assert not check["passed"]
     assert math.isnan(check["residual"])
