@@ -267,7 +267,10 @@ def golden_bmatrix_residual() -> float:
     The canonical graded-lexicographic row order reproduces the reference
     layout with the identity permutation.
     """
-    scheme = directed_ngon(3)
+    return _golden_residual(directed_ngon(3))
+
+
+def _golden_residual(scheme) -> float:
     worst = 0.0
     for weights, expected in (((1.0, 0.0), GOLDEN_BM3_W1), ((0.0, 1.0), GOLDEN_BM3_W2)):
         # probe weights isolate one coefficient matrix; hermiticity is not
@@ -282,8 +285,12 @@ def ngon_spectrum_residual(n: int, N: int) -> float:
     """Check that the projected-matrix spectrum under canonical weights is,
     after sorting, the multiset {sum_j j*gamma_j - N(n-1)/2} over
     compositions gamma of N into n parts (integers shifted by N(n-1)/2)."""
-    spec = walk_spec(directed_ngon(n), N, canonical_ngon_weights(n))
-    pm = projected_matrix(spec)
+    return _spectrum_residual(directed_ngon(n), N)
+
+
+def _spectrum_residual(scheme, N: int) -> float:
+    n = scheme.size
+    pm = projected_matrix(walk_spec(scheme, N, canonical_ngon_weights(n)))
     vals = np.sort(np.linalg.eigvalsh(pm.entries))
     expected = sorted(
         sum(j * g for j, g in enumerate(gamma)) - N * (n - 1) / 2.0
@@ -297,12 +304,8 @@ def ngon_spectrum_residual(n: int, N: int) -> float:
 def _check(name: str, residual, tolerance: float) -> dict:
     """One JSON-ready check: it passes when the residual is within the
     tolerance (a NaN residual fails)."""
-    return {
-        "name": name,
-        "passed": bool(residual <= tolerance),
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-    }
+    return {"name": name, "passed": bool(residual <= tolerance), "residual": float(residual),
+            "tolerance": float(tolerance)}
 
 
 def _suite_axioms() -> list:
@@ -320,13 +323,9 @@ def _suite_axioms() -> list:
 
 def _suite_krawtchouk() -> list:
     # np.max and np.maximum propagate NaN, where Python's max may drop it
-    checks = []
-    schemes = [
-        ("trivial2", trivial_scheme_2()),
-        ("ngon-3", directed_ngon(3)),
-        ("ow-2", ordered_word_scheme(2)),
-    ]
-    for name, scheme in schemes:
+    checks, orthogonality = [], {}
+    g3 = directed_ngon(3)
+    for name, scheme in (("trivial2", trivial_scheme_2()), ("ngon-3", g3), ("ow-2", ordered_word_scheme(2))):
         worst = 0.0
         for N in range(0, 5):
             _, table = krawtchouk._krawtchouk_matrix(N, scheme.cosine)
@@ -335,27 +334,21 @@ def _suite_krawtchouk() -> list:
             worst = np.maximum(worst, np.max(list(map(abs, (series - table).ravel().tolist()))))
         checks.append(_check(f"krawtchouk:series-vs-genfun:{name}", worst, 1e-10))
         gp = krawtchouk.params_from_scheme(scheme)
-        worst = np.max([krawtchouk.orthogonality_residual(gp, N) for N in range(0, 5)])
-        checks.append(_check(f"krawtchouk:orthogonality:{name}", worst, 1e-10))
-    worst = np.max([krawtchouk.bivariate_orthogonality_residual(N) for N in range(1, 5)])
-    checks.append(_check("krawtchouk:bivariate-orthogonality", worst, 1e-10))
-    worst = np.max([krawtchouk.bivariate_recurrence_residual(N) for N in range(1, 5)])
+        orthogonality[name] = [krawtchouk.orthogonality_residual(gp, N) for N in range(0, 5)]
+        checks.append(_check(f"krawtchouk:orthogonality:{name}", np.max(orthogonality[name]), 1e-10))
+    # bivariate_orthogonality_residual and bivariate_recurrence_residual on the one 3-gon
+    checks.append(_check("krawtchouk:bivariate-orthogonality", np.max(orthogonality["ngon-3"][1:]), 1e-10))
+    specs = [WalkSpec(g3, N, canonical_ngon_weights(3)) for N in range(1, 5)]
+    worst = np.max([krawtchouk.spectral_residual(spec) for spec in specs])
     checks.append(_check("krawtchouk:bivariate-recurrence", worst, 1e-9))
     return checks
 
 
 def _oracle_specs() -> list:
-    specs = []
-    g3 = directed_ngon(3)
-    for N in range(1, 5):
-        specs.append((f"ngon-3 N={N}", walk_spec(g3, N, canonical_ngon_weights(3))))
-    x2 = trivial_scheme_2()
-    for N in range(1, 7):
-        specs.append((f"trivial2 N={N}", walk_spec(x2, N, [1.0])))
-    ow3 = ordered_word_scheme(3)
-    for N in range(1, 3):
-        specs.append((f"ow-3 N={N}", walk_spec(ow3, N, [0.7, -0.3, 0.25])))
-    return specs
+    g3, x2, ow3 = directed_ngon(3), trivial_scheme_2(), ordered_word_scheme(3)
+    return ([(f"ngon-3 N={N}", walk_spec(g3, N, canonical_ngon_weights(3))) for N in range(1, 5)]
+            + [(f"trivial2 N={N}", walk_spec(x2, N, [1.0])) for N in range(1, 7)]
+            + [(f"ow-3 N={N}", walk_spec(ow3, N, [0.7, -0.3, 0.25])) for N in range(1, 3)])
 
 
 def _suite_amplitudes() -> list:
@@ -369,8 +362,9 @@ def _suite_amplitudes() -> list:
 
 
 def _suite_bmatrix() -> list:
-    checks = [_check("bmatrix:golden-10x10", golden_bmatrix_residual(), 1e-12)]
-    spec = walk_spec(directed_ngon(3), 3, canonical_ngon_weights(3))
+    ngons = {n: directed_ngon(n) for n in range(2, 6)}
+    checks = [_check("bmatrix:golden-10x10", _golden_residual(ngons[3]), 1e-12)]
+    spec = walk_spec(ngons[3], 3, canonical_ngon_weights(3))
     pm = projected_matrix(spec)
     worst = 0.0
     for t in (0.7, 2.0 * math.pi / 3.0):
@@ -379,7 +373,7 @@ def _suite_bmatrix() -> list:
         expected = np.array([prof.site_amplitudes[b] for b in pm.order])
         worst = np.maximum(worst, np.abs(state - expected).max())
     checks.append(_check("bmatrix:evolution-consistency", worst, 1e-9))
-    worst = np.max([ngon_spectrum_residual(n, N) for n in range(2, 6) for N in range(1, 4)])
+    worst = np.max([_spectrum_residual(ngons[n], N) for n in range(2, 6) for N in range(1, 4)])
     checks.append(_check("bmatrix:integral-spectrum-shift", worst, 1e-9))
     return checks
 

@@ -176,8 +176,10 @@ def _intersection_tensor(adjacency) -> np.ndarray:
 
 
 def _rounded_integers(values, what: str, least: int) -> np.ndarray:
+    """``values`` rounded to int64; SchemeError unless each real part is within
+    1e-9 of its rounding and each imaginary part within 1e-9 of 0."""
     vals = np.rint(values.real).astype(np.int64)
-    if np.abs(vals - values).max() > 1e-9:
+    if np.abs(vals - values.real).max() > 1e-9 or np.abs(values.imag).max() > 1e-9:
         raise SchemeError(f"{what} are not integers: {values}")
     if np.any(vals < least):
         raise SchemeError(f"{what} must be at least {least}: {vals}")
@@ -222,9 +224,7 @@ def _make_scheme(adjacency, P, Q) -> AssociationScheme:
     inter = _spectral_intersection(P, size, valencies, multiplicities)
     tmap = _spectral_transpose(inter)
 
-    for arr in adjacency:
-        arr.setflags(write=False)
-    for arr in (P, Q, cosine, valencies, multiplicities, inter):
+    for arr in adjacency + (P, Q, cosine, valencies, multiplicities, inter):
         arr.setflags(write=False)
     return AssociationScheme(
         size=size,
@@ -253,8 +253,10 @@ def directed_ngon(n: int) -> AssociationScheme:
     (n,) = _integers((n,), "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    eye = np.eye(n, dtype=np.int64)
-    adjacency = [np.roll(eye, k, axis=1) for k in range(n)]
+    x = np.arange(n)
+    A = np.zeros((n, n, n), dtype=bool)
+    A[(x - x[:, None]) % n, x[:, None], x] = True  # A_k[x, y] = 1 where y - x = k mod n
+    adjacency = list(A)
     roots = np.array([unit_root(j, n) for j in range(n)])
     P = roots[np.multiply.outer(np.arange(n), np.arange(n)) % n]
     Q = np.conj(P)
@@ -293,34 +295,37 @@ def intersection_numbers(scheme: AssociationScheme) -> np.ndarray:
     return _intersection_tensor(scheme.adjacency)
 
 
-# the contraction orders that np.einsum's greedy optimiser picks for every
-# class count; passing them skips its planning, which costs more than the
-# contraction itself on a small scheme
-_IDEMPOTENCY_PATH = ["einsum_path", (0, 2), (0, 1)]
-_EIGEN_RELATION_PATH = ["einsum_path", (0, 1)]
-
-
 def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
     """Check the four axioms exactly and the spectral data numerically.
 
-    The spectral checks are identities on (d+1)-sized arrays in the
-    Bose-Mesner algebra, with E_j = (1/|X|) sum_k Q[k,j] A_k and p the
-    intersection tensor of the adjacency products (never the P-derived
+    A field of the wrong shape raises ValueError.  The exact checks read the
+    adjacency matrices as one stack; a transpose map that is not an
+    involution of 0..d fails transpose-closure with residual 1.0.  The
+    spectral checks are identities on (d+1)-sized arrays in the Bose-Mesner
+    algebra, with E_j = (1/|X|) sum_k Q[k,j] A_k and p the intersection
+    tensor of the adjacency products (never the P-derived
     ``scheme.intersection``).  Each array holds the coefficients c_m of
     sum_m c_m A_m: I - QP/|X| for A_i - sum_j P[j,i] E_j (adjacency-
     reconstruction), sum_kl Q[k,i] Q[l,j] p_kl^m/|X|^2 - delta_ij Q[m,i]/|X|
     for E_i E_j - delta_ij E_i (idempotency), and sum_k Q[k,j] p_ik^m/|X| -
-    P[j,i] Q[m,j]/|X| for A_i E_j - P[j,i] E_j (eigen-relation).  When the
-    A_m are 0/1 matrices with non-empty disjoint supports covering X x X,
-    the largest entry of sum_m c_m A_m is max_m |c_m|, so these equal the
-    dense |X| x |X| residuals.  They are inf when p cannot be formed, and
-    every reduction propagates NaN.
+    P[j,i] Q[m,j]/|X| for A_i E_j - P[j,i] E_j (eigen-relation), the last
+    two as tensordots.  When the A_m are 0/1 matrices with non-empty
+    disjoint supports covering X x X, the largest entry of sum_m c_m A_m is
+    max_m |c_m|, so these equal the dense |X| x |X| residuals.  They are
+    inf when p cannot be formed, and every reduction propagates NaN.
     """
-    size = scheme.size
-    nc = scheme.classes
+    size, nc = scheme.size, scheme.classes
+    for name, rank in (("adjacency", 1), ("transpose_map", 1), ("valencies", 1), ("multiplicities", 1),
+                       ("first_eigenmatrix", 2), ("second_eigenmatrix", 2), ("cosine", 2),
+                       ("intersection", 3)):
+        value = getattr(scheme, name)
+        shape = (len(value),) if isinstance(value, (tuple, list)) else np.shape(value)
+        if shape != (nc,) * rank:
+            raise ValueError(f"dimension mismatch between {name} and classes")
     for a in scheme.adjacency:
-        if a.shape != (size, size):
+        if np.shape(a) != (size, size):
             raise ValueError("dimension mismatch among adjacency matrices")
+    A = np.asarray(scheme.adjacency)
 
     checks = []
 
@@ -332,17 +337,17 @@ def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
         r = float(np.abs(diff).max())
         checks.append(CheckResult(name, r <= tol, r))
 
-    exact("identity-class", scheme.adjacency[0] - np.eye(size, dtype=np.int64))
-    # sum(A) = J, and every entry a has min(|a|, |a - 1|) = (|2a - 1| - 1) / 2 = 0
-    exact("partition-of-ones", [np.abs(sum(scheme.adjacency) - 1).max(initial=0)]
-          + [(np.abs(2 * a - 1).max(initial=1) - 1) // 2 for a in scheme.adjacency])
+    exact("identity-class", A[0] - np.eye(size, dtype=np.int64))
+    # sum(A) = J, and every integer entry a has max(a - 1, -a) = 0, so it is 0 or 1
+    exact("partition-of-ones", [np.abs(A.sum(axis=0) - 1).max(initial=0),
+                                A.max(initial=1) - 1, 0 - A.min(initial=0)])
 
-    tr_ok = all(
-        np.array_equal(scheme.adjacency[i].T, scheme.adjacency[scheme.transpose_map[i]])
-        for i in range(nc)
-    )
-    invol = all(scheme.transpose_map[scheme.transpose_map[i]] == i for i in range(nc))
-    checks.append(CheckResult("transpose-closure", tr_ok and invol, 0.0 if (tr_ok and invol) else 1.0))
+    tmap = scheme.transpose_map
+    ok = all(isinstance(t, (int, np.integer)) and 0 <= t < nc and tmap[t] == i for i, t in enumerate(tmap))
+    # a symmetric scheme needs no gathered copy of the stack
+    ok = ok and np.array_equal(A.transpose(0, 2, 1), A if tmap == tuple(range(nc)) else A[list(tmap)])
+    checks.append(CheckResult("transpose-closure", ok, 0.0 if ok else 1.0))
+    del A  # the products form their own stack, and this one would add to their peak
 
     try:
         p = _intersection_tensor(scheme.adjacency)
@@ -360,10 +365,9 @@ def validate_scheme(scheme: AssociationScheme) -> ValidationReport:
     Qn = Q / size  # Qn[m, j]: coefficient of A_m in E_j
     idem = eigrel = np.inf  # the adjacency products are not a scheme
     if p is not None:
-        idem = (np.einsum("ki,lj,klm->ijm", Qn, Qn, p, optimize=_IDEMPOTENCY_PATH)
-                - eye[:, :, None] * Qn.T[:, None, :])
-        eigrel = (np.einsum("kj,ikm->ijm", Qn, p, optimize=_EIGEN_RELATION_PATH)
-                  - P.T[:, :, None] * Qn.T[None, :, :])
+        p = p.astype(complex)  # on BLAS, laid out [i, m, j] like both results
+        idem = np.tensordot(np.tensordot(Qn, p, (0, 0)), Qn, (1, 0)) - eye[:, None, :] * Qn.T[:, :, None]
+        eigrel = np.tensordot(p, Qn, (1, 0)) - P.T[:, None, :] * Qn[None, :, :]
     approx("idempotency", idem)
     approx("eigen-relation", eigrel)
     approx("valency-row", P[0] - scheme.valencies)

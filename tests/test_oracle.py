@@ -675,9 +675,10 @@ def test_krawtchouk_suite_keeps_nan(monkeypatch):
 
 
 def test_bmatrix_suite_keeps_nan(monkeypatch):
-    spectrum = oracle.ngon_spectrum_residual
-    monkeypatch.setattr(oracle, "ngon_spectrum_residual",
-                        lambda n, N: math.nan if (n, N) == (3, 2) else spectrum(n, N))
+    # the suite runs ngon_spectrum_residual's body on its own prebuilt n-gons
+    spectrum = oracle._spectrum_residual
+    monkeypatch.setattr(oracle, "_spectrum_residual",
+                        lambda s, N: math.nan if (s.size, N) == (3, 2) else spectrum(s, N))
     check = _suite_check("bmatrix", "bmatrix:integral-spectrum-shift")
     assert not check["passed"]
     assert math.isnan(check["residual"])
@@ -694,6 +695,20 @@ def test_golden_bmatrix_keeps_nan(monkeypatch):
 
     monkeypatch.setattr(oracle, "projected_matrix", second_is_nan)
     assert math.isnan(golden_bmatrix_residual())
+
+
+@pytest.mark.parametrize("suite", sorted(oracle.SUITES))
+def test_suite_builds_each_base_scheme_once(suite, monkeypatch):
+    builds = []
+    for module in (oracle, krawtchouk):
+        for name in ("trivial_scheme_2", "directed_ngon", "ordered_word_scheme"):
+            if hasattr(module, name):
+                build = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _build=build, _name=name: builds.append((_name, args))
+                                    or _build(*args))
+    assert run_suite(suite)["passed"]
+    assert builds and len(builds) == len(set(builds)), builds
 
 
 def test_run_suite_unknown():

@@ -282,6 +282,11 @@ def test_intersection_numbers_invariant_under_relabelling(s, seed):
     perm = np.random.default_rng(seed).permutation(s.size)
     relabelled = dataclasses.replace(s, adjacency=tuple(a[perm][:, perm] for a in s.adjacency))
     np.testing.assert_array_equal(intersection_numbers(relabelled), s.intersection)
+    # the whole report, bit for bit: the stacked exact checks and the
+    # contractions see the same relations in another vertex order
+    bits = [[(c.name, c.passed, float(c.residual).hex()) for c in validate_scheme(x).checks]
+            for x in (s, relabelled)]
+    assert bits[0] == bits[1]
 
 
 def test_column_orthogonality():
@@ -548,3 +553,49 @@ def test_scheme_bits_match_float64_reference(build, reference):
     for name, value in ours.items():
         assert np.shape(value) == np.shape(ref[name]), name
         assert _hex(value) == _hex(ref[name]), name
+
+
+@pytest.mark.parametrize("field, value", [
+    ("adjacency", directed_ngon(4).adjacency[:3]),
+    ("transpose_map", (0, 3, 2)),
+    ("valencies", np.ones(3, dtype=np.int64)),
+    ("multiplicities", np.ones((4, 1), dtype=np.int64)),
+    ("first_eigenmatrix", np.eye(3, dtype=complex)),
+    ("cosine", np.eye(4, dtype=complex)[:, :3]),
+    ("intersection", np.zeros((4, 4), dtype=np.int64)),
+], ids=["adjacency", "transpose_map", "valencies", "multiplicities", "P", "cosine", "intersection"])
+def test_misshaped_field_is_named(field, value):
+    with pytest.raises(ValueError) as err:
+        validate_scheme(dataclasses.replace(directed_ngon(4), **{field: value}))
+    assert str(err.value) == f"dimension mismatch between {field} and classes"
+
+
+@pytest.mark.parametrize("tmap", [(0, 3, 2, 4), (0, -1, 2, 1), (0, 3, 2, 1.5), (0, 3, None, 1)],
+                         ids=["past-d", "negative", "fraction", "none"])
+def test_bad_transpose_map_entry_fails_transpose_closure(tmap):
+    report = validate_scheme(dataclasses.replace(directed_ngon(4), transpose_map=tmap))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["transpose-closure"].passed
+    assert checks["transpose-closure"].residual == 1.0
+    assert all(c.passed for c in report.checks if c.name != "transpose-closure")
+
+
+@pytest.mark.parametrize("offset, accepted", [
+    (2e-9, False), (2e-9j, False), (5e-10, True), (5e-10j, True),
+    # each part is tested on its own, so this entry 1.13e-9 from 3 is accepted
+    (8e-10 + 8e-10j, True),
+])
+def test_rounded_integers_tolerance(offset, accepted):
+    values = np.array([1, 3 + offset, 0], dtype=complex)
+    if accepted:
+        assert schemes._rounded_integers(values, "valencies", 0).tolist() == [1, 3, 0]
+        return
+    with pytest.raises(SchemeError) as err:
+        schemes._rounded_integers(values, "valencies", 0)
+    assert str(err.value) == f"valencies are not integers: {values}"
+
+
+def test_rounded_integers_lower_bound_message():
+    with pytest.raises(SchemeError) as err:
+        schemes._rounded_integers(np.array([1, 0], dtype=complex), "multiplicities", 1)
+    assert str(err.value) == "multiplicities must be at least 1: [1 0]"
