@@ -5,6 +5,7 @@ scenarios (cycle hopping, hypercube flip, ordered-word revival).
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -230,11 +231,16 @@ def _face_events(spec: WalkSpec, times, p: np.ndarray, tol: float) -> list:
         kind, sites, fidelity = _named_face(held, ranked, q, N, tol)
         if kind == "none":
             return None
-        phase = float(np.angle(np.exp(-1j * t * lam) * row[sites[0]] ** N)) if kind == "PST" else None
+        phase = None
+        if kind == "PST":  # p^N is not finite past the float range; (p / |p|)^N has its argument
+            pk, turn = row[sites[0]], np.exp(-1j * t * lam)
+            amp = turn * pk ** N
+            phase = float(np.angle(amp if cmath.isfinite(amp) else turn * (pk / abs(pk)) ** N))
         return TransferEvent(kind=kind, time=t, support=_face_classes(sites, N, d),
                              fidelity=fidelity, phase=phase)
 
-    return list(map(named, times, p, q.tolist(), ranked.tolist(), helds.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # one state for every PST phase
+        return list(map(named, times, p, q.tolist(), ranked.tolist(), helds.tolist()))
 
 
 def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
@@ -342,15 +348,10 @@ def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
     ones, which is the expected pattern for the ordered-word scheme.
     """
     _check_tol(tol)
-    scale = float(spec.base.multiplicities.sum())
-    worst = 0.0
-    for p in np.abs(_site_factor_rows(spec, _finite_times(times))) / scale:
-        for k in range(1, len(p) - 1):
-            if p[k] < tol:
-                tail_max = float(p[k + 1:].max())
-                if tail_max >= tol:
-                    worst = max(worst, tail_max)
-    return worst
+    p = np.abs(_site_factor_rows(spec, _finite_times(times))) / float(spec.base.multiplicities.sum())
+    # tail[:, k - 1] = max(p[:, k + 1:]) for k = 1..d-1; a NaN propagates and fails both tests
+    tail = np.maximum.accumulate(p[:, :1:-1], axis=1)[:, ::-1]
+    return float(tail[(p[:, 1:-1] < tol) & (tail >= tol)].max(initial=0.0))
 
 
 def _extreme_index(d: int, N: int, j: int) -> tuple:
@@ -400,14 +401,7 @@ def ow_fr_scenario(d: int, N: int, k: int) -> Scenario:
     args = [2.0 * math.pi if l <= d - k + 1 else math.pi / 2.0 for l in range(1, d + 1)]
     sol = solve_weights(scheme, t_star, args)
     spec = walk_spec(scheme, N, sol.weights)
-    support = tuple(
-        beta for beta in spec.table.index_set if all(beta[j] == 0 for j in range(k, d + 1))
-    )
-    if len(support) == 1:
-        kind = "PST"
-    elif len(support) == 2:
-        kind = "GME"
-    else:
-        kind = "FR"
-    expected = ((t_star, kind, support),)
+    # the face rule of ``_named_face``, on the face {0, ..., k - 1} in canonical order
+    kind = "PST" if k == 1 else "GME" if k == 2 and N == 1 else "FR"
+    expected = ((t_star, kind, _face_classes(range(k), N, d)[::-1]),)
     return Scenario(label=f"ow-fr(d={d}, N={N}, k={k})", spec=spec, expected_events=expected)

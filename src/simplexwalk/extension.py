@@ -349,22 +349,13 @@ def class_valency(ext: ExtensionScheme, beta) -> int:
     return out
 
 
-def _guarded_rows(base: AssociationScheme, copies: int, default: int = DEFAULT_GUARD) -> int:
+def _guarded_rows(base: AssociationScheme, copies: int) -> int:
     """|X|^N, the rows of a dense matrix on the N-th power, within the guard."""
     rows = base.size ** copies
-    guard = size_guard(default)
+    guard = size_guard()
     if rows > guard:
         raise ValueError(f"materialization of {rows} rows exceeds the guard ({guard})")
     return rows
-
-
-def _materialize(ext: ExtensionScheme, index, factors, dtype) -> np.ndarray:
-    rows = _guarded_rows(ext.base, ext.copies)
-    total = np.zeros((rows, rows), dtype=dtype)
-    for arrangement in multiset_arrangements(index):
-        mats = [factors[s] for s in arrangement]
-        total += functools.reduce(np.kron, mats, np.eye(1, dtype=dtype))
-    return total
 
 
 def _relation_table(adjacency) -> np.ndarray:
@@ -406,8 +397,12 @@ def materialize_idempotent(ext: ExtensionScheme, alpha) -> np.ndarray:
     """Dense primitive idempotent labelled by alpha (sum of arrangement
     tensor products of the base idempotents)."""
     alpha = _composition(alpha, ext.copies, ext.base.classes)
+    rows = _guarded_rows(ext.base, ext.copies)
     base_idem = [ext.base.idempotent(j) for j in range(ext.base.classes)]
-    return _materialize(ext, alpha, base_idem, complex)
+    total = np.zeros((rows, rows), dtype=complex)
+    for arrangement in multiset_arrangements(alpha):
+        total += functools.reduce(np.kron, [base_idem[s] for s in arrangement], np.eye(1, dtype=complex))
+    return total
 
 
 def extension_cosine(ext: ExtensionScheme, alpha, beta) -> complex:

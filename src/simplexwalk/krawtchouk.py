@@ -196,8 +196,10 @@ def krawtchouk_genfun(n_tilde, N: int, U) -> dict:
 
 def krawtchouk_table(N: int, U) -> dict:
     """Values K(n, n_tilde) for every pair of compositions, via the
-    generating function."""
-    return {nt: krawtchouk_genfun(nt, N, U) for nt in enumerate_indices(N, len(U) - 1)}
+    generating function: the rows of ``_krawtchouk_matrix`` keyed by
+    n_tilde, then n."""
+    labels, K = _krawtchouk_matrix(N, U)
+    return {nt: dict(zip(labels, row)) for nt, row in zip(labels, K.tolist())}
 
 
 def _krawtchouk_matrix(N: int, U):

@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from . import krawtchouk
-from .extension import (_guarded_rows, _rank, _relation_counts, _relation_table, enumerate_indices,
-                        size_guard)
+from .extension import _guarded_rows, _rank, _relation_counts, _relation_table, size_guard
 from .schemes import (
     SPECTRAL_TOL,
     directed_ngon,
@@ -97,16 +96,13 @@ def _eigh_propagator(t: float, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray
     return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
 
 
-def _base_idempotents(spec: WalkSpec) -> list:
-    """The d+1 dense base idempotents E_j."""
-    return [spec.base.idempotent(j) for j in range(spec.base.classes)]
-
-
-def _projector_propagator(spec: WalkSpec, t: float, idempotents) -> np.ndarray:
+def _projector_propagator(spec: WalkSpec, t: float, relations) -> np.ndarray:
     """exp(-i t h) = sum_j exp(-i t theta_j) E_j, theta_j the one-copy
-    eigenvalues read off P and E_j = ``idempotents[j]``."""
+    eigenvalues read off P: E_j holds Q[k, j] / |X| on relation k, so the
+    sum is formed once per relation and gathered by the relation table."""
     rates = spec.base.first_eigenmatrix[:, 1:] @ spec.weights
-    return sum(np.exp(-1j * t * rate) * E for rate, E in zip(rates, idempotents))
+    Qn = spec.base.second_eigenmatrix / spec.base.size
+    return sum(np.exp(-1j * t * rate) * q for rate, q in zip(rates, Qn.T))[relations]
 
 
 def _product_state(F: np.ndarray, start_vertex: int, copies: int) -> np.ndarray:
@@ -137,7 +133,7 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
     except ValueError:
         raise ValueError("t must be a finite real number") from None
     if method == "projector":
-        F = _projector_propagator(spec, t, _base_idempotents(spec))
+        F = _projector_propagator(spec, t, _relation_table(spec.base.adjacency))
     elif method == "eig":
         F = _eigh_propagator(t, *_one_copy_eigh(spec))
     else:
@@ -188,10 +184,10 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     each time, checks that the dense state is constant on every class
     (membership taken relative to the start vertex), equals f_beta there,
     agrees between the two methods, and stays normalized.  One eigh of the
-    one-copy h and one set of dense base idempotents serve every time.  A
-    compare of four times takes about 0.8 ms at 81 rows (ngon-3 N = 4),
-    1.2 ms at 1024 rows and 0.02 s at 2^16 rows (trivial2 N = 16, ngon-4
-    N = 8) on one thread of a 2-CPU Xeon.
+    one-copy h and one relation table serve every time.  A compare of four
+    times takes about 0.8 ms at 81 rows (ngon-3 N = 4), 1.2 ms at 1024 rows
+    and 0.02 s at 2^16 rows (trivial2 N = 16, ngon-4 N = 8) on one thread
+    of a 2-CPU Xeon.
     """
     times = _finite_times(times)
     if times.size == 0:
@@ -199,13 +195,13 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     pos = _class_positions(spec, 0)
     sizes = np.bincount(pos)
     vals, vecs = _one_copy_eigh(spec)
-    idempotents = _base_idempotents(spec)
+    relations = _relation_table(spec.base.adjacency)
     _, f = _amplitude_rows(spec, times)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0
     amp_err = cls_err = mth_err = nrm_err = 0.0
     for t, f_t in zip(times, f):
         psi = _product_state(_eigh_propagator(t, vals, vecs), 0, spec.copies)
-        psi_proj = _product_state(_projector_propagator(spec, t, idempotents), 0, spec.copies)
+        psi_proj = _product_state(_projector_propagator(spec, t, relations), 0, spec.copies)
         mth_err = np.maximum(mth_err, np.abs(psi - psi_proj).max())
         nrm_err = np.maximum(nrm_err, abs(np.linalg.norm(psi) - 1.0))
         mean = (np.bincount(pos, psi.real) + 1j * np.bincount(pos, psi.imag)) / sizes
@@ -292,11 +288,8 @@ def _spectrum_residual(scheme, N: int) -> float:
     n = scheme.size
     pm = projected_matrix(walk_spec(scheme, N, canonical_ngon_weights(n)))
     vals = np.sort(np.linalg.eigvalsh(pm.entries))
-    expected = sorted(
-        sum(j * g for j, g in enumerate(gamma)) - N * (n - 1) / 2.0
-        for gamma in enumerate_indices(N, n - 1)
-    )
-    return float(np.abs(vals - np.array(expected)).max())
+    expected = np.sort(pm.table.index @ np.arange(n) - N * (n - 1) / 2.0)
+    return float(np.abs(vals - expected).max())
 
 
 # -- verification suites -----------------------------------------------------

@@ -177,10 +177,12 @@ def _intersection_tensor(adjacency) -> np.ndarray:
 
 def _rounded_integers(values, what: str, least: int) -> np.ndarray:
     """``values`` rounded to int64; SchemeError unless each real part is within
-    1e-9 of its rounding and each imaginary part within 1e-9 of 0."""
-    vals = np.rint(values.real).astype(np.int64)
-    if np.abs(vals - values.real).max() > 1e-9 or np.abs(values.imag).max() > 1e-9:
+    1e-9 of its rounding and each imaginary part within 1e-9 of 0, tested
+    before the cast, so a NaN fails here."""
+    rounded = np.rint(values.real)
+    if not (np.abs(rounded - values.real).max() <= 1e-9 and np.abs(values.imag).max() <= 1e-9):
         raise SchemeError(f"{what} are not integers: {values}")
+    vals = rounded.astype(np.int64)
     if np.any(vals < least):
         raise SchemeError(f"{what} must be at least {least}: {vals}")
     return vals
@@ -215,7 +217,7 @@ def _make_scheme(adjacency, P, Q) -> AssociationScheme:
         raise ValueError("dimension mismatch between eigenmatrices and classes")
 
     resid = np.abs(P @ Q - size * np.eye(nc)).max()
-    if resid > SPECTRAL_TOL * size:
+    if not resid <= SPECTRAL_TOL * size:  # NaN fails too
         raise SchemeError(f"PQ != |X| I (residual {resid:.3e})")
 
     valencies = _rounded_integers(P[0], "valencies", 1)

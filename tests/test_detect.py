@@ -15,6 +15,7 @@ from simplexwalk import (
     classify,
     directed_ngon,
     evolve_projected,
+    extension_scheme,
     hypercube_pst_scenario,
     ngon_mpst_scenario,
     ordered_word_scheme,
@@ -710,6 +711,64 @@ def test_ow_scenario_support(k):
     leak = sum(q for beta, q in prof.class_probabilities.items() if beta not in support)
     assert leak < 1e-8
     assert all(all(beta[j] == 0 for j in range(k, d + 1)) for beta in support)
+
+
+def test_ow_scenario_builds_no_class_table():
+    sc = ow_fr_scenario(4, 400, 2)
+    assert "table" not in vars(sc.spec)
+    assert len(sc.expected_events[0][2]) == 401
+
+
+def test_ow_scenario_support_is_the_table_filter():
+    # the face {0, ..., k - 1} in canonical order, and the kind by its size
+    for d in range(1, 5):
+        for k in range(1, d + 1):
+            for N in range(1, 5):
+                index_set = extension_scheme(ordered_word_scheme(d), N).index_set
+                support = tuple(b for b in index_set if all(b[j] == 0 for j in range(k, d + 1)))
+                kind = {1: "PST", 2: "GME"}.get(len(support), "FR")
+                assert ow_fr_scenario(d, N, k).expected_events == ((math.pi / 2.0, kind, support),)
+
+
+def test_pst_phase_stays_finite_past_the_float_range():
+    # |p|^N passes 1.8e308 at N = 700, and the phase repeats with N mod 3
+    grid = np.linspace(0.0, 2 * math.pi, 121)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        events = {N: scan(ngon_mpst_scenario(3, N).spec, grid) for N in (7, 700)}
+    assert [ev.kind for ev in events[700]] == ["PST"] * 4
+    for a, b in zip(events[7], events[700], strict=True):
+        assert abs(np.angle(np.exp(1j * (a.phase - b.phase)))) <= 1e-9
+
+
+def _cascade_loop(p, tol):
+    worst = 0.0
+    for row in p:
+        for k in range(1, len(row) - 1):
+            if row[k] < tol:
+                tail_max = float(row[k + 1:].max())
+                if tail_max >= tol:
+                    worst = max(worst, tail_max)
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 3.0, math.nan]) | st.floats(0.0, 4.0),
+             min_size=d + 1, max_size=d + 1), max_size=6)))
+def test_cascade_residual_matches_a_scalar_loop(rows):
+    from unittest import mock
+
+    from simplexwalk import detect
+
+    d = len(rows[0]) - 1 if rows else 2
+    spec = walk_spec(directed_ngon(d + 1), 1, canonical_ngon_weights(d + 1))
+    p = np.array(rows, dtype=complex).reshape(len(rows), d + 1)
+    scale = float(spec.base.multiplicities.sum())
+    with mock.patch.object(detect, "_site_factor_rows", lambda spec, times: p):
+        got = cascade_residual(spec, np.zeros(len(rows)))
+    assert type(got) is float
+    assert got == _cascade_loop(np.abs(p) / scale, 1e-9)
 
 
 def test_ow_scenario_rejects_bad_k():

@@ -166,6 +166,20 @@ def test_series_matches_genfun(scheme):
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("scheme", [trivial_scheme_2(), directed_ngon(3), ordered_word_scheme(3),
+                                    directed_ngon(5)], ids=["trivial2", "ngon-3", "ow-3", "ngon-5"])
+def test_krawtchouk_table_rows_are_the_genfun_rows(scheme):
+    for N in range(5):
+        table = krawtchouk_table(N, scheme.cosine)
+        labels = enumerate_indices(N, scheme.d)
+        assert list(table) == labels
+        for nt in labels:
+            row = krawtchouk_genfun(nt, N, scheme.cosine)
+            assert list(table[nt]) == list(row)
+            assert all(type(v) is complex for v in table[nt].values())
+            assert np.array(list(table[nt].values())).tobytes() == np.array(list(row.values())).tobytes()
+
+
 def test_orthogonality_trivial2():
     gp = params_from_scheme(trivial_scheme_2())
     assert orthogonality_residual(gp, 4) < 1e-10

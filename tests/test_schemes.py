@@ -595,6 +595,21 @@ def test_rounded_integers_tolerance(offset, accepted):
     assert str(err.value) == f"valencies are not integers: {values}"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [("P", 1, 1), ("P", 0, 1), ("Q", 2, 1)])
+def test_nan_spectral_data_is_refused_before_any_cast(entry):
+    g = directed_ngon(3)
+    mats = {"P": np.array(g.first_eigenmatrix), "Q": np.array(g.second_eigenmatrix)}
+    name, i, j = entry
+    mats[name][i, j] = np.nan
+    with pytest.raises(SchemeError, match=r"PQ != \|X\| I \(residual nan\)"):
+        schemes._make_scheme(g.adjacency, mats["P"], mats["Q"])
+    values = np.array([1, np.nan, 2], dtype=complex)
+    with pytest.raises(SchemeError) as err:
+        schemes._rounded_integers(values, "valencies", 1)
+    assert str(err.value) == f"valencies are not integers: {values}"
+
+
 def test_rounded_integers_lower_bound_message():
     with pytest.raises(SchemeError) as err:
         schemes._rounded_integers(np.array([1, 0], dtype=complex), "multiplicities", 1)
