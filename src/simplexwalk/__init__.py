@@ -13,21 +13,15 @@ from .schemes import (
 )
 from .extension import (
     ExtensionScheme,
-    class_valency,
     enumerate_indices,
-    extension_cosine,
     extension_scheme,
-    indices_json,
     materialize_class,
-    materialize_idempotent,
     multinomial,
-    multiset_arrangements,
     size_guard,
 )
 from .krawtchouk import (
     GriffithsParams,
     bivariate_G,
-    bivariate_G_tilde,
     bivariate_orthogonality_residual,
     bivariate_recurrence_residual,
     griffiths_params,

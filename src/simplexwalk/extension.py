@@ -1,8 +1,9 @@
 """Multi-index bookkeeping for the N-fold symmetric tensor power of a scheme.
 
 The power scheme is never stored as matrices in the main path: classes are
-labelled by compositions of N into d+1 parts, and everything downstream
-(valencies, cosines, spectra) is computed at the index level.  Classes can
+labelled by compositions of N into d+1 parts, and the class table
+(valencies, multinomials) is computed at the index level; the cosines of
+the power scheme are the Krawtchouk values of ``krawtchouk``.  Classes can
 still be materialized as dense 0/1 matrices for small sizes, from the
 per-copy relation counts, which is what the brute-force oracle feeds on.
 """
@@ -22,11 +23,11 @@ from .schemes import AssociationScheme, _integers
 DEFAULT_GUARD = 4096
 
 
-def size_guard(default: int = DEFAULT_GUARD) -> int:
-    """Row guard for materialized matrices; SIMPLEXWALK_GUARD overrides."""
+def size_guard() -> int:
+    """Row guard for materialized matrices: DEFAULT_GUARD; SIMPLEXWALK_GUARD overrides."""
     env = os.environ.get("SIMPLEXWALK_GUARD")
     if not env:
-        return default
+        return DEFAULT_GUARD
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"SIMPLEXWALK_GUARD must be a positive integer, got {env!r}")
     return int(env)
@@ -63,55 +64,6 @@ def multinomial(N: int, beta) -> int:
     """Exact N! / prod(beta_i!)."""
     beta = _composition(beta, N)
     return math.prod(math.comb(total, b) for total, b in zip(itertools.accumulate(beta), beta))
-
-
-def multiset_arrangements(beta):
-    """Distinct arrangements of the multiset {i repeated beta_i times}, in
-    lexicographic order."""
-    total = sum(_integers(beta))
-    counts = list(_composition(beta, total))
-    acc = []
-
-    def rec():
-        if len(acc) == total:
-            yield tuple(acc)
-            return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                acc.append(i)
-                yield from rec()
-                acc.pop()
-                counts[i] += 1
-
-    return rec()
-
-
-def _square_matrix(M) -> np.ndarray:
-    """``M`` as a complex array; ValueError unless a non-empty square matrix."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
-        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
-    return M
-
-
-def symmetric_power_row(M, beta) -> dict:
-    """Coefficients of prod_i (sum_j M[i,j] x_j)^beta_i, keyed by the
-    exponent composition of each monomial, in canonical order.
-
-    This is the row beta of the N-th symmetric power of the square matrix M
-    in the monomial basis, expanded term by term, checked and keyed: the
-    Krawtchouk generating function expands the same ``_expand`` on the same
-    cached ``_power_plan`` of (N, d) directly, so its values are these
-    divided by the multinomials, bit for bit.  The sums cancel more as N
-    grows, so the projected evolution runs on ``_symmetric_power_state``
-    instead.  The arithmetic is plain Python complex.
-    """
-    rows = _square_matrix(M).tolist()
-    N = sum(_integers(beta))
-    beta = _composition(beta, N, len(rows))
-    layers, labels, _ = _power_plan(N, len(rows) - 1)
-    return dict(zip(labels, _expand(rows, beta, layers)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -340,15 +292,6 @@ def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
     return table.monomials(np.diagonal(V), state)
 
 
-def class_valency(ext: ExtensionScheme, beta) -> int:
-    """k_beta = multinomial(N; beta) * prod_i k_i^beta_i, exact."""
-    beta = _composition(beta, ext.copies, ext.base.classes)
-    out = multinomial(ext.copies, beta)
-    for b, k in zip(beta, ext.base.valencies):
-        out *= int(k) ** b
-    return out
-
-
 def _guarded_rows(base: AssociationScheme, copies: int) -> int:
     """|X|^N, the rows of a dense matrix on the N-th power, within the guard."""
     rows = base.size ** copies
@@ -391,29 +334,3 @@ def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
     for count, k in zip(counts, ks):
         member &= count == beta[k]
     return member.astype(np.int64)
-
-
-def materialize_idempotent(ext: ExtensionScheme, alpha) -> np.ndarray:
-    """Dense primitive idempotent labelled by alpha (sum of arrangement
-    tensor products of the base idempotents)."""
-    alpha = _composition(alpha, ext.copies, ext.base.classes)
-    rows = _guarded_rows(ext.base, ext.copies)
-    base_idem = [ext.base.idempotent(j) for j in range(ext.base.classes)]
-    total = np.zeros((rows, rows), dtype=complex)
-    for arrangement in multiset_arrangements(alpha):
-        total += functools.reduce(np.kron, [base_idem[s] for s in arrangement], np.eye(1, dtype=complex))
-    return total
-
-
-def extension_cosine(ext: ExtensionScheme, alpha, beta) -> complex:
-    """Cosine of the class beta on the idempotent alpha of the power scheme."""
-    alpha = _composition(alpha, ext.copies, ext.base.classes)
-    beta = _composition(beta, ext.copies, ext.base.classes)
-    from . import krawtchouk
-
-    return krawtchouk.krawtchouk_series(beta, alpha, ext.copies, ext.base.cosine)
-
-
-def indices_json(ext: ExtensionScheme) -> list:
-    """Index set as a JSON-ready list of integer lists, canonical order."""
-    return [list(beta) for beta in ext.index_set]

@@ -24,14 +24,19 @@ from operator import truediv
 
 import numpy as np
 
-from .extension import (_composition, _expand, _power_plan, _square_matrix, enumerate_indices,
-                        multinomial)
-# re-exported: the keyed row that krawtchouk_genfun divides by the multinomials
-from .extension import symmetric_power_row  # noqa: F401
+from .extension import _composition, _expand, _power_plan, enumerate_indices
 from .schemes import AssociationScheme, _integers, directed_ngon
 from .walk import WalkSpec, canonical_ngon_weights, eigenvalue_lambda, projected_matrix
 
 PARAM_TOL = 1e-8
+
+
+def _square_matrix(M) -> np.ndarray:
+    """``M`` as a complex array; ValueError unless a non-empty square matrix."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
+    return M
 
 
 def pochhammer(x, r: int):
@@ -257,13 +262,6 @@ def bivariate_G(m: int, n: int, x: int, y: int, N: int) -> complex:
     if not (0 <= x and 0 <= y and x + y <= N):
         raise ValueError(f"grid point ({x},{y}) out of range for N={N}")
     return krawtchouk_series((N - x - y, x, y), (N - m - n, m, n), N, directed_ngon(3).cosine)
-
-
-def bivariate_G_tilde(m: int, n: int, x: int, y: int, N: int) -> complex:
-    """sqrt(3^N multinomial) * G_{m,n}(x,y), orthonormal under multinomial(N; x) / 9^N:
-    its squared norm under the trinomial probability weight multinomial(N; x) / 3^N is 3^N."""
-    scale = math.sqrt(3 ** N * multinomial(N, (N - m - n, m, n)))
-    return scale * bivariate_G(m, n, x, y, N)
 
 
 def bivariate_orthogonality_residual(N: int) -> float:

@@ -59,10 +59,10 @@ def _start_index(spec: WalkSpec, start_vertex) -> int:
     return int(start_vertex)
 
 
-def _one_copy_hamiltonian(spec: WalkSpec) -> np.ndarray:
+def _one_copy_hamiltonian(spec: WalkSpec, relations) -> np.ndarray:
     """h = sum_i w_i A_i, read off the relation table: each entry has at
     most one nonzero term, so h holds the weights exactly."""
-    return np.append(0.0, spec.weights)[_relation_table(spec.base.adjacency)]
+    return np.append(0.0, spec.weights)[relations]
 
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
@@ -71,7 +71,7 @@ def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
     most one nonzero term, so H holds the weights exactly; adding 0.0 turns
     the signed zeros to +0.0."""
     _guarded_rows(spec.base, spec.copies)
-    h = _one_copy_hamiltonian(spec)
+    h = _one_copy_hamiltonian(spec, _relation_table(spec.base.adjacency))
     H = np.zeros((1, 1), dtype=complex)
     for _ in range(spec.copies):
         H, step = np.kron(np.eye(spec.base.size), H), np.kron(h, np.eye(len(H)))
@@ -80,12 +80,12 @@ def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
     return H
 
 
-def _one_copy_eigh(spec: WalkSpec):
+def _one_copy_eigh(spec: WalkSpec, relations):
     """Eigenpairs of the one-copy h, checked Hermitian.  H is Hermitian
     when h is, since off the diagonal each entry of H - H^T* is one entry
     of h - h^T* and both diagonals vanish.  This reads the relation table
     and the weights alone, never the spectral data that it checks."""
-    h = _one_copy_hamiltonian(spec)
+    h = _one_copy_hamiltonian(spec, relations)
     if spec.copies and np.abs(h - h.conj().T).max() > 1e-9:
         raise ValueError("materialized Hamiltonian is not Hermitian")
     return np.linalg.eigh(h)
@@ -132,32 +132,33 @@ def dense_evolution(spec: WalkSpec, t: float, start_vertex: int, method: str = "
         (t,) = _finite_times([t])
     except ValueError:
         raise ValueError("t must be a finite real number") from None
+    relations = _relation_table(spec.base.adjacency)
     if method == "projector":
-        F = _projector_propagator(spec, t, _relation_table(spec.base.adjacency))
+        F = _projector_propagator(spec, t, relations)
     elif method == "eig":
-        F = _eigh_propagator(t, *_one_copy_eigh(spec))
+        F = _eigh_propagator(t, *_one_copy_eigh(spec, relations))
     else:
         raise ValueError(f"unknown method {method!r}")
     return _product_state(F, start_vertex, spec.copies)
 
 
-def _class_positions(spec: WalkSpec, start) -> np.ndarray:
+def _class_positions(spec: WalkSpec, start, relations) -> np.ndarray:
     """pos[v] = the table position of the class holding vertex v: v is in
     class beta when beta_k of its copies s have A_k[v_s, u_s] = 1, u the
     start vertex.  The per-copy relation counts are read from the start
-    column alone, never from a class matrix, and ranked all at once
-    (``extension._rank``)."""
+    column of the relation table alone, never from a class matrix, and
+    ranked all at once (``extension._rank``)."""
     u = _start_index(spec, start)
-    R = _relation_table(spec.base.adjacency)
     digits = np.unravel_index(u, (spec.base.size,) * spec.copies)
-    counts = _relation_counts([R[:, [x]] for x in digits], range(spec.base.classes))[:, :, 0].T
+    counts = _relation_counts([relations[:, [x]] for x in digits], range(spec.base.classes))[:, :, 0].T
     return _rank(counts, spec.copies)
 
 
 def vertex_classes(spec: WalkSpec, start_vertex: int = 0) -> dict:
     """Map each class index to the vertices related to the start vertex
     (``_class_positions``), in increasing order."""
-    pos, table = _class_positions(spec, start_vertex), spec.table
+    table = spec.table
+    pos = _class_positions(spec, start_vertex, _relation_table(spec.base.adjacency))
     bounds = np.cumsum(np.bincount(pos, minlength=table.dimension))[:-1]
     return dict(zip(table.index_set, np.split(np.argsort(pos, kind="stable"), bounds)))
 
@@ -192,10 +193,10 @@ def compare_amplitudes(spec: WalkSpec, times) -> ComparisonReport:
     times = _finite_times(times)
     if times.size == 0:
         raise ValueError("times must not be empty")
-    pos = _class_positions(spec, 0)
-    sizes = np.bincount(pos)
-    vals, vecs = _one_copy_eigh(spec)
     relations = _relation_table(spec.base.adjacency)
+    pos = _class_positions(spec, 0, relations)
+    sizes = np.bincount(pos)
+    vals, vecs = _one_copy_eigh(spec, relations)
     _, f = _amplitude_rows(spec, times)
     # np.maximum propagates NaN, where Python's max(0.0, nan) keeps 0.0
     amp_err = cls_err = mth_err = nrm_err = 0.0

@@ -176,11 +176,13 @@ def _intersection_tensor(adjacency) -> np.ndarray:
 
 
 def _rounded_integers(values, what: str, least: int) -> np.ndarray:
-    """``values`` rounded to int64; SchemeError unless each real part is within
-    1e-9 of its rounding and each imaginary part within 1e-9 of 0, tested
-    before the cast, so a NaN fails here."""
+    """``values`` rounded to int64; SchemeError unless each entry is finite,
+    each real part is within 1e-9 of its rounding and each imaginary part
+    within 1e-9 of 0, tested before the cast (finiteness first, before any
+    subtraction), so a NaN or an infinity fails here."""
     rounded = np.rint(values.real)
-    if not (np.abs(rounded - values.real).max() <= 1e-9 and np.abs(values.imag).max() <= 1e-9):
+    if not (np.isfinite(values).all() and np.abs(rounded - values.real).max() <= 1e-9
+            and np.abs(values.imag).max() <= 1e-9):
         raise SchemeError(f"{what} are not integers: {values}")
     vals = rounded.astype(np.int64)
     if np.any(vals < least):

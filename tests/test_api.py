@@ -10,13 +10,13 @@ PUBLIC_NAMES = {
     "AmplitudeProfile", "AssociationScheme", "ExtensionScheme", "GriffithsParams",
     "ProjectedMatrix", "Scenario", "SchemeError", "TransferEvent", "ValidationReport",
     "WalkSpec", "WeightSolution",
-    "amplitudes", "bivariate_G", "bivariate_G_tilde", "bivariate_orthogonality_residual",
+    "amplitudes", "bivariate_G", "bivariate_orthogonality_residual",
     "bivariate_recurrence_residual", "canonical_ngon_weights", "cascade_residual",
-    "class_valency", "classify", "directed_ngon", "eigenvalue_lambda", "enumerate_indices",
-    "evolve_projected", "extension_cosine", "extension_scheme", "griffiths_params",
-    "hypercube_pst_scenario", "indices_json", "intersection_numbers", "krawtchouk_genfun",
-    "krawtchouk_series", "krawtchouk_table", "materialize_class", "materialize_idempotent",
-    "multinomial", "multiset_arrangements", "ngon_mpst_scenario", "ordered_word_scheme",
+    "classify", "directed_ngon", "eigenvalue_lambda", "enumerate_indices",
+    "evolve_projected", "extension_scheme", "griffiths_params",
+    "hypercube_pst_scenario", "intersection_numbers", "krawtchouk_genfun",
+    "krawtchouk_series", "krawtchouk_table", "materialize_class",
+    "multinomial", "ngon_mpst_scenario", "ordered_word_scheme",
     "orthogonality_residual", "ow_fr_scenario", "params_from_scheme", "pochhammer",
     "projected_matrix", "scan", "site_factors", "size_guard", "solve_weights",
     "trivial_scheme_2", "unit_root", "validate_scheme", "walk_spec", "z_factors",
@@ -33,4 +33,4 @@ def test_public_names_are_pinned():
     code = "import simplexwalk; print(' '.join(n for n in dir(simplexwalk) if not n.startswith('_')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert set(out.stdout.split()) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 54

@@ -125,6 +125,20 @@ def test_U_must_be_a_square_matrix(U):
         krawtchouk_genfun((1, 0, 1), 2, U)
 
 
+@pytest.mark.parametrize("M, n_tilde", [
+    ([[1, 2], [3, 4]], (-1, 1)),
+    ([[1, 2], [3, 4]], (1, 1, 1)),  # more exponents than rows
+    ([[1, 2], [3, 4]], (1.5, 0.5)),
+    ([[1, 2], [3, 4]], (True, 1)),
+    ([[1, 2, 3], [4, 5, 6]], (1, 1)),  # not square
+    ([1, 2], (1, 1)),  # not a matrix
+    (np.zeros((0, 0)), ()),
+])
+def test_genfun_rejects_bad_input(M, n_tilde):
+    with pytest.raises(ValueError):
+        krawtchouk_genfun(n_tilde, sum(n_tilde), M)
+
+
 def test_series_univariate_frozen_value():
     # (1+z)(1-z)^2 = 1 - z - z^2 + z^3; coefficient of z is -1, over C(3;2,1)=3
     value = krawtchouk_series((2, 1), (1, 2), 3, HADAMARD)
@@ -257,11 +271,8 @@ def test_bivariate_G_tilde_is_orthonormal(N):
     # G-tilde = sqrt(3^N multinomial(N; N-m-n, m, n)) G, orthonormal under
     # the trinomial weight multinomial(N; N-x-y, x, y) / 9^N
     idx = enumerate_indices(N, 2)
-    G = np.array([[krawtchouk.bivariate_G_tilde(m, n, x, y, N) for _, x, y in idx]
-                  for _, m, n in idx])
-    for (_, m, n), row in zip(idx, G):
-        scale = math.sqrt(3 ** N * multinomial(N, (N - m - n, m, n)))
-        assert list(row) == [scale * bivariate_G(m, n, x, y, N) for _, x, y in idx]
+    G = np.array([[math.sqrt(3 ** N * multinomial(N, (N - m - n, m, n))) * bivariate_G(m, n, x, y, N)
+                   for _, x, y in idx] for _, m, n in idx])
     w = np.array([multinomial(N, b) for b in idx]) / 9 ** N
     np.testing.assert_allclose(G.conj() @ (w[:, None] * G.T), np.eye(len(idx)), rtol=0, atol=1e-14)
 
@@ -360,16 +371,30 @@ def test_recurrence_eigenvalue_factors():
 
 
 def test_genfun_values_scale_with_multinomial():
-    # coefficient extraction divides by the multinomial; spot-check once
-    U = directed_ngon(3).cosine
-    N, nt = 3, (1, 1, 1)
-    table = krawtchouk_genfun(nt, N, U)
-    poly_value = sum(
-        multinomial(N, n) * table[n] for n in enumerate_indices(N, 2)
-    )
-    # evaluating the generating product at z = (1, 1)
-    expected = np.prod([(1 + U[i, 1] + U[i, 2]) ** nt[i] for i in range(3)])
-    assert abs(poly_value - expected) < 1e-10
+    # coefficient extraction divides by the multinomial: (a x0 + b x1)(c x0 +
+    # d x1) = ac x0^2 + (ad + bc) x0 x1 + bd x1^2, over 1, 2 and 1
+    a, b, c, d = 2.0, 3.0 - 1.0j, 0.5j, 5.0
+    M = [[a, b], [c, d]]
+    assert krawtchouk_genfun((1, 1), 2, M) == {(2, 0): a * c, (1, 1): (a * d + b * c) / 2, (0, 2): b * d}
+    assert krawtchouk_genfun((0, 0), 0, M) == {(0, 0): 1.0}
+    # the values times their multinomials sum to the generating product at
+    # x = 1, prod_i (sum_j U[i,j])^nt_i: 0 on ngon-3, about 589 on the random U
+    rng = np.random.default_rng(7)
+    for U, nt in ((directed_ngon(3).cosine, (1, 1, 1)),
+                  (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 0, 1, 3))):
+        N = sum(nt)
+        table = krawtchouk_genfun(nt, N, U)
+        assert list(table) == enumerate_indices(N, len(nt) - 1)
+        poly_value = sum(multinomial(N, n) * value for n, value in table.items())
+        expected = np.prod(U.sum(axis=1) ** np.array(nt))
+        assert abs(poly_value - expected) < 1e-10 * max(1.0, abs(expected))
+
+
+def _power_row(M, beta):
+    """The expansion that krawtchouk_genfun divides by the multinomials:
+    prod_i (sum_j M[i,j] x_j)^beta_i, keyed by the exponent of each monomial."""
+    layers, labels, _ = extension._power_plan(sum(beta), len(M) - 1)
+    return dict(zip(labels, extension._expand(np.asarray(M, dtype=complex).tolist(), beta, layers)))
 
 
 @pytest.mark.parametrize("d", range(5))
@@ -381,7 +406,7 @@ def test_genfun_divides_by_exact_multinomials(N, d):
     U = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
     compositions = enumerate_indices(N, d)
     n_tilde = compositions[rng.integers(len(compositions))]
-    row = krawtchouk.symmetric_power_row(U, n_tilde)
+    row = _power_row(U, n_tilde)
     table = krawtchouk_genfun(n_tilde, N, U)
     assert list(table) == compositions
     assert table == {n: row[n] / multinomial(N, n) for n in compositions}
@@ -466,7 +491,7 @@ def _bits(z):
 def _assert_same_bits(n, n_tilde, N, U):
     assert _bits(krawtchouk_series(n, n_tilde, N, U)) == _bits(_reference_series(n, n_tilde, N, U))
     ref = _reference_power_row(U, n_tilde)
-    row = krawtchouk.symmetric_power_row(U, n_tilde)
+    row = _power_row(U, n_tilde)
     assert list(row) == enumerate_indices(N, len(n) - 1)
     assert {g: _bits(v) for g, v in row.items()} == {g: _bits(v) for g, v in ref.items()}
     table = krawtchouk_genfun(n_tilde, N, U)
@@ -628,8 +653,6 @@ def test_evaluators_stay_independent(monkeypatch):
     table = krawtchouk_genfun((2, 0, 1, 1), 4, U)
     series_table = krawtchouk._series_table(4, U)
     with monkeypatch.context() as m:
-        m.setattr(extension, "symmetric_power_row", fail)
-        m.setattr(krawtchouk, "symmetric_power_row", fail)
         m.setattr(extension, "_expand", fail)
         m.setattr(krawtchouk, "_expand", fail)
         assert krawtchouk_series((1, 2, 0, 1), (2, 0, 1, 1), 4, U) == series

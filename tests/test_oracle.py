@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from simplexwalk import (
     amplitudes,
     canonical_ngon_weights,
-    class_valency,
     directed_ngon,
     evolve_projected,
     extension_scheme,
     materialize_class,
+    multinomial,
     ordered_word_scheme,
     projected_matrix,
     trivial_scheme_2,
@@ -304,20 +304,15 @@ def test_dense_oracle_matches_arrangement_sum_reference(case):
     assert dense_hamiltonian(spec).tobytes() == H.tobytes()
 
 
-def test_dense_oracle_forms_no_arrangements(monkeypatch):
+def test_compare_amplitudes_builds_one_relation_table(monkeypatch):
+    # the class positions, the one-copy h and the projector's gather all
+    # read the one table that the compare builds
     calls = []
-    for module in (extension, oracle):
-        for name in ("_kron_chain", "multiset_arrangements"):
-            if hasattr(module, name):
-                real = getattr(module, name)
-                monkeypatch.setattr(module, name,
-                                    lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
-    spec = walk_spec(directed_ngon(4), 4, canonical_ngon_weights(4))
+    real = oracle._relation_table
+    monkeypatch.setattr(oracle, "_relation_table", lambda adjacency: calls.append(1) or real(adjacency))
+    spec = walk_spec(directed_ngon(4), 2, canonical_ngon_weights(4))
     assert compare_amplitudes(spec, [0.3, 1.2]).max_error < 1e-9
-    ext = extension_scheme(spec.base, spec.copies)
-    for beta in ext.index_set:
-        materialize_class(ext, beta)
-    assert calls == []
+    assert len(calls) == 1
 
 
 def test_compare_amplitudes_makes_one_one_copy_eigh(monkeypatch):
@@ -602,7 +597,9 @@ def _dense_projection(spec):
     cols = []
     for beta in ext.index_set:
         A = materialize_class(ext, beta).astype(complex)
-        cols.append(A @ x0 / math.sqrt(class_valency(ext, beta)))
+        k_beta = multinomial(spec.copies, beta) * math.prod(
+            int(k) ** b for k, b in zip(base.valencies, beta))
+        cols.append(A @ x0 / math.sqrt(k_beta))
     Y = np.array(cols).T
     gram = Y.conj().T @ Y
     np.testing.assert_allclose(gram, np.eye(len(ext.index_set)), atol=1e-12)

@@ -610,6 +610,17 @@ def test_nan_spectral_data_is_refused_before_any_cast(entry):
     assert str(err.value) == f"valencies are not integers: {values}"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.inf * 1j], ids=["inf", "-inf", "inf*1j"])
+def test_infinite_entries_are_refused_without_a_warning(entry):
+    # inf - rint(inf) is NaN with an "invalid value" RuntimeWarning, which
+    # warnings as errors turned into the raised exception
+    values = np.array([1, entry], dtype=complex)
+    with pytest.raises(SchemeError) as err:
+        schemes._rounded_integers(values, "valencies", 1)
+    assert str(err.value) == f"valencies are not integers: {values}"
+
+
 def test_rounded_integers_lower_bound_message():
     with pytest.raises(SchemeError) as err:
         schemes._rounded_integers(np.array([1, 0], dtype=complex), "multiplicities", 1)

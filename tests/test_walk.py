@@ -13,7 +13,6 @@ from simplexwalk import (
     amplitudes,
     bivariate_recurrence_residual,
     canonical_ngon_weights,
-    class_valency,
     directed_ngon,
     eigenvalue_lambda,
     enumerate_indices,
@@ -243,7 +242,7 @@ def test_amplitudes_normalized_random_times():
 
 def _amplitudes_per_class(spec, t):
     # reference: the per-class loop that the array pass over the class
-    # table replaced, with one class_valency call per class
+    # table replaced, with one exact valency per class
     ext = extension_scheme(spec.base, spec.copies)
     p = site_factors(spec, t)
     sizeN = float(spec.base.size) ** spec.copies
@@ -255,7 +254,8 @@ def _amplitudes_per_class(spec, t):
         for k, bk in enumerate(beta):
             if bk:
                 f = f * p[k] ** bk
-        kb = float(class_valency(ext, beta))
+        kb = float(multinomial(spec.copies, beta)
+                   * math.prod(int(k) ** b for k, b in zip(spec.base.valencies, beta)))
         coeffs[beta] = complex(f)
         sites[beta] = complex(f * math.sqrt(kb))
         probs[beta] = float(kb * abs(f) ** 2)
@@ -627,10 +627,9 @@ def test_evolve_symmetric_power_matches_dense_eigh(spec, monkeypatch):
 
 def test_evolve_never_expands_the_symmetric_power(monkeypatch):
     def fail(*args):
-        raise AssertionError("evolve_projected called symmetric_power_row")
+        raise AssertionError("evolve_projected expanded the symmetric power term by term")
 
-    monkeypatch.setattr(extension, "symmetric_power_row", fail)
-    monkeypatch.setattr(walk, "symmetric_power_row", fail, raising=False)
+    monkeypatch.setattr(extension, "_expand", fail)
     for spec in (canonical_spec(3, 4), walk_spec(ordered_word_scheme(3), 3, [0.7, -0.3, 0.25])):
         pm = projected_matrix(spec)
         for start in (pm.order[0], pm.order[-1], pm.order[len(pm.order) // 2]):
