@@ -536,6 +536,7 @@ def _bad_calls():
         "eigenvalue_lambda": lambda v: walk.eigenvalue_lambda(ngon3, (v, 1, 0)),
         "evolve_projected": lambda v: walk.evolve_projected(pm, 0.5, (v, 1, 0)),
         "krawtchouk_series": lambda v: krawtchouk.krawtchouk_series((v, 1, 0), (2, 0, 0), 2, U),
+        "krawtchouk_series_n_tilde": lambda v: krawtchouk.krawtchouk_series((2, 0, 0), (v, 1, 0), 2, U),
         "krawtchouk_genfun": lambda v: krawtchouk.krawtchouk_genfun((v, 1, 0), 2, U),
     }
 
@@ -559,6 +560,7 @@ def test_truncating_examples_are_rejected():
     spec = walk.walk_spec(directed_ngon(3), 2, walk.canonical_ngon_weights(3))
     for call in (lambda: walk.evolve_projected(walk.projected_matrix(spec), 0.5, (2.9, 0.1, 0)),
                  lambda: walk.eigenvalue_lambda(spec, (2.9, 0.1, 0)),
+                 lambda: materialize_class(extension_scheme(directed_ngon(3), 2), (1.5, 1.5, 0)),
                  lambda: multinomial(2, (1.9, 1.2)),
                  lambda: krawtchouk.krawtchouk_series((2.5, 0, 0), (2, 0, 0), 2, directed_ngon(3).cosine)):
         with pytest.raises(ValueError, match="must be integers"):

@@ -370,24 +370,35 @@ def test_recurrence_eigenvalue_factors():
             assert abs(lam2 - ((N - x - y) + x * zeta ** 2 + y * zeta)) < 1e-12
 
 
-def test_genfun_values_scale_with_multinomial():
+def test_genfun_two_by_two():
     # coefficient extraction divides by the multinomial: (a x0 + b x1)(c x0 +
     # d x1) = ac x0^2 + (ad + bc) x0 x1 + bd x1^2, over 1, 2 and 1
     a, b, c, d = 2.0, 3.0 - 1.0j, 0.5j, 5.0
     M = [[a, b], [c, d]]
     assert krawtchouk_genfun((1, 1), 2, M) == {(2, 0): a * c, (1, 1): (a * d + b * c) / 2, (0, 2): b * d}
     assert krawtchouk_genfun((0, 0), 0, M) == {(0, 0): 1.0}
+
+
+def _ngon3_cosine():
+    return directed_ngon(3).cosine, (1, 1, 1)
+
+
+def _random_4x4():
+    rng = np.random.default_rng(7)
+    return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 0, 1, 3)
+
+
+@pytest.mark.parametrize("case", [_ngon3_cosine, _random_4x4], ids=["ngon3", "random4"])
+def test_genfun_values_scale_with_multinomial(case):
     # the values times their multinomials sum to the generating product at
     # x = 1, prod_i (sum_j U[i,j])^nt_i: 0 on ngon-3, about 589 on the random U
-    rng = np.random.default_rng(7)
-    for U, nt in ((directed_ngon(3).cosine, (1, 1, 1)),
-                  (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 0, 1, 3))):
-        N = sum(nt)
-        table = krawtchouk_genfun(nt, N, U)
-        assert list(table) == enumerate_indices(N, len(nt) - 1)
-        poly_value = sum(multinomial(N, n) * value for n, value in table.items())
-        expected = np.prod(U.sum(axis=1) ** np.array(nt))
-        assert abs(poly_value - expected) < 1e-10 * max(1.0, abs(expected))
+    U, nt = case()
+    N = sum(nt)
+    table = krawtchouk_genfun(nt, N, U)
+    assert list(table) == enumerate_indices(N, len(nt) - 1)
+    poly_value = sum(multinomial(N, n) * value for n, value in table.items())
+    expected = np.prod(U.sum(axis=1) ** np.array(nt))
+    assert abs(poly_value - expected) < 1e-10 * max(1.0, abs(expected))
 
 
 def _power_row(M, beta):
