@@ -15,9 +15,7 @@ from .extension import (
     ExtensionScheme,
     enumerate_indices,
     extension_scheme,
-    materialize_class,
     multinomial,
-    size_guard,
 )
 from .krawtchouk import (
     GriffithsParams,
@@ -58,6 +56,7 @@ from .detect import (
     scan,
     zt_candidates,
 )
+from .oracle import materialize_class, size_guard
 from . import oracle
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from .extension import enumerate_indices
 from .schemes import _integers, directed_ngon, ordered_word_scheme, trivial_scheme_2
 from .walk import (
     WalkSpec,
+    _check_phases,
     _finite_times,
     _site_factor_jets,
     _site_factor_rows,
@@ -266,6 +267,7 @@ def scan(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """
     _check_tol(tol)
     grid = _time_grid(t_grid)
+    _check_phases(spec, grid)
     if not spec.is_hermitian:
         raise ValueError("cannot scan a non-unitary walk")
     if spec.copies == 0:
@@ -331,6 +333,7 @@ def zt_candidates(spec: WalkSpec, t_grid, tol: float = PST_TOL) -> list:
     """
     _check_tol(tol)
     grid = _time_grid(t_grid)
+    _check_phases(spec, grid)
     if not len(grid):
         return []
     table = spec.table
@@ -348,7 +351,9 @@ def cascade_residual(spec: WalkSpec, times, tol: float = 1e-9) -> float:
     ones, which is the expected pattern for the ordered-word scheme.
     """
     _check_tol(tol)
-    p = np.abs(_site_factor_rows(spec, _finite_times(times))) / float(spec.base.multiplicities.sum())
+    times = _finite_times(times)
+    _check_phases(spec, times)
+    p = np.abs(_site_factor_rows(spec, times)) / float(spec.base.multiplicities.sum())
     # tail[:, k - 1] = max(p[:, k + 1:]) for k = 1..d-1; a NaN propagates and fails both tests
     tail = np.maximum.accumulate(p[:, :1:-1], axis=1)[:, ::-1]
     return float(tail[(p[:, 1:-1] < tol) & (tail >= tol)].max(initial=0.0))

@@ -3,9 +3,7 @@
 The power scheme is never stored as matrices in the main path: classes are
 labelled by compositions of N into d+1 parts, and the class table
 (valencies, multinomials) is computed at the index level; the cosines of
-the power scheme are the Krawtchouk values of ``krawtchouk``.  Classes can
-still be materialized as dense 0/1 matrices for small sizes, from the
-per-copy relation counts, which is what the brute-force oracle feeds on.
+the power scheme are the Krawtchouk values of ``krawtchouk``.
 """
 
 from __future__ import annotations
@@ -14,24 +12,10 @@ import dataclasses
 import functools
 import itertools
 import math
-import os
 
 import numpy as np
 
 from .schemes import AssociationScheme, _integers
-
-DEFAULT_GUARD = 4096
-
-
-def size_guard() -> int:
-    """Row guard for materialized matrices: DEFAULT_GUARD; SIMPLEXWALK_GUARD overrides."""
-    env = os.environ.get("SIMPLEXWALK_GUARD")
-    if not env:
-        return DEFAULT_GUARD
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"SIMPLEXWALK_GUARD must be a positive integer, got {env!r}")
-    return int(env)
-
 
 def enumerate_indices(N: int, d: int) -> list:
     """All compositions of N into d+1 parts, largest first coordinate first.
@@ -117,23 +101,27 @@ def _expand(rows, beta, layers) -> list:
 class ExtensionScheme:
     """The N-th symmetric tensor power of ``base``, N = ``copies``, as its
     class table in canonical order: ``index`` row r, ``valency`` and
-    ``multinomial`` hold index_set[r], k_beta and multinomial(N; beta),
-    the last two as the exact integers rounded once to float64.  The
-    arrays are read-only; ``_rank`` maps each beta back to its row."""
+    ``multinomial`` hold beta, k_beta and multinomial(N; beta), the last
+    two as the exact integers rounded once to float64.  The arrays are
+    read-only; ``_rank`` maps each beta back to its row."""
 
     base: AssociationScheme
     copies: int
-    index_set: tuple
     index: np.ndarray
     valency: np.ndarray
     multinomial: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.index_set)
+        return len(self.index)
+
+    @functools.cached_property
+    def index_set(self) -> tuple:
+        """The rows of ``index`` as tuples, built on first read and kept."""
+        return tuple(zip(*self.index.T.tolist()))
 
     def monomials(self, x, out) -> np.ndarray:
-        """out[..., r] *= prod_k x[..., k]^beta_k in place, beta = index_set[r]:
+        """out[..., r] *= prod_k x[..., k]^beta_k in place, beta = index[r]:
         the powers 0..N of each x_k are formed once and gathered by the
         table's exponent column, and x_k^0 is skipped, so the zeros and
         signs of ``out`` stay where beta_k = 0."""
@@ -216,7 +204,6 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
         raise ValueError("copies must be non-negative")
     d, valencies = base.d, base.valencies.tolist()
     index = _index_matrix(N, d)
-    index_set = tuple(zip(*index.T.tolist()))
     start, binomials = np.zeros(N + 1, dtype=np.intp), []
     for r in range(N + 1) if d > 1 else (N,) * d:  # d = 1 reads row N only, d = 0 none
         start[r] = len(binomials)
@@ -241,8 +228,7 @@ def extension_scheme(base: AssociationScheme, N: int) -> ExtensionScheme:
                              f"(largest float {np.finfo(float).max:.6g})") from None
     for a in (index, valency, multinomials):
         a.setflags(write=False)
-    return ExtensionScheme(base=base, copies=N, index_set=index_set, index=index, valency=valency,
-                           multinomial=multinomials)
+    return ExtensionScheme(base=base, copies=N, index=index, valency=valency, multinomial=multinomials)
 
 
 def _symmetric_power_state(V, start, table: ExtensionScheme) -> np.ndarray:
@@ -290,47 +276,3 @@ def _givens_state(V, start, table: ExtensionScheme) -> np.ndarray:
             p = np.exp(1j * arg * np.arange(n + 1))
             state[blocks[n]] = (state[blocks[n]] * p.conj() @ S) * p
     return table.monomials(np.diagonal(V), state)
-
-
-def _guarded_rows(base: AssociationScheme, copies: int) -> int:
-    """|X|^N, the rows of a dense matrix on the N-th power, within the guard."""
-    rows = base.size ** copies
-    guard = size_guard()
-    if rows > guard:
-        raise ValueError(f"materialization of {rows} rows exceeds the guard ({guard})")
-    return rows
-
-
-def _relation_table(adjacency) -> np.ndarray:
-    """R[x, y] = k where A_k[x, y] = 1, read once off the 0/1 relations."""
-    return sum(k * np.asarray(a) for k, a in enumerate(adjacency))
-
-
-def _relation_counts(relations, classes) -> np.ndarray:
-    """Entry (i, v, w) counts the copies s with relations[s][v_s, w_s] equal
-    to classes[i], v_s and w_s the base-|X| digits of v and w: a Kronecker
-    sum over the copies, one broadcast add per copy, in the smallest
-    integer type that holds the number of copies.  Each add puts its copy
-    in front, so the inner axes of the sum stay long."""
-    dtype = np.min_scalar_type(len(relations))
-    classes = np.asarray(classes, dtype=np.intp)[:, None, None]
-    out = np.zeros((len(classes), 1, 1), dtype=dtype)
-    for r in reversed(relations):
-        hit = (r == classes).astype(dtype)
-        out = (hit[:, :, None, :, None] + out[:, None, :, None, :]).reshape(
-            len(classes), r.shape[0] * out.shape[1], -1)
-    return out
-
-
-def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of the class labelled by beta: (v, w) is
-    in it when, for each k with beta_k > 0, exactly beta_k copies s have
-    A_k[v_s, w_s] = 1 (the other counts are then 0, as beta sums to N)."""
-    beta = _composition(beta, ext.copies, ext.base.classes)
-    rows = _guarded_rows(ext.base, ext.copies)
-    ks = [k for k, b in enumerate(beta) if b]
-    counts = _relation_counts([_relation_table(ext.base.adjacency)] * ext.copies, ks)
-    member = np.ones((rows, rows), dtype=bool)
-    for count, k in zip(counts, ks):
-        member &= count == beta[k]
-    return member.astype(np.int64)

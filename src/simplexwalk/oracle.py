@@ -10,20 +10,24 @@ The methods differ in F: the factorized idempotent phases sum_j exp(-i t
 theta_j) E_j, or V diag(exp(-i t lambda)) V^H from one eigh of h.  The two
 states must agree, and both must match the product-formula amplitudes class
 by class.  Class membership is read from per-copy relation counts: (v, w)
-lies in class beta when beta_k copies s have A_k[v_s, w_s] = 1.
+lies in class beta when beta_k copies s have A_k[v_s, w_s] = 1; the same
+counts give the dense 0/1 class matrices.  Every dense object on the power
+scheme is built here, under one row guard on |X|^N.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 
 from . import krawtchouk
-from .extension import _guarded_rows, _rank, _relation_counts, _relation_table, size_guard
+from .extension import ExtensionScheme, _composition, _rank
 from .schemes import (
     SPECTRAL_TOL,
+    AssociationScheme,
     directed_ngon,
     ordered_word_scheme,
     trivial_scheme_2,
@@ -40,18 +44,66 @@ from .walk import (
     walk_spec,
 )
 
-# Row guard of the evolutions and of the comparison, which hold a few
-# states of |X|^N complex entries (1 MB each at 2^16 rows).
-# SIMPLEXWALK_GUARD only raises it, as it also sets ``DEFAULT_GUARD``, the
-# guard that the rows^2 materializations (``dense_hamiltonian``,
-# ``materialize_class``) keep.
-SWEEP_GUARD = 2 ** 16
+DEFAULT_GUARD = 4096  # rows of the rows x rows matrices
+SWEEP_GUARD = 2 ** 16  # rows of the evolutions and the comparison, a few states each
+
+
+def size_guard() -> int:
+    """Row guard for materialized matrices: DEFAULT_GUARD; SIMPLEXWALK_GUARD overrides."""
+    env = os.environ.get("SIMPLEXWALK_GUARD")
+    if not env:
+        return DEFAULT_GUARD
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"SIMPLEXWALK_GUARD must be a positive integer, got {env!r}")
+    return int(env)
+
+
+def _guarded_rows(base: AssociationScheme, copies: int, floor: int = 0) -> int:
+    """|X|^N, the rows of a dense object on the N-th power, within
+    max(size_guard(), floor): the one guard rule of the oracle."""
+    rows, guard = base.size ** copies, max(size_guard(), floor)
+    if rows > guard:
+        raise ValueError(f"{rows} rows exceed the dense oracle's guard ({guard})")
+    return rows
+
+
+def _relation_table(adjacency) -> np.ndarray:
+    """R[x, y] = k where A_k[x, y] = 1, read once off the 0/1 relations."""
+    return sum(k * np.asarray(a) for k, a in enumerate(adjacency))
+
+
+def _relation_counts(relations, classes) -> np.ndarray:
+    """Entry (i, v, w) counts the copies s with relations[s][v_s, w_s] equal
+    to classes[i], v_s and w_s the base-|X| digits of v and w: a Kronecker
+    sum over the copies, one broadcast add per copy, in the smallest
+    integer type that holds the number of copies.  Each add puts its copy
+    in front, so the inner axes of the sum stay long."""
+    dtype = np.min_scalar_type(len(relations))
+    classes = np.asarray(classes, dtype=np.intp)[:, None, None]
+    out = np.zeros((len(classes), 1, 1), dtype=dtype)
+    for r in reversed(relations):
+        hit = (r == classes).astype(dtype)
+        out = (hit[:, :, None, :, None] + out[:, None, :, None, :]).reshape(
+            len(classes), r.shape[0] * out.shape[1], -1)
+    return out
+
+
+def materialize_class(ext: ExtensionScheme, beta) -> np.ndarray:
+    """Dense 0/1 adjacency matrix of the class labelled by beta: (v, w) is
+    in it when, for each k with beta_k > 0, exactly beta_k copies s have
+    A_k[v_s, w_s] = 1 (the other counts are then 0, as beta sums to N)."""
+    beta = _composition(beta, ext.copies, ext.base.classes)
+    rows = _guarded_rows(ext.base, ext.copies)
+    ks = [k for k, b in enumerate(beta) if b]
+    counts = _relation_counts([_relation_table(ext.base.adjacency)] * ext.copies, ks)
+    member = np.ones((rows, rows), dtype=bool)
+    for count, k in zip(counts, ks):
+        member &= count == beta[k]
+    return member.astype(np.int64)
 
 
 def _start_index(spec: WalkSpec, start_vertex) -> int:
-    rows, guard = spec.base.size ** spec.copies, max(size_guard(), SWEEP_GUARD)
-    if rows > guard:
-        raise ValueError(f"{rows} rows exceed the dense oracle's guard ({guard})")
+    rows = _guarded_rows(spec.base, spec.copies, SWEEP_GUARD)
     if isinstance(start_vertex, bool) or not isinstance(start_vertex, (int, np.integer)):
         raise ValueError(f"start vertex must be an integer, got {start_vertex!r}")
     if not 0 <= start_vertex < rows:

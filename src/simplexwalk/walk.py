@@ -37,6 +37,11 @@ class WalkSpec:
             raise ValueError(f"expected {self.base.d} weights, got {weights.shape}")
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
+        P = self.base.first_eigenmatrix[:, 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = np.append(P @ weights, (P[0] - P[1:]) @ weights)
+        if not np.isfinite(rates).all():
+            raise ValueError("weights are too large: the rates theta and mu must be finite")
         (copies,) = _integers((self.copies,), "copies")
         if copies < 0:
             raise ValueError("copies must be non-negative")
@@ -72,6 +77,11 @@ class WalkSpec:
         mu = (P[0] - P[1:]) @ self.weights
         m = self.base.multiplicities[1:].astype(complex)
         return mu, 1j * mu, m, np.conj(self.base.cosine[1:, :]).T
+
+    @functools.cached_property
+    def _phase_rates(self) -> tuple:
+        """max_l |mu_l| and |theta_0| as floats: the phases are t mu_l and t N theta_0."""
+        return float(np.abs(self._site_terms[0]).max(initial=0.0)), abs(complex(_one_copy_spectrum(self)[0]))
 
     @functools.cached_property
     def _jet_terms(self) -> np.ndarray:
@@ -138,6 +148,7 @@ def z_factors(spec: WalkSpec, t: float) -> np.ndarray:
     """Unit phases z_l(t) = exp(i t mu_l), one per nontrivial idempotent."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    _check_phases(spec, [t])
     return np.exp(1j * t * spec._site_terms[0])
 
 
@@ -152,6 +163,17 @@ def _finite_times(times) -> np.ndarray:
     if not np.isfinite(grid).all():
         raise ValueError("time grid must be finite")
     return grid
+
+
+def _check_phases(spec: WalkSpec, times) -> None:
+    """ValueError unless the phases t mu_l and t N theta_0 stay finite at
+    every one of the finite ``times``, multiplied in the kernels' order:
+    one scalar test at the time of largest |t|."""
+    if len(times):
+        t = float(times[np.abs(times).argmax()])
+        mu, theta0 = spec._phase_rates
+        if not (math.isfinite(abs(t) * mu) and math.isfinite(abs(t) * spec.copies * theta0)):
+            raise ValueError(f"time {t!r} is too large: a phase t * rate of the walk overflows")
 
 
 def _site_factor_rows(spec: WalkSpec, times) -> np.ndarray:
@@ -186,6 +208,7 @@ def site_factors(spec: WalkSpec, t: float) -> np.ndarray:
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
+    _check_phases(spec, [t])
     return _site_factor_rows(spec, [t])[0]
 
 
@@ -217,6 +240,7 @@ def _amplitude_rows(spec: WalkSpec, times) -> tuple:
     ``times`` must pass ``_finite_times``, the grid rule of ``detect.scan``.
     """
     times = _finite_times(times)
+    _check_phases(spec, times)
     table = spec.table
     theta0 = complex(_one_copy_spectrum(spec)[0])
     prefactor = np.exp(-1j * times * spec.copies * theta0) / float(spec.base.size) ** spec.copies
@@ -263,7 +287,8 @@ def solve_weights(scheme: AssociationScheme, t: float, target_args) -> WeightSol
 
     P = scheme.first_eigenmatrix
     system = P[0, 1:][np.newaxis, :] - P[1:, 1:]
-    w = np.linalg.solve(system, target_args / t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny t fails as non-finite weights
+        w = np.linalg.solve(system, target_args / t)
 
     spec = WalkSpec(base=scheme, copies=1, weights=w)
     z = z_factors(spec, t)
@@ -347,4 +372,6 @@ def evolve_projected(pm: ProjectedMatrix, t: float, start) -> np.ndarray:
         raise ValueError("t must be finite")
     start = _composition(start, pm.table.copies, pm.table.base.classes)
     vals, vecs = np.linalg.eigh(pm.one_body)
+    if not math.isfinite(abs(t) * float(np.abs(vals).max(initial=0.0))):
+        raise ValueError(f"time {float(t)!r} is too large: a phase t * lambda of the walk overflows")
     return _symmetric_power_state((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T, start, pm.table)

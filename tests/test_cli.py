@@ -288,6 +288,25 @@ def test_amplitudes_rejects_bad_time_range(tmp_path, capsys, t_min, t_max):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, args, message", [
+    ("amplitudes", ["--weights", "1e308,1e308"], "weights are too large"),
+    ("amplitudes", ["--t-max", "1e308"], "time 1e+308 is too large"),
+    ("detect", ["--t-max", "1e308"], "time 1e+308 is too large"),
+    ("amplitudes", ["--solve-targets", "1,2", "--solve-time", "1e-320"], "weights must be finite"),
+], ids=["huge-weights", "huge-time", "detect-huge-time", "tiny-solve-time"])
+def test_out_of_range_input_exit_code(tmp_path, capsys, command, args, message):
+    # finite input past the float range wrote NaN rows and exited 0, or
+    # leaked a RuntimeWarning before its error
+    out = tmp_path / "out.txt"
+    scheme = ["--scenario", "ngon"] if command == "detect" else ["--scheme", "ngon"]
+    rc = run_cli(["walk", command, *scheme, "--n", "3", "--N", "2", "--steps", "2", *args, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_amplitudes_past_the_float_range_exit_code(tmp_path, capsys):
     # the ngon-3 class table at N = 700 has valencies past the float range
     out = tmp_path / "a.csv"

@@ -912,3 +912,40 @@ def test_zt_candidates_match_the_class_product_formula(sc):
         for tol in (1e-9, 1e-3, 0.1):
             got = [ev.support[0] for ev in zt_candidates(sc.spec, grid, tol=tol)]
             assert got == _zt_by_class_product(sc.spec, grid, tol), (list(grid)[:3], tol)
+
+
+_HUGE_T = 1e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda spec: amplitudes(spec, _HUGE_T),
+    lambda spec: site_factors(spec, _HUGE_T),
+    lambda spec: walk.z_factors(spec, -_HUGE_T),
+    lambda spec: walk._amplitude_rows(spec, [0.0, _HUGE_T]),
+    lambda spec: scan(spec, [0.0, _HUGE_T]),
+    lambda spec: zt_candidates(spec, [0.0, _HUGE_T]),
+    lambda spec: cascade_residual(spec, [_HUGE_T, 0.0]),
+    lambda spec: evolve_projected(projected_matrix(spec), _HUGE_T, (3, 0, 0)),
+    lambda spec: evolve_projected(projected_matrix(spec), _HUGE_T, (1, 1, 1)),
+], ids=["amplitudes", "site_factors", "z_factors", "amplitude_rows", "scan", "zt_candidates",
+        "cascade_residual", "evolve_extreme", "evolve_inner"])
+def test_a_time_whose_phase_overflows_is_refused(call):
+    # t mu_l = 9e308 is past the float range: these returned NaN (or, for
+    # cascade_residual, a passing 0.0) with no error
+    spec = walk_spec(directed_ngon(3), 3, [3.0, 3.0])
+    with pytest.raises(ValueError, match=r"time -?1e\+308 is too large"):
+        call(spec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_phase_check_follows_the_kernels_product_order():
+    # the prefactor forms (t N) theta_0: at N = 4, theta_0 = 1 the phase
+    # leaves the float range between these two times
+    spec = walk_spec(trivial_scheme_2(), 4, [1.0])
+    assert abs(amplitudes(spec, 4.4e307).total_probability() - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match=r"time 4.5e\+307 is too large"):
+        amplitudes(spec, 4.5e307)
+    # theta_0 = 0.1 keeps t N theta_0 finite, but t N alone is not
+    with pytest.raises(ValueError, match=r"time 1e\+308 is too large"):
+        amplitudes(walk_spec(trivial_scheme_2(), 3, [0.1]), 1e308)

@@ -20,7 +20,7 @@ from simplexwalk import (
     ordered_word_scheme,
     trivial_scheme_2,
 )
-from simplexwalk import detect, extension, krawtchouk, walk
+from simplexwalk import detect, extension, krawtchouk, oracle, walk
 from simplexwalk.extension import (
     _expand,
     _givens_state,
@@ -151,10 +151,10 @@ def test_large_hypercube_class_is_hamming_distance():
 def test_size_guard_rejects_bad_env(monkeypatch, value):
     monkeypatch.setenv("SIMPLEXWALK_GUARD", value)
     with pytest.raises(ValueError) as err:
-        extension.size_guard()
+        oracle.size_guard()
     assert str(err.value) == f"SIMPLEXWALK_GUARD must be a positive integer, got {value!r}"
     monkeypatch.setenv("SIMPLEXWALK_GUARD", "7")
-    assert extension.size_guard() == 7
+    assert oracle.size_guard() == 7
 
 
 def test_extension_cosine_trivial_rows():
@@ -429,15 +429,25 @@ def test_givens_state_memory_stays_quadratic_in_N():
 
 def test_class_table_build_memory_is_bounded():
     # the exact products run in blocks of rows, so the peak is the table
-    # itself (index, index_set), the binomial rows and one block of Python
-    # ints: about 8.3 MiB
+    # itself (its arrays; the label tuples wait for their first reader),
+    # the binomial rows and one block of Python ints: about 5.1 MiB
     tracemalloc.start()
     try:
         extension_scheme(directed_ngon(3), 300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2 ** 20
+    assert peak <= 6 * 2 ** 20
+
+
+def test_extreme_start_evolution_builds_no_label_tuples():
+    # the table stores its labels once, as the index matrix; the tuples
+    # are built by the first reader that needs them, and kept
+    pm = walk.projected_matrix(walk.walk_spec(directed_ngon(3), 300, walk.canonical_ngon_weights(3)))
+    walk.evolve_projected(pm, 0.7, (300, 0, 0))
+    assert "index_set" not in vars(pm.table)
+    assert pm.order is pm.table.index_set is vars(pm.table)["index_set"]
+    assert pm.order == tuple(enumerate_indices(300, 2))
 
 
 def test_pair_blocks_are_built_lazily_and_partition_the_table():

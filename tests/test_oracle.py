@@ -218,8 +218,7 @@ def test_vertex_classes_match_class_columns(spec, monkeypatch):
     def forbidden(*args):
         raise AssertionError("vertex_classes formed a dense class matrix")
 
-    monkeypatch.setattr(oracle, "materialize_class", forbidden, raising=False)
-    monkeypatch.setattr(extension, "materialize_class", forbidden)
+    monkeypatch.setattr(oracle, "materialize_class", forbidden)
     for v in range(spec.base.size ** spec.copies):
         members = vertex_classes(spec, start_vertex=v)
         assert list(members) == list(ext.index_set)
@@ -515,6 +514,19 @@ def test_guard_env_override(monkeypatch):
     dense_hamiltonian(spec)
 
 
+@pytest.mark.parametrize("call, rows, guard", [
+    (lambda: dense_hamiltonian(walk_spec(trivial_scheme_2(), 13, [1.0])), 8192, 4096),
+    (lambda: materialize_class(extension_scheme(trivial_scheme_2(), 13), (13, 0)), 8192, 4096),
+    (lambda: dense_evolution(walk_spec(trivial_scheme_2(), 17, [1.0]), 0.5, 0), 131072, 65536),
+], ids=["dense_hamiltonian", "materialize_class", "dense_evolution"])
+def test_every_dense_object_raises_the_one_guard_message(call, rows, guard, monkeypatch):
+    # the rows x rows matrices keep the size guard, the evolutions at least SWEEP_GUARD
+    monkeypatch.delenv("SIMPLEXWALK_GUARD", raising=False)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"{rows} rows exceed the dense oracle's guard ({guard})"
+
+
 @pytest.mark.parametrize("N", [4, 16])
 @pytest.mark.parametrize("t", [math.pi / 2, math.pi])
 def test_eig_method_at_the_hypercube_transfer_times(N, t):
@@ -768,7 +780,7 @@ def test_dense_hamiltonian_is_the_class_sum_bitwise(spec, monkeypatch):
     def forbidden(*args):
         raise AssertionError("dense_hamiltonian formed a class matrix")
 
-    monkeypatch.setattr(extension, "materialize_class", forbidden)
+    monkeypatch.setattr(oracle, "materialize_class", forbidden)
     monkeypatch.setattr(extension, "extension_scheme", forbidden)
     H = dense_hamiltonian(spec)
     assert H.dtype == complex and H.shape == expected.shape

@@ -122,6 +122,28 @@ def test_walk_spec_constructor_normalizes_its_fields():
         dataclasses.replace(spec, copies=1.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base, weights", [
+    (directed_ngon(3), [1e308, 1e308]),  # theta_0 = 2e308
+    (trivial_scheme_2(), [1e308]),  # theta_0 = -theta_1 = 1e308, mu_1 = 2e308
+], ids=["ngon3-theta", "trivial2-mu"])
+def test_walk_spec_rejects_weights_whose_spectrum_overflows(base, weights):
+    # finite weights whose theta or mu is not: every amplitude was NaN
+    with pytest.raises(ValueError, match="weights are too large"):
+        WalkSpec(base, 2, weights)
+    with pytest.raises(ValueError, match="weights are too large"):
+        walk_spec(base, 2, weights)
+    WalkSpec(base, 2, np.array(weights) / 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_weights_at_a_tiny_time_fails_without_a_warning():
+    # target_args / t overflows: the solve gives non-finite weights, and
+    # the one error is the spec's
+    with pytest.raises(ValueError, match="weights must be finite"):
+        solve_weights(directed_ngon(3), 1e-320, [1.0, 2.0])
+
+
 def test_direct_construction_does_not_warn():
     # solve_weights and the oracle's probes build non-Hermitian specs on purpose
     with warnings.catch_warnings():
